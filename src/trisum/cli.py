@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="sweep a range for exceptions")
     p_ver.add_argument("--form", choices=FORMS, required=True)
     p_ver.add_argument("--to", type=int, required=True, help="inclusive upper end of the sweep")
-    p_ver.add_argument("--threads", type=int, default=None, help="scan threads (default: one)")
     p_ver.add_argument("--json", action="store_true", help="machine readable output")
     p_ver.add_argument(
         "--full",
@@ -86,11 +85,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.threads is not None and args.threads <= 0:
-        print("error: --threads must be positive", file=sys.stderr)
-        return 2
     try:
-        report = verify_range(args.form, 0, args.to, threads=args.threads, full=args.full)
+        report = verify_range(args.form, 0, args.to, full=args.full)
     except (BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -105,10 +101,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(payload))
     else:
         shown = ", ".join(map(str, report.exceptions)) if report.exceptions else "none"
-        print(
-            f"{report.form} on [0, {report.hi}]: exceptions: {shown}"
-            f" ({report.elapsed_ms:.1f} ms, {report.chunks} chunks)"
-        )
+        print(f"{report.form} on [0, {report.hi}]: exceptions: {shown} ({report.elapsed_ms:.1f} ms)")
     if args.form not in _EXPECTED_EXCEPTIONS:
         if not args.json:
             print("informational only; this form is allowed to have exceptions")

@@ -73,8 +73,12 @@ _build_tables()
 
 
 def solve_offset_congruence(v: int, t: int, doubled: bool = False) -> frozenset[int]:
-    """Classes A0 mod t^2 with 4*A0^2 = v (or 8*A0^2 = v when doubled)."""
-    check_nat(v, "v")
+    """Classes A0 mod t^2 with 4*A0^2 = v (or 8*A0^2 = v when doubled).
+
+    v is 4n+3 for an input n, so it may exceed the input bound itself.
+    """
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise ValueError(f"v must be a non-negative integer, got {v!r}")
     if t not in MODULI:
         raise ValueError(f"modulus must be one of {MODULI}, got {t}")
     if v % t == 0:

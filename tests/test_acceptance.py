@@ -85,7 +85,7 @@ def test_conjecture_sweep_to_one_million():
 
 def test_first_form_sweep_to_ten_million():
     t0 = time.perf_counter()
-    report = verify_range("thm1", 0, 10**7, threads=4)
+    report = verify_range("thm1", 0, 10**7)
     elapsed = time.perf_counter() - t0
     ok = report.exceptions == () and elapsed <= 300.0
     assert _report(

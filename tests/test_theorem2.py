@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum.core_arith import Quad2, eval_quad
+from trisum.core_arith import MAX_INPUT, Quad2, eval_quad
 from trisum.theorem2 import (
     FourSquareForm,
     NoOffset,
@@ -38,6 +38,14 @@ class TestOffsets:
             solve_offset_congruence(10, 5)
         with pytest.raises(ValueError):
             solve_offset_congruence(11, 7)
+
+    def test_congruence_takes_targets_above_the_input_bound(self):
+        # v = 4n+3 exceeds MAX_INPUT for every n above (2^58-3)//4
+        v = 4 * MAX_INPUT + 3
+        assert solve_offset_congruence(v, 13) == solve_offset_congruence(v % 169, 13)
+        for bad in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                solve_offset_congruence(bad, 5)
 
     def test_find_offset_known_values(self):
         assert find_offset(20002, 5) == 128
@@ -149,6 +157,30 @@ class TestRepresent:
         assert counts.get("square", 0) > 0
         assert counts.get("doubled", 0) > 0
 
+    # the top of the domain, where 4n+3 passes 2^58: the first n past that
+    # line and its neighbour below, the two largest inputs, and the largest
+    # descent inputs (4n+3 divisible by 3965; MAX_INPUT-1 is one of them)
+    @pytest.mark.parametrize(
+        "n",
+        [
+            (2**58 - 3) // 4,
+            (2**58 - 3) // 4 + 1,
+            MAX_INPUT - 1,
+            MAX_INPUT,
+            MAX_INPUT - 1 - 3965,
+        ],
+    )
+    def test_top_of_domain(self, n):
+        assert eval_quad("thm2", represent_thm2(n)) == n
+
+    def test_seeded_inputs_above_two_to_the_56(self):
+        rng = random.Random(58)
+        for _ in range(20):
+            n = rng.randint(1 << 56, MAX_INPUT)
+            assert eval_quad("thm2", represent_thm2(n)) == n
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             represent_thm2(-3)
+        with pytest.raises(ValueError):
+            represent_thm2(MAX_INPUT + 1)

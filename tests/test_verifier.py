@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from trisum import verifier
 from trisum.core_arith import eval_quad
 from trisum.verifier import (
     FORMS,
@@ -47,6 +48,18 @@ def _reachable(form: str, hi: int) -> set[int]:
     else:
         out = _reachable("conj_a", hi) | _reachable("conj_b", hi)
     return out
+
+
+# exceptions of the partial forms on [0, 10^6]; none lies above 3530
+CONJ_A_TO_1E6 = (
+    8, 13, 14, 20, 35, 41, 47, 58, 68, 74, 86, 110, 125, 188, 248, 275,
+    278, 288, 305, 308, 338, 348, 539, 548, 720, 890, 953, 1100, 2495, 2714, 2753, 3530,
+)  # fmt: skip
+CONJ_B_TO_1E6 = (
+    2, 5, 8, 17, 23, 29, 33, 44, 50, 53, 60, 62, 68, 75, 95, 98, 107, 113, 118, 128,
+    135, 168, 170, 194, 204, 233, 239, 243, 260, 285, 320, 368, 419, 473, 530, 560,
+    563, 593, 638, 815, 870, 1070, 1268, 1295, 1328, 1418, 1463, 1658, 2390, 3230,
+)  # fmt: skip
 
 
 class TestBruteQuad:
@@ -104,7 +117,6 @@ class TestVerifyRange:
         assert report.exceptions == (8, 68)
         assert report.form == "conjecture"
         assert (report.lo, report.hi) == (0, 10000)
-        assert report.chunks == 1
         assert report.elapsed_ms >= 0.0
 
     def test_quadruple_forms_have_no_exceptions(self):
@@ -122,11 +134,32 @@ class TestVerifyRange:
         assert verify_range("conjecture", 8, 68).exceptions == (8, 68)
         assert verify_range("conjecture", 68, 68).exceptions == (68,)
 
-    def test_threaded_scan_is_deterministic(self):
+    def test_sweep_is_deterministic(self):
         base = verify_range("conj_a", 0, 30000)
-        small_chunks = verify_range("conj_a", 0, 30000, threads=4, chunk=1 << 10)
-        assert small_chunks.exceptions == base.exceptions
-        assert small_chunks.chunks > base.chunks
+        assert verify_range("conj_a", 0, 30000).exceptions == base.exceptions
+        assert base.exceptions == CONJ_A_TO_1E6
+
+    def test_triple_forms_to_one_million(self):
+        # past the last slot's first shifts, conj_a leaves 35 holes of which
+        # 32 are exceptions and conj_b 52 of which 50; the rest are resolved
+        assert verify_range("conj_a", 0, 10**6).exceptions == CONJ_A_TO_1E6
+        assert verify_range("conj_b", 0, 10**6).exceptions == CONJ_B_TO_1E6
+        assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
+
+    @pytest.mark.parametrize("shifts", [0, 1, 5, 64, 10**6])
+    def test_last_stage_shift_count_changes_nothing(self, monkeypatch, shifts):
+        # few shifts leave many holes for the lookup to resolve; at least as
+        # many shifts as slot values leave only the exceptions
+        monkeypatch.setattr(verifier, "_LAST_SHIFTS", shifts)
+        for form in FORMS:
+            for lo, hi in ((0, 0), (0, 7), (0, 400), (150, 400), (400, 400)):
+                reachable = _reachable(form, hi)
+                expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+                assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+        assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
+        assert verify_range("conj_b", 2000, 20000).exceptions == tuple(
+            n for n in CONJ_B_TO_1E6 if n >= 2000
+        )
 
     def test_cap_and_override(self):
         with pytest.raises(BudgetExceeded):
@@ -152,7 +185,24 @@ class TestVerifyRange:
             missing = tuple(n for n in range(lo, hi + 1) if brute_quad(form, n) is None)
             assert report.exceptions == missing, (form, lo, hi)
 
+    @pytest.mark.parametrize("form", FORMS)
+    def test_seeded_windows_match_reference_enumeration(self, form):
+        # hi below 2000 keeps every last slot shorter than the stage's shift
+        # count (the shortest, triangular, reaches value 2080 at index 64)
+        rng = random.Random(form)
+        for _ in range(6):
+            hi = rng.choice((rng.randint(0, 60), rng.randint(0, 2000)))
+            lo = rng.randint(0, hi)
+            reachable = _reachable(form, hi)
+            expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+            assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+        for _ in range(4):
+            lo = rng.randint(10000, 60000)
+            hi = lo + rng.randint(0, 1000)
+            missing = tuple(n for n in range(lo, hi + 1) if brute_quad(form, n) is None)
+            assert verify_range(form, lo, hi).exceptions == missing, (form, lo, hi)
+
     def test_report_is_a_named_tuple(self):
         report = verify_range("thm1", 0, 10)
         assert isinstance(report, RangeReport)
-        assert report._fields == ("form", "lo", "hi", "exceptions", "elapsed_ms", "chunks")
+        assert report._fields == ("form", "lo", "hi", "exceptions", "elapsed_ms")
