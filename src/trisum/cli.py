@@ -6,7 +6,8 @@ Subcommands:
   selftest   cross-check constructive witnesses against brute force
 
 Exit codes: 0 = success / expected outcome, 1 = a witness failed to
-check or the exception set was not the expected one, 2 = usage error.
+check or could not be built (ConstructionFailed), or the exception set
+was not the expected one, 2 = usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .core_arith import eval_quad
+from .core_arith import MAX_INPUT, ConstructionFailed, eval_quad
 from .theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from .theorem2 import branch_counts, represent_thm2, reset_branch_counts
 from .verifier import FORMS, BudgetExceeded, brute_quad, verify_range
@@ -29,7 +30,7 @@ _EXPECTED_EXCEPTIONS = {
 }
 
 _RANDOM_LO = 10**9
-_RANDOM_HI = 10**12
+_RANDOM_HI = MAX_INPUT
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="cross-check witnesses against brute force")
     p_self.add_argument("--to", type=int, default=10000, help="exhaustive range end (inclusive)")
-    p_self.add_argument("--random", type=int, default=0, help="extra random large inputs to check")
+    p_self.add_argument(
+        "--random",
+        type=int,
+        default=0,
+        help="extra random inputs to check, drawn from [10^9, 2^58]",
+    )
     p_self.add_argument("--seed", type=int, default=0, help="seed for the random inputs")
     return parser
 
@@ -70,6 +76,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             witness = represent_thm1(args.n)
         else:
             witness = represent_thm2(args.n)
+    except ConstructionFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -124,25 +133,29 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     reset_branch_counts()
     failures = 0
 
-    def check(form: str, n: int, witness) -> None:
+    def check(form: str, n: int, solve) -> None:
         nonlocal failures
+        try:
+            witness = solve(n)
+        except ConstructionFailed:
+            witness = None
         if witness is None or eval_quad(form, witness) != n:
             failures += 1
             print(f"FAIL {form} n={n} witness={witness}", file=sys.stderr)
 
     for n in range(args.to + 1):
-        check("thm1", n, represent_thm1(n))
-        check("thm1", n, brute_quad("thm1", n))
-        check("thm2", n, represent_thm2(n))
-        check("thm2", n, brute_quad("thm2", n))
+        check("thm1", n, represent_thm1)
+        check("thm1", n, lambda m: brute_quad("thm1", m))
+        check("thm2", n, represent_thm2)
+        check("thm2", n, lambda m: brute_quad("thm2", m))
     print(f"checked {args.to + 1} inputs against brute force: {failures} failures")
 
     if args.random:
         rng = random.Random(args.seed)
         for _ in range(args.random):
             n = rng.randint(_RANDOM_LO, _RANDOM_HI)
-            check("thm1", n, represent_thm1(n))
-            check("thm2", n, represent_thm2(n))
+            check("thm1", n, represent_thm1)
+            check("thm2", n, represent_thm2)
         print(f"checked {args.random} random large inputs: witnesses evaluate correctly")
 
     branches = branch_counts()

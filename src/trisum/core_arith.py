@@ -39,14 +39,19 @@ class Quad2(NamedTuple):
     d: int
 
 
-def check_nat(n: int, name: str = "n") -> int:
-    """Validate that *n* is an integer with 0 <= n <= MAX_INPUT."""
+class ConstructionFailed(ValueError):
+    """The construction failed and the input is beyond the brute-force budget."""
+
+
+def check_nat(n: int, name: str = "n", bound: int = MAX_INPUT) -> int:
+    """Validate that *n* is an integer with 0 <= n <= bound (MAX_INPUT by default)."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"{name} must be non-negative, got {n}")
-    if n > MAX_INPUT:
-        raise ValueError(f"{name}={n} exceeds the supported bound 2**58")
+    if n > bound:
+        shown = "2**58" if bound == MAX_INPUT else bound
+        raise ValueError(f"{name}={n} exceeds the supported bound {shown}")
     return n
 
 

@@ -8,7 +8,9 @@ with a ternary identity, and recombines via the split
 
 The recombination needs two strict bound checks; they are expected to
 hold for every n > 200 and are verified at runtime anyway, with a swap
-repair and a brute-force fallback behind them.
+repair and a brute-force fallback behind them.  The fallback searches
+only up to verifier.DEFAULT_BUDGET; beyond it the call raises
+ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 import logging
 from math import isqrt
 
-from .core_arith import Quad1, check_nat, indices_to_quad1
+from .core_arith import ConstructionFailed, Quad1, check_nat, indices_to_quad1
 from .ternary import rep_2t_t_t, rep_square_two_tri
+from .verifier import BudgetExceeded, brute_quad
 
 logger = logging.getLogger(__name__)
 
@@ -34,41 +37,17 @@ def reset_fallback_count() -> None:
     _fallbacks = 0
 
 
-def _brute(n: int) -> Quad1:
-    """Exhaustive first-witness search; total on the checked base range."""
-    even_vals = {}
-    e = 0
-    while e * (2 * e + 1) <= n:
-        even_vals[e * (2 * e + 1)] = e
-        e += 1
-    a = 0
-    while a * (2 * a - 1) <= n:
-        ra = n - a * (2 * a - 1)
-        b = a
-        while b * (2 * b - 1) <= ra:
-            rb = ra - b * (2 * b - 1)
-            c = 0
-            while c * (2 * c + 1) <= rb:
-                d = even_vals.get(rb - c * (2 * c + 1))
-                if d is not None:
-                    return Quad1(a, b, c, d)
-                c += 1
-            b += 1
-        a += 1
-    raise ValueError(f"no witness for {n}")  # not reachable for any n >= 0
-
-
 def _note_fallback(n: int) -> None:
     global _fallbacks
     _fallbacks += 1
-    logger.warning("bound check failed for n=%d; using brute-force witness", n)
+    logger.warning("bound check failed for n=%d; trying the brute-force search", n)
 
 
 def represent_thm1(n: int) -> Quad1:
     """Return (a, b, c, d) with a(2a-1)+b(2b-1)+c(2c+1)+d(2d+1) = n."""
     check_nat(n)
     if n <= 200:
-        return _brute(n)
+        return Quad1(*brute_quad("thm1", n))
     if n & 1:
         # biggest c with 2c^2 + 2c + 1 <= n, i.e. (2c+1)^2 <= 2n - 1
         c = (isqrt(2 * n - 1) - 1) // 2
@@ -87,4 +66,7 @@ def represent_thm1(n: int) -> Quad1:
             if c - p > x and c + p > y:
                 return indices_to_quad1(c - p + x, c - p - x - 1, c + p + y, c + p - y - 1)
     _note_fallback(n)
-    return _brute(n)
+    try:
+        return Quad1(*brute_quad("thm1", n))
+    except BudgetExceeded as exc:
+        raise ConstructionFailed(f"bound check failed for n={n}: {exc}") from exc

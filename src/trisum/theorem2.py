@@ -8,7 +8,9 @@ the square-plus-two-triangulars split.  When all three moduli divide
 4n+3 the problem is shrunk by a factor of 3965 = 5*13*61 and solved
 recursively; the small witness is lifted back up through a four-square
 normal form.  Inputs below the size thresholds of the peeling argument
-go to the exhaustive search instead.
+go to the exhaustive search instead.  If the offset scan ever ran dry,
+the same search would stand in up to verifier.DEFAULT_BUDGET; beyond it
+the call raises ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from collections import Counter
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .core_arith import Quad2, check_nat, eval_quad, split_square_plus_double_tri
+from .core_arith import (
+    ConstructionFailed,
+    Quad2,
+    check_nat,
+    eval_quad,
+    split_square_plus_double_tri,
+)
 from .ternary import (
     COMPOSITE_MODULUS,
     MODULI,
@@ -27,7 +35,7 @@ from .ternary import (
     rep_tt4t_mixed,
     rep_ttt_mixed,
 )
-from .verifier import brute_quad
+from .verifier import BudgetExceeded, brute_quad
 
 logger = logging.getLogger(__name__)
 
@@ -192,8 +200,15 @@ def represent_thm2(n: int) -> Quad2:
                     _branches["square"] += 1
                     return _combine_square(a_off, rep.x, rep.y, rep.z)
         logger.warning("offset scan exhausted for n=%d (t=%d); falling back", n, t)
+        try:
+            witness = brute_quad("thm2", n)
+        except BudgetExceeded as exc:
+            raise ConstructionFailed(f"offset scan exhausted for n={n} (t={t}): {exc}") from exc
+    else:
+        # below the size thresholds (n up to about 3.2e8 for t = 61): always searched
+        witness = brute_quad("thm2", n, budget=None)
     _branches["brute"] += 1
-    return Quad2(*brute_quad("thm2", n, budget=None))
+    return Quad2(*witness)
 
 
 def _descend(v: int) -> Quad2:

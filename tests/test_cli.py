@@ -1,6 +1,8 @@
 import json
 
+from trisum import cli
 from trisum.cli import main
+from trisum.core_arith import ConstructionFailed
 
 
 def run(capsys, *argv):
@@ -131,3 +133,17 @@ def test_no_command_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_failed_construction_is_not_a_usage_error(capsys, monkeypatch):
+    def fail(n):
+        raise ConstructionFailed(f"no witness for n={n}")
+
+    monkeypatch.setattr(cli, "represent_thm1", fail)
+    code, out, err = run(capsys, "decompose", "12345", "--theorem", "1")
+    assert code == 1
+    assert out == ""
+    assert "error: no witness for n=12345" in err
+    code, _, err = run(capsys, "selftest", "--to", "3")
+    assert code == 1
+    assert "FAIL thm1 n=3 witness=None" in err

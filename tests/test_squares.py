@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisum import squares
+from trisum.core_arith import MAX_INPUT
 from trisum.squares import (
     NoRepresentation,
     NotRepresentable,
@@ -116,3 +119,128 @@ def test_two_squares_returns_largest_leading_component(m):
     else:
         assert two_squares(m) == best
         assert two_squares(m).p >= two_squares(m).q
+
+
+# --- the factor path against the scan it replaces above FACTOR_FROM ---
+
+def _scan_or_none(scan, m):
+    try:
+        return scan(m)
+    except NoRepresentation:
+        return None
+
+
+def _factored_two_squares(m):
+    splits = squares._two_square_splits(m)
+    return TwoSquares(splits[0][1], splits[0][0]) if splits else None
+
+
+def _splits_by_scan(m):
+    return [
+        (q, math.isqrt(m - q * q))
+        for q in range(math.isqrt(m // 2) + 1)
+        if is_square(m - q * q)
+    ]
+
+
+def test_factor_path_matches_scan_on_small_range():
+    for m in range(20001):
+        if eligible_three_squares(m):
+            assert squares._three_squares_factored(m) == squares._three_squares_scan(m), m
+        assert _factored_two_squares(m) == _scan_or_none(squares._two_squares_scan, m), m
+
+
+def test_factor_path_matches_scan_on_seeded_inputs():
+    rng = random.Random(2016)
+    for _ in range(1000):
+        m = rng.randint(1 << 16, 1 << 28)
+        if eligible_three_squares(m):
+            assert three_squares(m) == squares._three_squares_scan(m), m
+        assert _scan_or_none(two_squares, m) == _scan_or_none(squares._two_squares_scan, m), m
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        65537,  # prime 1 mod 4
+        1000000009,  # prime 1 mod 4
+        65539,  # prime 3 mod 4
+        1000003,  # prime 3 mod 4
+        99991**2,  # p^2, p = 3 mod 4
+        3 * 65539**2,
+        9 * 7**4 * 13 * 65537,
+        *(1 << k for k in (16, 17, 24, 25)),
+        2 * 65537,
+        2 * 65537**2,
+        2 * 13**7,
+        2 * 1000033**2,
+        5 * 13 * 17 * 29 * 37 * 41,  # 32 splits
+        2 * 5 * 13 * 17 * 29 * 37 * 41,
+        4 * 5**3 * 13**2 * 17 * 29,
+    ],
+)
+def test_factor_path_matches_scan_on_edge_shapes(m):
+    assert m >= squares.FACTOR_FROM
+    assert squares._two_square_splits(m) == _splits_by_scan(m)
+    assert _scan_or_none(two_squares, m) == _scan_or_none(squares._two_squares_scan, m)
+    if eligible_three_squares(m):
+        assert three_squares(m) == squares._three_squares_scan(m)
+
+
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        (65544, (2, 32, 254)),  # the split q == a comes first; the next one wins
+        (65538, (3, 45, 252)),  # a = 1 has only q == a; a later a wins
+        (67712, (24, 40, 256)),  # a = 0 has only q == p; a later a wins
+        (65536, (0, 0, 256)),  # no distinct triple: the first one, q == a
+        (68608, (96, 96, 224)),  # no distinct triple: the first one, q == a
+        (68352, (80, 176, 176)),  # no distinct triple: the first one, q == p
+        (3 * 4**9, (512, 512, 512)),  # no distinct triple: q == a == p
+    ],
+)
+def test_factor_path_follows_the_scan_tie_rules(m, expected):
+    assert squares._three_squares_scan(m) == expected
+    assert three_squares(m) == expected
+
+
+def test_large_splits_need_rho_and_square_roots():
+    p3 = 1073741783  # prime 3 mod 4 near 2^30
+    assert two_squares(p3 * p3) == (p3, 0)
+    with pytest.raises(NoRepresentation):
+        two_squares(p3 * 536870909)
+    with pytest.raises(NoRepresentation):
+        two_squares((1 << 61) - 1)  # a prime 3 mod 4
+    m = 536870909 * 1000000009  # two primes 1 mod 4 near 2^29 and 2^30: two splits
+    splits = squares._two_square_splits(m)
+    assert len(splits) == 2
+    assert all(q * q + p * p == m and q <= p for q, p in splits)
+    assert two_squares(m) == (splits[0][1], splits[0][0])
+
+
+def test_primality_and_gaussian_primes():
+    small = {n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))}
+    assert squares._ODD_PRIMES == tuple(sorted(p for p in small if 2 < p < 1 << 10))
+    for n in range(1025, 1 << 16, 2):
+        assert squares._is_prime(n) == (n in small), n
+    # the least strong pseudoprime to the first k prime bases sits on the
+    # bound that switches to more bases, so the bases used must catch it
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383):
+        assert not squares._is_prime(n)
+    assert squares._is_prime((1 << 61) - 1)
+    for p in (*(p for p in small if p & 3 == 1), 1000000009, 536870909):
+        a, b = squares._gaussian_prime(p)
+        assert a * a + b * b == p
+
+
+def test_domain_reaches_squares_max():
+    top = 8 * MAX_INPUT + 6
+    assert squares.SQUARES_MAX == top < 1 << 64
+    t = three_squares(top)
+    assert t.a * t.a + t.b * t.b + t.c * t.c == top
+    assert 0 <= t.a <= t.b <= t.c
+    for bad in (top + 1, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            three_squares(bad)
+        with pytest.raises(ValueError):
+            two_squares(bad)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisum.core_arith import MAX_INPUT
 from trisum.ternary import (
     COMPOSITE_MODULUS,
     EVEN_LIFT_NARROW,
@@ -201,3 +202,23 @@ def test_lift_even_odd_pair_closure(p, q):
     assert a * a + b * b == COMPOSITE_MODULUS * (p * p + q * q)
     assert not a & 1 and b & 1
     assert a >= b - 1
+
+
+# the universal representations shift m to 4m+1, 8m+6 and 4m+2, which pass
+# 2^58 well inside the input domain; each must take every m up to MAX_INPUT
+@pytest.mark.parametrize("rep", [rep_square_two_tri, rep_4t_t_t, rep_2t_t_t])
+@pytest.mark.parametrize("m", [MAX_INPUT // 8, MAX_INPUT // 8 + 1, MAX_INPUT - 1, MAX_INPUT])
+def test_universal_reps_at_the_top_of_the_domain(rep, m):
+    r = rep(m)
+    assert r.value() == m
+    assert min(r.x, r.y, r.z) >= 0
+
+
+@pytest.mark.parametrize("rep", [rep_square_two_tri, rep_4t_t_t, rep_2t_t_t])
+def test_universal_reps_on_seeded_top_inputs(rep):
+    rng = random.Random(58)
+    for _ in range(30):
+        m = rng.randint(1 << 56, MAX_INPUT)
+        assert rep(m).value() == m
+    with pytest.raises(ValueError):
+        rep(MAX_INPUT + 1)

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum.core_arith import MAX_INPUT, Quad1, eval_quad
+from trisum import theorem1
+from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad1, eval_quad
+from trisum.ternary import TernaryRep
 from trisum.theorem1 import fallback_count, represent_thm1, reset_fallback_count
-from trisum.verifier import brute_quad
+from trisum.verifier import DEFAULT_BUDGET, brute_quad
 
 
 def test_known_witnesses():
@@ -55,3 +57,38 @@ def test_input_validation():
 def test_fallback_counter_reset():
     reset_fallback_count()
     assert fallback_count() == 0
+
+
+@pytest.mark.parametrize("n", [MAX_INPUT - 1, MAX_INPUT, (2**58 - 3) // 4, (2**58 - 3) // 4 + 1])
+def test_top_of_domain(n):
+    assert eval_quad("thm1", represent_thm1(n)) == n
+
+
+@given(st.integers(min_value=0, max_value=MAX_INPUT))
+@settings(max_examples=200, deadline=None)
+def test_witnesses_evaluate_back_on_the_whole_domain(n):
+    assert eval_quad("thm1", represent_thm1(n)) == n
+
+
+def _break_the_bound_checks(monkeypatch):
+    # a ternary witness with huge slots fails both bound checks in both orders
+    def rep(m):
+        return TernaryRep(0, 10**12, 10**12, "broken")
+
+    monkeypatch.setattr(theorem1, "rep_2t_t_t", rep)
+    monkeypatch.setattr(theorem1, "rep_square_two_tri", rep)
+
+
+@pytest.mark.parametrize("n", [1001, 1002])
+def test_failed_bound_check_falls_back_to_brute_force(monkeypatch, n):
+    _break_the_bound_checks(monkeypatch)
+    reset_fallback_count()
+    assert tuple(represent_thm1(n)) == brute_quad("thm1", n)
+    assert fallback_count() == 1
+
+
+@pytest.mark.parametrize("n", [DEFAULT_BUDGET + 1, MAX_INPUT])
+def test_failed_bound_check_beyond_the_budget_raises(monkeypatch, n):
+    _break_the_bound_checks(monkeypatch)
+    with pytest.raises(ConstructionFailed):
+        represent_thm1(n)

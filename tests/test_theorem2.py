@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum.core_arith import MAX_INPUT, Quad2, eval_quad
+from trisum import theorem2
+from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
 from trisum.theorem2 import (
     FourSquareForm,
     NoOffset,
@@ -17,6 +18,7 @@ from trisum.theorem2 import (
     reset_branch_counts,
     solve_offset_congruence,
 )
+from trisum.verifier import DEFAULT_BUDGET, brute_quad
 
 
 class TestOffsets:
@@ -146,6 +148,11 @@ class TestRepresent:
     def test_witnesses_evaluate_back(self, n):
         assert eval_quad("thm2", represent_thm2(n)) == n
 
+    @given(st.integers(min_value=0, max_value=MAX_INPUT))
+    @settings(max_examples=200, deadline=None)
+    def test_witnesses_evaluate_back_on_the_whole_domain(self, n):
+        assert eval_quad("thm2", represent_thm2(n)) == n
+
     def test_large_inputs_use_constructive_branches(self):
         reset_branch_counts()
         rng = random.Random(2)
@@ -184,3 +191,24 @@ class TestRepresent:
             represent_thm2(-3)
         with pytest.raises(ValueError):
             represent_thm2(MAX_INPUT + 1)
+
+
+class TestExhaustedOffsetScan:
+    # with no offset candidates the scan runs dry for every big-enough input
+
+    @pytest.fixture(autouse=True)
+    def _no_offsets(self, monkeypatch):
+        monkeypatch.setattr(theorem2, "_offset_candidates", lambda n, t, doubled: iter(()))
+
+    def test_falls_back_to_brute_force_within_the_budget(self):
+        reset_branch_counts()
+        n = 10**6
+        assert tuple(represent_thm2(n)) == brute_quad("thm2", n)
+        assert branch_counts() == {"brute": 1}
+
+    @pytest.mark.parametrize("n", [DEFAULT_BUDGET + 1, MAX_INPUT])
+    def test_beyond_the_budget_raises(self, n):
+        reset_branch_counts()
+        with pytest.raises(ConstructionFailed):
+            represent_thm2(n)
+        assert branch_counts() == {}
