@@ -74,6 +74,11 @@ def is_square(m: int) -> bool:
 def eligible_three_squares(m: int) -> bool:
     """True iff m is a sum of three squares (m = 0 included)."""
     check_nat(m, "m", SQUARES_MAX)
+    return _eligible(m)
+
+
+def _eligible(m: int) -> bool:
+    # Legendre: m is not of the form 4^l(8k+7); m is already validated
     while m and m % 4 == 0:
         m //= 4
     return m % 8 != 7
@@ -89,7 +94,7 @@ def three_squares(m: int) -> ThreeSquares:
     0 <= m <= SQUARES_MAX.
     """
     check_nat(m, "m", SQUARES_MAX)
-    if not eligible_three_squares(m):
+    if not _eligible(m):
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
     if m < FACTOR_FROM:
         return _three_squares_scan(m)

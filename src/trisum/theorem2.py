@@ -40,10 +40,6 @@ from .verifier import BudgetExceeded, brute_quad
 logger = logging.getLogger(__name__)
 
 
-class NoOffset(ValueError):
-    """No admissible offset A exists below the leading square root."""
-
-
 class NotCoprime(ValueError):
     """The target shares a factor with the chosen modulus."""
 
@@ -103,17 +99,6 @@ def _offset_candidates(n: int, t: int, doubled: bool) -> Iterator[int]:
             continue  # n - A^2 must stay even
         if a % mod in classes:
             yield a
-
-
-def find_offset(n: int, t: int, doubled: bool = False) -> int:
-    """Largest admissible offset A, scanning down from the square root."""
-    check_nat(n)
-    start = isqrt(n // 2) if doubled else isqrt(n)
-    for a in _offset_candidates(n, t, doubled):
-        if start - a > 2 * t * t:
-            logger.info("offset for n=%d sits %d below the square root", n, start - a)
-        return a
-    raise NoOffset(f"no usable offset for n={n} with t={t}, doubled={doubled}")
 
 
 def quad2_to_four_squares(n: int, q: Quad2) -> FourSquareForm:

@@ -1,8 +1,10 @@
 """Exhaustive checks for the quadruple and triple representability forms.
 
-Two engines live here.  brute_quad finds one witness for a single input
-by nested enumeration, resolving the last slot arithmetically (or, for
-the doubled quadruple form, through a cached table of pair sums).
+Two engines live here.  brute_quad walks a table of forms, each given as
+its slot kinds in search order, and returns the lexicographically first
+witness; it resolves the last two slots together, up to 2^20 from a table
+of first index pairs and above that by a scan and a square root.
+
 verify_range covers a whole interval at once.  Every form is a sumset of
 slot kinds; each slot contributes a bit mask of its attainable values
 and the masks are convolved by shift-or.  The conjecture's two triples,
@@ -17,11 +19,13 @@ values v.  The holes that stay open are the exceptions.
 from __future__ import annotations
 
 import time
+from functools import partial
+from itertools import accumulate, count, islice, takewhile
 from math import isqrt
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 from .core_arith import check_nat
-from .squares import _SQ_MOD256
 
 FORMS = ("thm1", "thm2", "conj_a", "conj_b", "conjecture")
 
@@ -30,138 +34,7 @@ DEFAULT_CAP = 10**8
 
 
 class BudgetExceeded(ValueError):
-    """Input beyond the configured search budget; raise the cap to force."""
-
-
-def _resolve_even(r: int) -> Optional[int]:
-    # c(2c+1) = r  <=>  8r+1 = (4c+1)^2
-    s = 8 * r + 1
-    if (s & 255) not in _SQ_MOD256:
-        return None
-    root = isqrt(s)
-    if root * root != s or root & 3 != 1:
-        return None
-    return (root - 1) // 4
-
-
-_BD_THRESHOLD = 1 << 20
-_bd_table: dict[int, tuple[int, int]] = {}
-_bd_limit = -1
-
-
-def _rebuild_bd(limit: int) -> None:
-    # first (b, d) in lexicographic order wins for every reachable sum
-    global _bd_limit
-    _bd_table.clear()
-    b = 0
-    while b * (2 * b - 1) <= limit:
-        vb = b * (2 * b - 1)
-        d = 0
-        while vb + d * (2 * d + 1) <= limit:
-            _bd_table.setdefault(vb + d * (2 * d + 1), (b, d))
-            d += 1
-        b += 1
-    _bd_limit = limit
-
-
-def _brute_thm1(n: int) -> Optional[tuple[int, int, int, int]]:
-    a = 0
-    while a * (2 * a - 1) <= n:
-        ra = n - a * (2 * a - 1)
-        b = a
-        while b * (2 * b - 1) <= ra:
-            rb = ra - b * (2 * b - 1)
-            c = 0
-            while c * (2 * c + 1) <= rb:
-                d = _resolve_even(rb - c * (2 * c + 1))
-                if d is not None:
-                    return (a, b, c, d)
-                c += 1
-            b += 1
-        a += 1
-    return None
-
-
-def _brute_thm2(n: int) -> Optional[tuple[int, int, int, int]]:
-    if n <= _BD_THRESHOLD:
-        if n > _bd_limit:
-            _rebuild_bd(max(n, 2 * _bd_limit, 1024))
-        a = 0
-        while 2 * a * (2 * a - 1) <= n:
-            ra = n - 2 * a * (2 * a - 1)
-            c = 0
-            while 2 * c * (2 * c + 1) <= ra:
-                hit = _bd_table.get(ra - 2 * c * (2 * c + 1))
-                if hit is not None:
-                    return (a, hit[0], c, hit[1])
-                c += 1
-            a += 1
-        return None
-    a = 0
-    while 2 * a * (2 * a - 1) <= n:
-        ra = n - 2 * a * (2 * a - 1)
-        b = 0
-        while b * (2 * b - 1) <= ra:
-            rb = ra - b * (2 * b - 1)
-            c = 0
-            while 2 * c * (2 * c + 1) <= rb:
-                d = _resolve_even(rb - 2 * c * (2 * c + 1))
-                if d is not None:
-                    return (a, b, c, d)
-                c += 1
-            b += 1
-        a += 1
-    return None
-
-
-def _brute_conj_a(n: int) -> Optional[tuple[int, int, int]]:
-    a = 0
-    while a * (2 * a - 1) <= n:
-        ra = n - a * (2 * a - 1)
-        b = a
-        while b * (2 * b - 1) <= ra:
-            c = _resolve_even(ra - b * (2 * b - 1))
-            if c is not None:
-                return (a, b, c)
-            b += 1
-        a += 1
-    return None
-
-
-def _brute_conj_b(n: int) -> Optional[tuple[int, int, int]]:
-    a = 0
-    while a * (2 * a - 1) <= n:
-        ra = n - a * (2 * a - 1)
-        b = 0
-        while b * (2 * b + 1) <= ra:
-            c = _resolve_even(ra - b * (2 * b + 1))
-            if c is not None:
-                return (a, b, c)
-            b += 1
-        a += 1
-    return None
-
-
-def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
-    """First witness of `form` for n, or None if none exists.
-
-    Raises BudgetExceeded for n above `budget` (pass budget=None to
-    search regardless of size).
-    """
-    check_nat(n)
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-    if budget is not None and n > budget:
-        raise BudgetExceeded(f"n={n} beyond search budget {budget}")
-    if form == "thm1":
-        return _brute_thm1(n)
-    if form == "thm2":
-        return _brute_thm2(n)
-    if form == "conj_a":
-        return _brute_conj_a(n)
-    if form == "conj_b":
-        return _brute_conj_b(n)
-    return _brute_conj_a(n) or _brute_conj_b(n)
+    """Input beyond the search budget or the sweep cap; budget=None or full=True forces it."""
 
 
 # A sumset does not depend on slot order: conj_a is listed as
@@ -173,24 +46,118 @@ _SLOT_KINDS = {
     "conj_b": ("odd", "even", "even"),
     "conjecture": ("odd", "even", "tri"),
 }
-_SLOT_VALUE = {
-    "odd": lambda k: k * (2 * k - 1),
-    "even": lambda k: k * (2 * k + 1),
-    "odd2": lambda k: 2 * k * (2 * k - 1),
-    "even2": lambda k: 2 * k * (2 * k + 1),
-    "tri": lambda k: k * (k + 1) // 2,
-}
+# The k-th slot value is the sum of the first k terms of an arithmetic
+# progression (first term, step): odd k(2k-1), even k(2k+1), odd2 and
+# even2 twice those, tri k(k+1)/2.
+_SLOT_STEP = {"odd": (1, 4), "even": (3, 4), "odd2": (2, 8), "even2": (6, 8), "tri": (1, 1)}
 
-# Last-slot shifts OR-ed in before the holes are looked up; only speed depends on it.
-_LAST_SHIFTS = 64
+
+def _values(kind: str) -> Iterator[int]:
+    return accumulate(count(*_SLOT_STEP[kind]), initial=0)
 
 
 def _slot_values(kind: str, hi: int) -> list[int]:
-    value = _SLOT_VALUE[kind]
-    out = []
-    while (v := value(len(out))) <= hi:
-        out.append(v)
-    return out
+    return list(takewhile(hi.__ge__, _values(kind)))
+
+
+# Up to this n the last two slots of a brute search come from a table.
+_PAIR_MAX = 1 << 20
+
+# Slot kinds in search order, and where each searched index goes in the
+# witness; thm2 searches a, c, b, d so that it ends in odd + even like
+# conj_a.  Forms whose first two slots share a kind need no b >= a start:
+# their first witness has b >= a anyway.
+_BRUTE_FORMS = {
+    "thm1": (("odd", "odd", "even", "even"), itemgetter(0, 1, 2, 3)),
+    "thm2": (("odd2", "even2", "odd", "even"), itemgetter(0, 2, 1, 3)),
+    "conj_a": (("odd", "odd", "even"), itemgetter(0, 1, 2)),
+    "conj_b": (("odd", "even", "even"), itemgetter(0, 1, 2)),
+}
+
+# Keyed by the last two slot kinds: the table's limit, and for every sum up
+# to it the first index pair in lexicographic order.  Grown on demand, and
+# with them every kind's list of values up to the largest limit so far.
+_pairs: dict[tuple[str, ...], tuple[int, dict[int, tuple[int, int]]]] = {}
+_SMALL_VALUES: dict[str, list[int]] = {"odd": [], "even": [], "odd2": [], "even2": []}
+
+
+def _pair_table(kinds: tuple[str, ...], n: int) -> dict[int, tuple[int, int]]:
+    limit, table = _pairs.get(kinds) or (-1, {})
+    if n > limit:
+        # sums already in the table keep their pair, so it grows in place
+        limit = min(max(n, 2 * limit, 1024), _PAIR_MAX)
+        for kind, values in _SMALL_VALUES.items():
+            values.extend(takewhile(limit.__ge__, islice(_values(kind), len(values), None)))
+        first, last = (_SMALL_VALUES[kind] for kind in kinds)
+        for j, u in enumerate(first):
+            for k, v in enumerate(last):
+                if u + v > limit:
+                    break
+                table.setdefault(u + v, (j, k))
+        _pairs[kinds] = limit, table
+    return table
+
+
+def _index_of(kind: str, r: int) -> Optional[tuple[int]]:
+    # T(m) = r exactly when 8r+1 = (2m+1)^2; an odd kind takes m = 2k-1
+    # (m = -1 for r = 0), an even kind m = 2k, a doubled kind twice that
+    if kind[-1] == "2":
+        if r & 1:
+            return None
+        r >>= 1
+    s = 8 * r + 1
+    root = isqrt(s)
+    if root * root != s:
+        return None
+    k, even = divmod((root + 1) >> 1, 2)
+    return (k,) if even == (kind[0] == "e") or not r else None
+
+
+def _search(kinds: tuple[str, ...], n: int, pairs, i: int = 0) -> Optional[tuple[int, ...]]:
+    # the first indices in lexicographic order for slots i.. summing to n;
+    # the last two come from `pairs` if there is a table, else from a scan
+    head, left = kinds[i], len(kinds) - i
+    values = _values(head) if pairs is None else _SMALL_VALUES[head]
+    resolve = None  # recurse into slot i + 1
+    if left == 3 and pairs is not None:
+        resolve = pairs.get
+    elif left == 2:
+        resolve = partial(_index_of, kinds[-1])
+    j = 0
+    for v in values:
+        if v > n:
+            return None
+        found = _search(kinds, n - v, pairs, i + 1) if resolve is None else resolve(n - v)
+        if found is not None:
+            return (j, *found)
+        j += 1
+    return None
+
+
+def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
+    """First witness of `form` for n, or None if none exists.
+
+    "First" is lexicographic in the search order: (a, b, c, d) for thm1,
+    (a, c, b, d) for thm2, (a, b, c) for conj_a and conj_b.  conjecture
+    returns conj_a's witness when one exists, else conj_b's.  Raises
+    BudgetExceeded for n above `budget` (pass budget=None to search
+    regardless of size).
+    """
+    check_nat(n)
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
+    if budget is not None and n > budget:
+        raise BudgetExceeded(f"n={n} beyond search budget {budget}")
+    for part in ("conj_a", "conj_b") if form == "conjecture" else (form,):
+        kinds, place = _BRUTE_FORMS[part]
+        found = _search(kinds, n, _pair_table(kinds[-2:], n) if n <= _PAIR_MAX else None)
+        if found is not None:
+            return place(found)
+    return None
+
+
+# Last-slot shifts OR-ed in before the holes are looked up; only speed depends on it.
+_LAST_SHIFTS = 64
 
 
 def _shift_or(bits: int, shifts: list[int]) -> int:
@@ -234,18 +201,11 @@ class RangeReport(NamedTuple):
     elapsed_ms: float
 
 
-def verify_range(
-    form: str,
-    lo: int,
-    hi: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    full: bool = False,
-) -> RangeReport:
+def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeReport:
     """Exceptions of `form` on [lo, hi], found by a whole-interval sweep.
 
-    Refuses hi beyond `cap` unless full=True; a full sweep holds a few
-    bitmaps of roughly hi/8 bytes each, so large caps are a deliberate
+    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds a few
+    bitmaps of roughly hi/8 bytes each, so a larger one is a deliberate
     choice, not a default.
     """
     check_nat(lo, "lo")
@@ -254,8 +214,8 @@ def verify_range(
         raise ValueError(f"unknown form {form!r}")
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    if hi > cap and not full:
-        raise BudgetExceeded(f"hi={hi} above cap={cap}; pass full=True to override")
+    if hi > DEFAULT_CAP and not full:
+        raise BudgetExceeded(f"hi={hi} above cap={DEFAULT_CAP}; pass full=True to override")
     t0 = time.perf_counter()
     exceptions = _exceptions(form, lo, hi)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -8,10 +8,9 @@ from trisum import theorem2
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
 from trisum.theorem2 import (
     FourSquareForm,
-    NoOffset,
     NotCoprime,
+    _offset_candidates,
     branch_counts,
-    find_offset,
     four_squares_to_quad2,
     quad2_to_four_squares,
     represent_thm2,
@@ -49,18 +48,18 @@ class TestOffsets:
             with pytest.raises(ValueError):
                 solve_offset_congruence(bad, 5)
 
-    def test_find_offset_known_values(self):
-        assert find_offset(20002, 5) == 128
-        assert find_offset(20001, 5, doubled=True) == 98
+    def test_first_offset_known_values(self):
+        assert next(_offset_candidates(20002, 5, False)) == 128
+        assert next(_offset_candidates(20001, 5, True)) == 98
 
-    def test_find_offset_respects_parity_and_class(self):
-        a = find_offset(20002, 5)
+    def test_first_offset_respects_parity_and_class(self):
+        a = next(_offset_candidates(20002, 5, False))
         assert a % 2 == 20002 % 2
         assert a % 25 in solve_offset_congruence(4 * 20002 + 3, 5)
 
-    def test_find_offset_no_class(self):
-        with pytest.raises(NoOffset):
-            find_offset(20001, 5)  # square-mode classes are empty here
+    def test_first_offset_no_class(self):
+        # square-mode classes are empty here
+        assert next(_offset_candidates(20001, 5, False), None) is None
 
 
 class TestFourSquareBridge:

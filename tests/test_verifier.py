@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -48,6 +50,35 @@ def _reachable(form: str, hi: int) -> set[int]:
     else:
         out = _reachable("conj_a", hi) | _reachable("conj_b", hi)
     return out
+
+
+# each form's slot values in its documented search order, and where each
+# searched index goes in the witness (thm2 searches a, c, b, d)
+_SEARCH_ORDER = {
+    "thm1": ((lambda a: a * (2 * a - 1), lambda b: b * (2 * b - 1),
+              lambda c: c * (2 * c + 1), lambda d: d * (2 * d + 1)), (0, 1, 2, 3)),
+    "thm2": ((lambda a: 2 * a * (2 * a - 1), lambda c: 2 * c * (2 * c + 1),
+              lambda b: b * (2 * b - 1), lambda d: d * (2 * d + 1)), (0, 2, 1, 3)),
+    "conj_a": ((lambda a: a * (2 * a - 1), lambda b: b * (2 * b - 1),
+                lambda c: c * (2 * c + 1)), (0, 1, 2)),
+    "conj_b": ((lambda a: a * (2 * a - 1), lambda b: b * (2 * b + 1),
+                lambda c: c * (2 * c + 1)), (0, 1, 2)),
+}  # fmt: skip
+
+
+def _first_witnesses(form: str, hi: int) -> dict[int, tuple[int, ...]]:
+    # itertools.product walks the indices in lexicographic order, so the
+    # first tuple met for a sum is that sum's first witness
+    if form == "conjecture":
+        return {**_first_witnesses("conj_b", hi), **_first_witnesses("conj_a", hi)}
+    values, place = _SEARCH_ORDER[form]
+    tables = [[value(k) for k in range(isqrt(hi) + 2)] for value in values]  # k^2 <= value(k)
+    first: dict[int, tuple[int, ...]] = {}
+    for idx in itertools.product(range(isqrt(hi) + 2), repeat=len(values)):
+        total = sum(table[k] for table, k in zip(tables, idx))
+        if total <= hi:
+            first.setdefault(total, tuple(idx[i] for i in place))
+    return first
 
 
 # exceptions of the partial forms on [0, 10^6]; none lies above 3530
@@ -103,6 +134,47 @@ class TestBruteQuad:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             brute_quad("thm9", 5)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_first_witness_in_search_order(self, form):
+        first = _first_witnesses(form, 300)
+        for n in range(301):
+            assert brute_quad(form, n) == first.get(n), (form, n)
+
+    def test_doubled_form_above_the_pair_table(self):
+        # above 2^20 the last two slots are scanned, in the same a, c, b, d
+        # order as below (n drawn with random.Random(2020) from (2^20, 10^7])
+        pinned = {
+            2**20 + 1: (0, 146, 2, 709),
+            3976601: (0, 393, 5, 1354),
+            8472195: (0, 110, 0, 2055),
+            8783105: (0, 38, 5, 2095),
+        }
+        for n, witness in pinned.items():
+            assert brute_quad("thm2", n) == witness
+            assert eval_quad("thm2", witness) == n
+
+    def test_forms_sharing_a_pair_table_interleave(self, monkeypatch):
+        # thm2 and conj_a end in odd + even, thm1 and conj_b in even + even;
+        # a table grown by one form must give the other the same witnesses
+        first = {form: _first_witnesses(form, 300) for form in ("thm1", "thm2", "conj_a", "conj_b")}
+        monkeypatch.setattr(verifier, "_pairs", {})
+        large = {(f, n): brute_quad(f, n) for f, n in (("thm2", 100001), ("conj_b", 70001))}
+        for n in range(300, -1, -1):
+            for form in ("conj_a", "thm1", "thm2", "conj_b"):
+                assert brute_quad(form, n) == first[form].get(n), (form, n)
+        monkeypatch.setattr(verifier, "_pairs", {})
+        for n in range(301):
+            for form in ("thm2", "conj_b", "conj_a", "thm1"):
+                assert brute_quad(form, n) == first[form].get(n), (form, n)
+        assert {(f, n): brute_quad(f, n) for f, n in large} == large
+
+    @pytest.mark.parametrize("kind", ["odd", "even", "odd2", "even2"])
+    def test_last_slot_inverse(self, kind):
+        values = verifier._slot_values(kind, 5000)
+        for r in range(5001):
+            expected = (values.index(r),) if r in values else None
+            assert verifier._index_of(kind, r) == expected, (kind, r)
 
     def test_doubled_form_table_growth(self):
         # exercise the cached pair table across a growing range
@@ -161,10 +233,11 @@ class TestVerifyRange:
             n for n in CONJ_B_TO_1E6 if n >= 2000
         )
 
-    def test_cap_and_override(self):
+    def test_cap_and_override(self, monkeypatch):
+        monkeypatch.setattr(verifier, "DEFAULT_CAP", 1000)
         with pytest.raises(BudgetExceeded):
-            verify_range("thm1", 0, 5000, cap=1000)
-        report = verify_range("thm1", 0, 5000, cap=1000, full=True)
+            verify_range("thm1", 0, 5000)
+        report = verify_range("thm1", 0, 5000, full=True)
         assert report.exceptions == ()
 
     def test_bad_arguments(self):
