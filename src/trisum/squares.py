@@ -7,7 +7,9 @@ is what makes the higher-level constructions reproducible:
 * three_squares goes through the smallest component a in ascending order
   and, for each a, through the splits m - a^2 = q^2 + p^2 with
   a <= q <= p in ascending q.  The first split with a < q < p wins;
-  if there is none at all, the first split met is returned.
+  if there is none at all, the first split met is returned.  Squares are
+  0 or 1 mod 4, so every triple for 4m is twice one for m, in the same
+  order: powers of 4 are taken out first.
 * two_squares returns the split p^2 + q^2 with the smallest q.
 
 How the splits of a remainder are found depends on the size of m.
@@ -96,6 +98,8 @@ def three_squares(m: int) -> ThreeSquares:
     check_nat(m, "m", SQUARES_MAX)
     if not _eligible(m):
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
+    if m and not m & 3:
+        return ThreeSquares(*(2 * v for v in three_squares(m >> 2)))
     if m < FACTOR_FROM:
         return _three_squares_scan(m)
     return _three_squares_factored(m)

@@ -5,9 +5,10 @@ Three families of results live here:
 * universal ternary representations (x^2+T+T, 4T+T+T, 2T+T+T), each built
   by decomposing a shifted input into three squares and relabeling by
   residue pattern;
-* mixed-parity representations T+T+T and T+T+4T for inputs whose shift is
-  divisible by t^2, t in {5, 13, 61}, where the two single-T indices must
-  have different parity ("balancing");
+* mixed-parity representations T(x) + T(y) + k^2 T(z), k = 1 (T+T+T) or
+  k = 2 (T+T+4T), for inputs n with t^2 | 8n+2+k^2, t in {5, 13, 61}:
+  one body peels the first root of k's parity off the quotient for z and
+  balances the other two into x and y of different parity;
 * the two-square lifts that multiply a sum of two squares by
   3965 = 5*13*61 while preserving the parity/class constraints, used by
   the descent step of the second quadruple construction.
@@ -18,8 +19,8 @@ delegates to the canonical decompositions in `squares`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core_arith import check_nat, triangular
 from .squares import three_squares, two_squares, NoRepresentation
@@ -42,8 +43,7 @@ EVEN_LIFT_WIDE = (59, 22)
 EVEN_LIFT_NARROW = (46, 43)
 
 
-@dataclass(frozen=True)
-class TernaryRep:
+class TernaryRep(NamedTuple):
     """A three-index witness together with the shape it satisfies."""
 
     x: int
@@ -163,6 +163,21 @@ def balance_odd_pair(n: int, t: int) -> tuple[int, int]:
     return (a, b) if a >= b else (b, a)
 
 
+def _rep_mixed(n: int, t: int, k: int, kind: str) -> TernaryRep:
+    # n = T(x) + T(y) + k^2 T(z) iff 8n+2+k^2 = (2x+1)^2 + (2y+1)^2 + (k(2z+1))^2;
+    # k(2z+1) is t times the first root of k's parity of the quotient by t^2
+    check_nat(n, "n")
+    _check_modulus(t)
+    m, rest = divmod(8 * n + 2 + k * k, t * t)
+    if rest:
+        raise PreconditionViolated(f"{t}^2 does not divide 8n+{2 + k * k} for n={n}")
+    for r in three_squares(m):
+        if r & 1 == k & 1:
+            break
+    a, b = _balance_raw(m - r * r, t)
+    return TernaryRep((a - 1) // 2, (b - 1) // 2, (t * r - k) // (2 * k), kind)
+
+
 def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     """Write n = T(x) + T(y) + T(z) with x, y of different parity.
 
@@ -170,17 +185,7 @@ def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     smallest root is scaled back up by t to give z, and the remaining two
     are balanced into distinct mod-4 classes to give x and y.
     """
-    check_nat(n, "n")
-    _check_modulus(t)
-    tt = t * t
-    shifted = 8 * n + 3
-    if shifted % tt:
-        raise PreconditionViolated(f"{t}^2 does not divide 8n+3 for n={n}")
-    m = shifted // tt
-    tri = three_squares(m)
-    r = tri.a  # smallest of three odd roots
-    a, b = _balance_raw(m - r * r, t)
-    return TernaryRep((a - 1) // 2, (b - 1) // 2, (t * r - 1) // 2, "T+T+T")
+    return _rep_mixed(n, t, 1, "T+T+T")
 
 
 def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
@@ -189,17 +194,7 @@ def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
     Requires t^2 | 8n+6.  The quotient splits into two odd squares plus a
     root congruent to 2 mod 4; that root (scaled by t) feeds the 4T slot.
     """
-    check_nat(n, "n")
-    _check_modulus(t)
-    tt = t * t
-    shifted = 8 * n + 6
-    if shifted % tt:
-        raise PreconditionViolated(f"{t}^2 does not divide 8n+6 for n={n}")
-    m = shifted // tt
-    tri = three_squares(m)
-    r = next(v for v in tri if not v & 1)
-    a, b = _balance_raw(m - r * r, t)
-    return TernaryRep((a - 1) // 2, (b - 1) // 2, (t * r - 2) // 4, "T+T+4T")
+    return _rep_mixed(n, t, 2, "T+T+4T")
 
 
 def lift_odd_pair(p: int, q: int) -> tuple[int, int]:

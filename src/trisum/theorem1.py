@@ -52,17 +52,15 @@ def represent_thm1(n: int) -> Quad1:
         # biggest c with 2c^2 + 2c + 1 <= n, i.e. (2c+1)^2 <= 2n - 1
         c = (isqrt(2 * n - 1) - 1) // 2
         m = (n - (2 * c * c + 2 * c + 1)) // 2
-        rep = rep_2t_t_t(m)
-        d = rep.x
-        for x, y in ((rep.y, rep.z), (rep.z, rep.y)):
+        d, y0, z0, _ = rep_2t_t_t(m)
+        for x, y in ((y0, z0), (z0, y0)):
             if c - d > x and c + d + 1 > y:
                 return indices_to_quad1(c + d + 1 + y, c + d - y, c - d + x, c - d - x - 1)
     else:
         c = isqrt(n // 2)
         m = (n - 2 * c * c) // 2
-        rep = rep_square_two_tri(m)
-        p = rep.x
-        for x, y in ((rep.y, rep.z), (rep.z, rep.y)):
+        p, y0, z0, _ = rep_square_two_tri(m)
+        for x, y in ((y0, z0), (z0, y0)):
             if c - p > x and c + p > y:
                 return indices_to_quad1(c - p + x, c - p - x - 1, c + p + y, c + p - y - 1)
     _note_fallback(n)

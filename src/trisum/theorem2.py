@@ -1,16 +1,17 @@
 """Constructive witnesses for 2a(2a-1) + b(2b-1) + 2c(2c+1) + d(2d+1).
 
 Strategy: pick the smallest modulus t in {5, 13, 61} coprime to 4n+3.
-Depending on whether 4n+3 is a quadratic residue mod t, peel off A^2 or
-2A^2 with A chosen in a residue class mod t^2, hand the remainder to the
-mixed ternary representations, and glue the halves back together with
-the square-plus-two-triangulars split.  When all three moduli divide
-4n+3 the problem is shrunk by a factor of 3965 = 5*13*61 and solved
+If 4n+3 is a quadratic residue mod t, peel off A^2, else 2A^2
+("doubled"); one path serves both shapes.  With s = t^4 (2t^4 when
+doubled), every n > 6s with (n - 6s)^2 > 32s^2 takes A from a residue
+class mod t^2, writes the rest as T+T+T or T+T+4T with the mixed ternary
+representations, and glues the halves back together with the
+square-plus-two-triangulars split.  When all three moduli divide 4n+3
+the problem is shrunk by a factor of 3965 = 5*13*61 and solved
 recursively; the small witness is lifted back up through a four-square
-normal form.  Inputs below the size thresholds of the peeling argument
-go to the exhaustive search instead.  If the offset scan ever ran dry,
-the same search would stand in up to verifier.DEFAULT_BUDGET; beyond it
-the call raises ConstructionFailed.
+normal form.  Smaller inputs go to the exhaustive search instead.  If
+the offset scan ever ran dry, the same search would stand in up to
+verifier.DEFAULT_BUDGET; beyond it the call raises ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -118,11 +119,8 @@ def four_squares_to_quad2(f: FourSquareForm) -> Quad2:
         raise ValueError(f"u2={u2} must be positive and 1 mod 4")
     if a < 0 or w < 1 or w % 2 == 0 or w > 2 * a + 1:
         raise ValueError(f"w={w} must be odd and at most 2a+1={2 * a + 1}")
-    hi, lo = 2 * a + w, 2 * a - w
-    if (hi + 1) % 4 == 0:
-        b, d = (hi + 1) // 4, (lo - 1) // 4
-    else:
-        b, d = (lo + 1) // 4, (hi - 1) // 4
+    # 8a^2 + 2w^2 = (2a+w)^2 + (2a-w)^2: triangular indices a+(w-1)/2, a-(w+1)/2
+    b, d = _slots(a + (w - 1) // 2, a - (w + 1) // 2)
     return Quad2((u1 + 1) // 4 if u1 % 4 == 3 else 0, b, (u2 - 1) // 4, d)
 
 
@@ -145,18 +143,6 @@ def _slots(i: int, j: int) -> tuple[int, int]:
     return (j + 1) // 2, i // 2
 
 
-def _combine_square(a_off: int, rep_x: int, rep_y: int, rep_z: int) -> Quad2:
-    b, d = _slots(*split_square_plus_double_tri(a_off, rep_z))
-    a, c = _slots(rep_x, rep_y)
-    return Quad2(a, b, c, d)
-
-
-def _combine_doubled(a_off: int, rep_x: int, rep_y: int, rep_z: int) -> Quad2:
-    a, c = _slots(*split_square_plus_double_tri(a_off, rep_z))
-    b, d = _slots(rep_x, rep_y)
-    return Quad2(a, b, c, d)
-
-
 def represent_thm2(n: int) -> Quad2:
     """Return (a, b, c, d) with 2a(2a-1)+b(2b-1)+2c(2c+1)+d(2d+1) = n."""
     check_nat(n)
@@ -166,24 +152,19 @@ def represent_thm2(n: int) -> Quad2:
         _branches["descent"] += 1
         return _descend(v)
     doubled = pow(v % t, (t - 1) // 2, t) == t - 1
-    t4 = t**4
-    if doubled:
-        big_enough = n > 12 * t4 and (n - 12 * t4) ** 2 > 128 * t4 * t4
-    else:
-        big_enough = n > 6 * t4 and (n - 6 * t4) ** 2 > 32 * t4 * t4
-    if big_enough:
-        if doubled:
-            for a_off in _offset_candidates(n, t, True):
+    s = 2 * t**4 if doubled else t**4
+    if n > 6 * s and (n - 6 * s) ** 2 > 32 * s * s:
+        for a_off in _offset_candidates(n, t, doubled):
+            if doubled:
                 rep = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
-                if a_off > rep.z:
-                    _branches["doubled"] += 1
-                    return _combine_doubled(a_off, rep.x, rep.y, rep.z)
-        else:
-            for a_off in _offset_candidates(n, t, False):
+            else:
                 rep = rep_ttt_mixed((n - a_off * a_off) // 2, t)
-                if a_off > rep.z:
-                    _branches["square"] += 1
-                    return _combine_square(a_off, rep.x, rep.y, rep.z)
+            if a_off > rep.z:
+                _branches["doubled" if doubled else "square"] += 1
+                split = _slots(*split_square_plus_double_tri(a_off, rep.z))
+                pair = _slots(rep.x, rep.y)
+                (a, c), (b, d) = (split, pair) if doubled else (pair, split)
+                return Quad2(a, b, c, d)
         logger.warning("offset scan exhausted for n=%d (t=%d); falling back", n, t)
         try:
             witness = brute_quad("thm2", n)

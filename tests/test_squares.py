@@ -244,3 +244,34 @@ def test_domain_reaches_squares_max():
             three_squares(bad)
         with pytest.raises(ValueError):
             two_squares(bad)
+
+
+# --- multiples of 4: squares are 0 or 1 mod 4, so every triple is even ---
+
+def test_multiples_of_four_are_twice_the_quarter():
+    for m in range(1, 1 << 12):
+        if eligible_three_squares(m):
+            doubled = tuple(2 * v for v in three_squares(m))
+            assert three_squares(4 * m) == squares._three_squares_scan(4 * m) == doubled, m
+
+
+def test_multiples_of_four_match_the_unscaled_factor_path():
+    rng = random.Random(4)
+    for _ in range(200):
+        m = rng.randint(1 << 16, 1 << 30)
+        if eligible_three_squares(m):
+            assert three_squares(4 * m) == squares._three_squares_factored(4 * m), m
+
+
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        (2**33, (0, 2**16, 2**16)),
+        (2**60, (0, 0, 2**30)),
+        (3 * 2**58, (2**29, 2**29, 2**29)),
+        (2 * 4**29, (0, 2**29, 2**29)),
+    ],
+)
+def test_powers_of_four_without_a_distinct_triple(m, expected):
+    # the walk over every a up to sqrt(m/3) is skipped by taking out 4^k first
+    assert three_squares(m) == expected

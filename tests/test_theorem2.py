@@ -211,3 +211,62 @@ class TestExhaustedOffsetScan:
         with pytest.raises(ConstructionFailed):
             represent_thm2(n)
         assert branch_counts() == {}
+
+
+def _selects(n):
+    # the modulus t and peel shape for n, computed without theorem2: the first
+    # t in (5, 13, 61) coprime to 4n+3, doubled when 4n+3 is no square mod t
+    v = 4 * n + 3
+    t = next((m for m in (5, 13, 61) if v % m), None)
+    return t, t is not None and all((x * x - v) % t for x in range(t))
+
+
+def _big_enough(n, t, doubled):
+    # the peeling argument's size bound, written out once per shape
+    t4 = t**4
+    if doubled:
+        return n > 12 * t4 and (n - 12 * t4) ** 2 > 128 * t4 * t4
+    return n > 6 * t4 and (n - 6 * t4) ** 2 > 32 * t4 * t4
+
+
+class TestOnePeelPath:
+    # for each (t, doubled): the last n below the size bound and the first n
+    # above it that pick that pair, with their witnesses
+    @pytest.mark.parametrize(
+        "t,doubled,below,above",
+        [
+            (5, False, (7284, (0, 26, 4, 54)), (7287, (29, 33, 1, 30))),
+            (5, True, (14571, (0, 23, 1, 82)), (14575, (41, 19, 38, 26))),
+            (13, False, (332923, (0, 74, 3, 401)), (332938, (181, 209, 104, 189))),
+            (13, True, (665858, (0, 409, 0, 407)), (665863, (156, 48, 370, 89))),
+            (61, False, (161398883, (0, 4304, 2, 7885)), (161399078, (1815, 6130, 198, 6038))),
+            (61, True, (322797718, (0, 9361, 1, 8589)), (322797978, (3470, 961, 8258, 15))),
+        ],
+    )
+    def test_size_bound_edges(self, t, doubled, below, above):
+        (lo, lo_witness), (hi, hi_witness) = below, above
+        assert _selects(lo) == _selects(hi) == (t, doubled)
+        assert all(_selects(n) != (t, doubled) for n in range(lo + 1, hi))
+        assert not _big_enough(lo, t, doubled) and _big_enough(hi, t, doubled)
+        reset_branch_counts()
+        assert represent_thm2(lo) == lo_witness
+        assert branch_counts() == {"brute": 1}
+        reset_branch_counts()
+        assert represent_thm2(hi) == hi_witness
+        assert branch_counts() == {"doubled" if doubled else "square": 1}
+
+    @pytest.mark.parametrize(
+        "n,t,doubled,witness",
+        [
+            (177868672028, 13, False, (745, 210861, 1728, 210867)),
+            (131330312208, 13, True, (128789, 7223, 127339, 3055)),
+            (570301855613, 61, False, (16174, 376568, 22849, 376537)),
+            (236031553793, 61, True, (176381, 1701, 166895, 9192)),
+        ],
+    )
+    def test_constructive_witnesses(self, n, t, doubled, witness):
+        assert _selects(n) == (t, doubled)
+        reset_branch_counts()
+        assert represent_thm2(n) == witness
+        assert eval_quad("thm2", witness) == n
+        assert branch_counts() == {"doubled" if doubled else "square": 1}
