@@ -151,12 +151,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     print(f"checked {args.to + 1} inputs against brute force: {failures} failures")
 
     if args.random:
+        before = failures
         rng = random.Random(args.seed)
         for _ in range(args.random):
             n = rng.randint(_RANDOM_LO, _RANDOM_HI)
             check("thm1", n, represent_thm1)
             check("thm2", n, represent_thm2)
-        print(f"checked {args.random} random large inputs: witnesses evaluate correctly")
+        print(f"checked {args.random} random large inputs: {failures - before} failures")
 
     branches = branch_counts()
     summary = " ".join(f"{k}={branches.get(k, 0)}" for k in ("brute", "square", "doubled", "descent"))

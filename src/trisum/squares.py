@@ -23,10 +23,18 @@ same output; the scan is also the reference the tests hold the factor
 path to.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, the largest
 value the ternary layer derives from an input, which is below 2^64,
 where this Miller-Rabin is exact.
+
+The listing of a remainder's splits is memoised for the last few
+remainders.  The mixed ternary representations call three_squares(m)
+and then two_squares(m - r^2) for a root r of the triple; when r is
+the smallest component, that remainder is the last one three_squares
+listed, so its factorisation is not done a second time.  Listings are
+tuples, so a shared one cannot be changed by a caller.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -292,14 +300,15 @@ def _gaussian_prime(p: int) -> tuple[int, int]:
 _GAUSS_SMALL = {p: _gaussian_prime(p) for p in _ODD_PRIMES if p & 3 == 1}
 
 
-def _two_square_splits(n: int) -> list[tuple[int, int]]:
-    """Every (q, p) with q <= p and q^2 + p^2 = n, by ascending q; [] if none."""
+@lru_cache(maxsize=8)
+def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
+    """Every (q, p) with q <= p and q^2 + p^2 = n, by ascending q; () if none."""
     if n == 0:
-        return [(0, 0)]
+        return ((0, 0),)
     e2 = (n & -n).bit_length() - 1
     n >>= e2
     if n & 3 == 3:
-        return []  # a prime 3 mod 4 divides n to an odd power
+        return ()  # a prime 3 mod 4 divides n to an odd power
     factors: list[tuple[int, int]] = []
     g = gcd(n, _ODD_PRIMORIAL)
     for p in _ODD_PRIMES:
@@ -313,7 +322,7 @@ def _two_square_splits(n: int) -> list[tuple[int, int]]:
             n //= p
             e += 1
         if p & 3 == 3 and e & 1:
-            return []  # before any work on the cofactor
+            return ()  # before any work on the cofactor
         factors.append((p, e))
     if n > 1:
         rough: dict[int, int] = {}
@@ -326,7 +335,7 @@ def _two_square_splits(n: int) -> list[tuple[int, int]]:
         if p & 3 == 1:
             split.append((p, e))
         elif e & 1:
-            return []
+            return ()
         else:
             scale *= p ** (e >> 1)
     # Gaussian integers x + iy of norm n, one per class under units:
@@ -347,4 +356,4 @@ def _two_square_splits(n: int) -> list[tuple[int, int]]:
     for x, y in zs:
         x, y = abs(x), abs(y)
         splits.add((x, y) if x <= y else (y, x))
-    return sorted(splits)
+    return tuple(sorted(splits))

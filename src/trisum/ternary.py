@@ -73,6 +73,17 @@ def _check_modulus(t: int) -> int:
     return t
 
 
+def _parity_split(tri: tuple[int, int, int], parity: int) -> tuple[int, int, int]:
+    # (u, v, w) with u the one component of the given parity and v <= w the
+    # other two; three_squares lists its components in ascending order
+    a, b, c = tri
+    if a & 1 == parity:
+        return a, b, c
+    if b & 1 == parity:
+        return b, a, c
+    return c, a, b
+
+
 @lru_cache(maxsize=1 << 15)
 def rep_square_two_tri(m: int) -> TernaryRep:
     """Write m = x^2 + T(y) + T(z).
@@ -83,9 +94,7 @@ def rep_square_two_tri(m: int) -> TernaryRep:
     triangular indices stay as balanced as the decomposition allows.
     """
     check_nat(m, "m")
-    tri = three_squares(4 * m + 1)
-    odd = next(v for v in tri if v & 1)
-    e1, e2 = sorted(v for v in tri if not v & 1)
+    odd, e1, e2 = _parity_split(three_squares(4 * m + 1), 1)
     # taking e1 as the square leaves the pair (odd, e2), and vice versa;
     # pick the assignment with the smaller gap, the larger square on ties
     if abs(odd - e1) <= abs(odd - e2):
@@ -103,9 +112,7 @@ def rep_4t_t_t(m: int) -> TernaryRep:
     congruent to 2 mod 4; the latter is forced and feeds the 4T slot.
     """
     check_nat(m, "m")
-    tri = three_squares(8 * m + 6)
-    even = next(v for v in tri if not v & 1)
-    o1, o2 = sorted(v for v in tri if v & 1)
+    even, o1, o2 = _parity_split(three_squares(8 * m + 6), 0)
     return TernaryRep((even - 2) // 4, (o2 - 1) // 2, (o1 - 1) // 2, "4T+T+T")
 
 
@@ -118,9 +125,7 @@ def rep_2t_t_t(m: int) -> TernaryRep:
     (larger slot value on ties), mirroring rep_square_two_tri.
     """
     check_nat(m, "m")
-    tri = three_squares(4 * m + 2)
-    even = next(v for v in tri if not v & 1)
-    o1, o2 = sorted(v for v in tri if v & 1)
+    even, o1, o2 = _parity_split(three_squares(4 * m + 2), 0)
     # taking o1 leaves the pair (o2, even), and vice versa; pick the
     # assignment with the wider gap, the larger 2T slot on ties
     if abs(o1 - even) >= abs(o2 - even):

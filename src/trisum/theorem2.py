@@ -6,12 +6,17 @@ If 4n+3 is a quadratic residue mod t, peel off A^2, else 2A^2
 doubled), every n > 6s with (n - 6s)^2 > 32s^2 takes A from a residue
 class mod t^2, writes the rest as T+T+T or T+T+4T with the mixed ternary
 representations, and glues the halves back together with the
-square-plus-two-triangulars split.  When all three moduli divide 4n+3
-the problem is shrunk by a factor of 3965 = 5*13*61 and solved
-recursively; the small witness is lifted back up through a four-square
-normal form.  Smaller inputs go to the exhaustive search instead.  If
-the offset scan ever ran dry, the same search would stand in up to
-verifier.DEFAULT_BUDGET; beyond it the call raises ConstructionFailed.
+square-plus-two-triangulars split.  Offsets are tried largest first
+and come from class arithmetic, not a scan: for the square shape the
+parity rule (n - A^2 even) is folded into the classes, which then live
+mod 2t^2, and each candidate is a class residue plus a multiple of the
+modulus, so it costs O(1) even for t = 61.  When all three moduli
+divide 4n+3 the problem is shrunk by a factor of 3965 = 5*13*61 and
+solved recursively; the small witness is lifted back up through a
+four-square normal form.  Smaller inputs go to the exhaustive search
+instead.  If the offsets ever ran dry, the same search would stand in
+up to verifier.DEFAULT_BUDGET; beyond it the call raises
+ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -92,14 +97,26 @@ def solve_offset_congruence(v: int, t: int, doubled: bool = False) -> frozenset[
 
 
 def _offset_candidates(n: int, t: int, doubled: bool) -> Iterator[int]:
+    # every A in [0, start] in one of the classes, in descending order
     classes = solve_offset_congruence(4 * n + 3, t, doubled)
+    if not classes:
+        return  # rather than walk the multiples of the modulus for nothing
     start = isqrt(n // 2) if doubled else isqrt(n)
     mod = t * t
-    for a in range(start, -1, -1):
-        if not doubled and (a ^ n) & 1:
-            continue  # n - A^2 must stay even
-        if a % mod in classes:
-            yield a
+    if not doubled:
+        # n - A^2 must stay even: t is odd, so each class mod t^2 has one
+        # member mod 2t^2 with A = n mod 2
+        classes = [c + mod if (c ^ n) & 1 else c for c in classes]
+        mod *= 2
+    residues = sorted(classes, reverse=True)
+    base = start - start % mod
+    top = start - base
+    for r in residues:
+        if r <= top:
+            yield base + r
+    for base in range(base - mod, -1, -mod):
+        for r in residues:
+            yield base + r
 
 
 def quad2_to_four_squares(n: int, q: Quad2) -> FourSquareForm:
@@ -147,8 +164,10 @@ def represent_thm2(n: int) -> Quad2:
     """Return (a, b, c, d) with 2a(2a-1)+b(2b-1)+2c(2c+1)+d(2d+1) = n."""
     check_nat(n)
     v = 4 * n + 3
-    t = next((m for m in MODULI if v % m), None)
-    if t is None:
+    for t in MODULI:
+        if v % t:
+            break
+    else:
         _branches["descent"] += 1
         return _descend(v)
     doubled = pow(v % t, (t - 1) // 2, t) == t - 1

@@ -117,6 +117,23 @@ class TestSelftest:
         assert code == 0
         assert "checked 5 random large inputs" in out
 
+    def test_random_block_reports_its_own_failures(self, capsys, monkeypatch):
+        real, wrong = cli.represent_thm2, []
+
+        def one_wrong_each(n):
+            # a wrong witness for n = 3 and for the first random input
+            if n == 3 or (n >= cli._RANDOM_LO and len(wrong) < 2):
+                wrong.append(n)
+                return (0, 0, 0, 0)
+            return real(n)
+
+        monkeypatch.setattr(cli, "represent_thm2", one_wrong_each)
+        code, out, err = run(capsys, "selftest", "--to", "5", "--random", "3", "--seed", "11")
+        assert code == 1
+        assert "checked 6 inputs against brute force: 1 failures" in out
+        assert "checked 3 random large inputs: 1 failures" in out
+        assert f"FAIL thm2 n={wrong[-1]} witness=(0, 0, 0, 0)" in err
+
     def test_seed_changes_nothing_about_verdict(self, capsys):
         for seed in (0, 1, 2):
             code, _, _ = run(capsys, "selftest", "--to", "5", "--random", "2", "--seed", str(seed))

@@ -1,0 +1,65 @@
+"""Golden digest: the deterministic outputs of the public constructions.
+
+One sha256 over the repr of every output (as a plain tuple) or error
+(type and message) of a fixed set of calls.  A change that is meant to
+keep every witness bit for bit keeps this digest; a change that alters
+an output on purpose has to re-pin it, and say why.
+"""
+
+import hashlib
+import random
+
+from trisum.core_arith import MAX_INPUT
+from trisum.squares import three_squares, two_squares
+from trisum.theorem1 import represent_thm1
+from trisum.theorem2 import represent_thm2
+
+GOLDEN = "d1ca8272b72d09906e371d4295a786c7039c2f2770f04174522d682d2b6736db"
+
+LARGE = (10**6, MAX_INPUT)
+FORCED_T61_BAND = (10**12, 2 * 10**12 - 1)
+SQUARES_BAND = (1 << 16, 1 << 40)
+
+
+def _forced_t61(rng: random.Random, count: int) -> list[int]:
+    # 4n+3 divisible by 5 and 13 (n = 48 mod 65) but not by 61: thm2 takes t = 61
+    lo, hi = FORCED_T61_BAND
+    out = []
+    while len(out) < count:
+        n = rng.randint(lo, hi)
+        n += (48 - n) % 65
+        if n <= hi and (4 * n + 3) % 61:
+            out.append(n)
+    return out
+
+
+def _calls():
+    for n in range(20001):
+        yield represent_thm1, n
+        yield represent_thm2, n
+    rng = random.Random(20160204)
+    for _ in range(500):
+        yield represent_thm1, rng.randint(*LARGE)
+    for _ in range(500):
+        yield represent_thm2, rng.randint(*LARGE)
+    for n in _forced_t61(rng, 100):
+        yield represent_thm2, n
+    for _ in range(2000):
+        m = rng.randint(*SQUARES_BAND)
+        yield two_squares, m
+        yield three_squares, m
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for fn, x in _calls():
+        try:
+            line = repr(tuple(fn(x)))
+        except Exception as exc:  # the error is part of the output
+            line = f"{type(exc).__name__}: {exc}"
+        h.update(f"{fn.__name__}({x}) = {line}\n".encode())
+    return h.hexdigest()
+
+
+def test_outputs_match_the_golden_digest():
+    assert golden_digest() == GOLDEN

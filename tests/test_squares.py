@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trisum import squares
 from trisum.core_arith import MAX_INPUT
+from trisum.ternary import rep_ttt_mixed
 from trisum.squares import (
     NoRepresentation,
     NotRepresentable,
@@ -136,11 +137,11 @@ def _factored_two_squares(m):
 
 
 def _splits_by_scan(m):
-    return [
+    return tuple(
         (q, math.isqrt(m - q * q))
         for q in range(math.isqrt(m // 2) + 1)
         if is_square(m - q * q)
-    ]
+    )
 
 
 def test_factor_path_matches_scan_on_small_range():
@@ -275,3 +276,58 @@ def test_multiples_of_four_match_the_unscaled_factor_path():
 def test_powers_of_four_without_a_distinct_triple(m, expected):
     # the walk over every a up to sqrt(m/3) is skipped by taking out 4^k first
     assert three_squares(m) == expected
+
+
+# --- the split listing is memoised: three_squares' last remainder is reused ---
+
+def test_mixed_rep_reuses_the_last_listed_remainder():
+    n = 10**12 + 9  # 25 | 8n+3; the quotient and its remainders are above FACTOR_FROM
+    squares._two_square_splits.cache_clear()
+    rep_ttt_mixed(n, 5)
+    assert squares._two_square_splits.cache_info().hits >= 1
+
+
+def test_split_listing_is_immutable():
+    splits = squares._two_square_splits(5 * 13 * 65537)
+    assert isinstance(splits, tuple) and len(splits) == 4
+    assert all(isinstance(split, tuple) for split in splits)
+    assert squares._two_square_splits(65539) == ()
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m)
+    except (NoRepresentation, NotRepresentable) as exc:
+        return type(exc)
+
+
+def _interleaved(seed, lo, hi):
+    # three_squares(m), two_squares of its last listed remainder, two_squares of another value
+    rng = random.Random(seed)
+    calls = []
+    for _ in range(500):
+        m = rng.randint(lo, hi)
+        tri = _outcome(three_squares, m)
+        calls.append((three_squares, m, tri))
+        if isinstance(tri, ThreeSquares):
+            rest = m - tri.a * tri.a
+            calls.append((two_squares, rest, _outcome(two_squares, rest)))
+        other = rng.randint(lo, hi)
+        calls.append((two_squares, other, _outcome(two_squares, other)))
+    return calls
+
+
+def test_memoised_listing_matches_the_scan_when_interleaved():
+    scans = {three_squares: squares._three_squares_scan, two_squares: squares._two_squares_scan}
+    for fn, m, got in _interleaved(6, 1 << 16, 1 << 28):
+        if fn is three_squares and not eligible_three_squares(m):
+            assert got is NotRepresentable, m
+        else:
+            assert got == _outcome(scans[fn], m), (fn.__name__, m)
+
+
+def test_memoised_listing_matches_a_cold_cache_when_interleaved():
+    # above 2^28 the scans are too slow; the reference is the same call on an empty cache
+    for fn, m, got in _interleaved(7, 1 << 28, 1 << 40):
+        squares._two_square_splits.cache_clear()
+        assert got == _outcome(fn, m), (fn.__name__, m)

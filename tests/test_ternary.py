@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisum.core_arith import MAX_INPUT
+from trisum.squares import three_squares
 from trisum.ternary import (
     COMPOSITE_MODULUS,
     EVEN_LIFT_NARROW,
@@ -13,6 +14,7 @@ from trisum.ternary import (
     ODD_LIFT,
     ROTATION,
     PreconditionViolated,
+    _parity_split,
     TernaryRep,
     balance_odd_pair,
     lift_even_odd_pair,
@@ -72,6 +74,23 @@ def test_universal_reps_are_total_on_a_dense_range():
         assert rep_square_two_tri(m).value() == m
         assert rep_4t_t_t(m).value() == m
         assert rep_2t_t_t(m).value() == m
+
+
+def _split_by_filter(tri, parity):
+    # the selection the universal reps made before: the one component of the
+    # given parity, then the other two sorted
+    one = next(v for v in tri if v & 1 == parity)
+    rest = sorted(v for v in tri if v & 1 != parity)
+    return (one, *rest)
+
+
+def test_parity_split_picks_the_same_roots_as_filtering():
+    rng = random.Random(3965)
+    ms = [*range(5000), *(rng.randint(5000, 1 << 40) for _ in range(300))]
+    for m in ms:
+        for v, parity in ((4 * m + 1, 1), (8 * m + 6, 0), (4 * m + 2, 0)):
+            tri = three_squares(v)
+            assert _parity_split(tri, parity) == _split_by_filter(tri, parity), v
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import random
+from itertools import islice
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from trisum import theorem2
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
+from trisum.ternary import MODULI
 from trisum.theorem2 import (
     FourSquareForm,
     NotCoprime,
@@ -51,6 +54,9 @@ class TestOffsets:
     def test_first_offset_known_values(self):
         assert next(_offset_candidates(20002, 5, False)) == 128
         assert next(_offset_candidates(20001, 5, True)) == 98
+        # classes 3 and 22 mod 25; A even: 22 and 28 mod 50, below isqrt(n) = 1000
+        n = 10**6 + 2
+        assert list(islice(_offset_candidates(n, 5, False), 6)) == [978, 972, 928, 922, 878, 872]
 
     def test_first_offset_respects_parity_and_class(self):
         a = next(_offset_candidates(20002, 5, False))
@@ -60,6 +66,48 @@ class TestOffsets:
     def test_first_offset_no_class(self):
         # square-mode classes are empty here
         assert next(_offset_candidates(20001, 5, False), None) is None
+
+
+def _scan_offsets(n, t, doubled):
+    # the linear scan the class arithmetic replaced, kept as the reference
+    classes = solve_offset_congruence(4 * n + 3, t, doubled)
+    start = isqrt(n // 2) if doubled else isqrt(n)
+    mod = t * t
+    for a in range(start, -1, -1):
+        if not doubled and (a ^ n) & 1:
+            continue  # n - A^2 must stay even
+        if a % mod in classes:
+            yield a
+
+
+class TestOffsetCandidatesMatchTheScan:
+    def test_every_small_input(self):
+        for n in range(3000):
+            for t in MODULI:
+                if (4 * n + 3) % t == 0:
+                    continue
+                for doubled in (False, True):
+                    expected = list(_scan_offsets(n, t, doubled))
+                    assert list(_offset_candidates(n, t, doubled)) == expected, (n, t, doubled)
+
+    def test_first_candidates_of_seeded_large_inputs(self):
+        rng = random.Random(1602)
+        for i in range(300):
+            t = MODULI[i % 3]
+            n = rng.randint(0, MAX_INPUT)
+            while (4 * n + 3) % t == 0:
+                n = rng.randint(0, MAX_INPUT)
+            # t is 5 mod 8, so 2 is a non-residue: exactly one shape has classes
+            doubled = not solve_offset_congruence(4 * n + 3, t)
+            got = list(islice(_offset_candidates(n, t, doubled), 50))
+            assert len(got) == 50
+            assert got == list(islice(_scan_offsets(n, t, doubled), 50)), (n, t, doubled)
+            assert next(_offset_candidates(n, t, not doubled), None) is None, (n, t)
+
+    def test_start_below_the_smallest_residue(self):
+        # classes 1803 and 1918 mod 61^2, but A may not exceed isqrt(50) = 7
+        assert sorted(solve_offset_congruence(403, 61, doubled=True)) == [1803, 1918]
+        assert list(_offset_candidates(100, 61, True)) == []
 
 
 class TestFourSquareBridge:
