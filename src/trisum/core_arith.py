@@ -9,6 +9,14 @@ The index parity decides which quadruple slot a triangular value feeds:
 
     odd index u  (including -1)  ->  value a(2a-1) with a = (u+1)/2
     even index v                 ->  value c(2c+1) with c = v/2
+
+Both constructions end the same way: a square plus a doubled triangular
+number, a^2 + 2T(x) with a >= x, splits into T(a+x) + T(a-x-1), one odd
+and one even index, and that pair fills one odd slot and one even slot.
+`_slots` is the one place this mapping lives; `_split_slots` applies it
+to the split without validating, for values the constructions derived
+themselves.  The checked public forms are `split_square_plus_double_tri`
+and `indices_to_quad1`.
 """
 
 from __future__ import annotations
@@ -75,6 +83,18 @@ def split_square_plus_double_tri(a: int, b: int) -> tuple[int, int]:
     if a > b:
         return a + b, a - b - 1
     return a + b, b - a
+
+
+def _slots(i: int, j: int) -> tuple[int, int]:
+    # map a pair of triangular indices, one odd and one even, to (odd slot, even slot)
+    if i & 1:
+        return (i + 1) // 2, j // 2
+    return (j + 1) // 2, i // 2
+
+
+def _split_slots(a: int, x: int) -> tuple[int, int]:
+    # (odd slot, even slot) of a^2 + 2T(x) for a >= x; a == x gives index -1
+    return _slots(a + x, a - x - 1)
 
 
 def eval_quad(form: str, q) -> int:

@@ -1,16 +1,38 @@
 """Constructive witnesses for a(2a-1) + b(2b-1) + c(2c+1) + d(2d+1).
 
-The construction peels off the largest available square-ish chunk (driven
-by the biggest c with 2c^2(+2c+1) <= n), represents the small remainder
-with a ternary identity, and recombines via the split
+One peel serves both parities of n.  It writes
 
-    a^2 + 2T(b) = T(a+b) + T(a-b-1)    (a > b).
+    n = u1^2 + u2^2 + 2T(y) + 2T(z)
 
-The recombination needs two strict bound checks; they are expected to
-hold for every n > 200 and are verified at runtime anyway, with a swap
-repair and a brute-force fallback behind them.  The fallback searches
-only up to verifier.DEFAULT_BUDGET; beyond it the call raises
-ConstructionFailed.
+from the largest square-ish chunk and a ternary representation of the
+small remainder m:
+
+* odd n:  k is the biggest with 2k^2 + 2k + 1 <= n, m = 2T(d) + T(y) + T(z)
+  (rep_2t_t_t), u1 = k+d+1 paired with z, u2 = k-d paired with y;
+* even n: k is the biggest with 2k^2 <= n, m = p^2 + T(y) + T(z)
+  (rep_square_two_tri), u1 = k-p paired with y, u2 = k+p paired with z.
+
+Each pair recombines through the split
+
+    u^2 + 2T(x) = T(u+x) + T(u-x-1)    (u > x),
+
+whose odd and even index fill one odd and one even slot: (a, c) from the
+first pair, (b, d) from the second.
+
+The split needs the bound check u1 > x1 and u2 > x2, and it holds for
+every n > 200.  Since k+1 would not fit, the peel leaves m <= 2k+1 for
+odd n and m <= 2k for even n.  With s = d (odd) or p (even), that gives
+s^2 + y^2/2 <= m <= 2k+1, and by Cauchy-Schwarz
+
+    (s + y)^2 <= 3(s^2 + y^2/2) <= 6k+3 < k^2    once k >= 7;
+
+n > 200 gives k >= 8 (odd) and k >= 10 (even).  Hence k - s > y, which
+is the check on the pair that holds y; the other root, k+d+1 or k+p, is
+no smaller, and both ternary reps return z <= y, which settles the
+other check.  (n <= 200 goes straight to the exhaustive search.)  The
+check still runs, as a safety net: a failure is counted and logged, and
+the brute-force search stands in up to verifier.DEFAULT_BUDGET; beyond
+it the call raises ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -18,7 +40,7 @@ from __future__ import annotations
 import logging
 from math import isqrt
 
-from .core_arith import ConstructionFailed, Quad1, check_nat, indices_to_quad1
+from .core_arith import ConstructionFailed, Quad1, _split_slots, check_nat
 from .ternary import rep_2t_t_t, rep_square_two_tri
 from .verifier import BudgetExceeded, brute_quad
 
@@ -49,20 +71,16 @@ def represent_thm1(n: int) -> Quad1:
     if n <= 200:
         return Quad1(*brute_quad("thm1", n))
     if n & 1:
-        # biggest c with 2c^2 + 2c + 1 <= n, i.e. (2c+1)^2 <= 2n - 1
-        c = (isqrt(2 * n - 1) - 1) // 2
-        m = (n - (2 * c * c + 2 * c + 1)) // 2
-        d, y0, z0, _ = rep_2t_t_t(m)
-        for x, y in ((y0, z0), (z0, y0)):
-            if c - d > x and c + d + 1 > y:
-                return indices_to_quad1(c + d + 1 + y, c + d - y, c - d + x, c - d - x - 1)
+        k = (isqrt(2 * n - 1) - 1) // 2
+        d, y, z, _ = rep_2t_t_t((n - 2 * k * k - 2 * k - 1) // 2)
+        u1, x1, u2, x2 = k + d + 1, z, k - d, y
     else:
-        c = isqrt(n // 2)
-        m = (n - 2 * c * c) // 2
-        p, y0, z0, _ = rep_square_two_tri(m)
-        for x, y in ((y0, z0), (z0, y0)):
-            if c - p > x and c + p > y:
-                return indices_to_quad1(c - p + x, c - p - x - 1, c + p + y, c + p - y - 1)
+        k = isqrt(n // 2)
+        p, y, z, _ = rep_square_two_tri((n - 2 * k * k) // 2)
+        u1, x1, u2, x2 = k - p, y, k + p, z
+    if u1 > x1 and u2 > x2:
+        (a, c), (b, d) = _split_slots(u1, x1), _split_slots(u2, x2)
+        return Quad1(a, b, c, d)
     _note_fallback(n)
     try:
         return Quad1(*brute_quad("thm1", n))

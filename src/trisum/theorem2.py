@@ -5,18 +5,19 @@ If 4n+3 is a quadratic residue mod t, peel off A^2, else 2A^2
 ("doubled"); one path serves both shapes.  With s = t^4 (2t^4 when
 doubled), every n > 6s with (n - 6s)^2 > 32s^2 takes A from a residue
 class mod t^2, writes the rest as T+T+T or T+T+4T with the mixed ternary
-representations, and glues the halves back together with the
-square-plus-two-triangulars split.  Offsets are tried largest first
-and come from class arithmetic, not a scan: for the square shape the
-parity rule (n - A^2 even) is folded into the classes, which then live
-mod 2t^2, and each candidate is a class residue plus a multiple of the
-modulus, so it costs O(1) even for t = 61.  When all three moduli
-divide 4n+3 the problem is shrunk by a factor of 3965 = 5*13*61 and
-solved recursively; the small witness is lifted back up through a
-four-square normal form.  Smaller inputs go to the exhaustive search
-instead.  If the offsets ever ran dry, the same search would stand in
-up to verifier.DEFAULT_BUDGET; beyond it the call raises
-ConstructionFailed.
+representations, and glues the halves back together through the slot map
+of core_arith: the offset's part splits as T(A+z) + T(A-z-1), and that
+index pair and the ternary's (x, y) each fill one odd and one even slot.
+Offsets are tried largest first and come from class arithmetic, not a
+scan: for the square shape the parity rule (n - A^2 even) is folded into
+the classes, which then live mod 2t^2, and each candidate is a class
+residue plus a multiple of the modulus, so it costs O(1) even for
+t = 61.  When all three moduli divide 4n+3 the problem is shrunk by a
+factor of 3965 = 5*13*61 and solved recursively; the small witness is
+lifted back up through a four-square normal form.  Smaller inputs go to
+the exhaustive search instead.  If the offsets ever ran dry, the same
+search would stand in up to verifier.DEFAULT_BUDGET; beyond it the call
+raises ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from collections import Counter
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .core_arith import (
-    ConstructionFailed,
-    Quad2,
-    check_nat,
-    eval_quad,
-    split_square_plus_double_tri,
-)
+from .core_arith import ConstructionFailed, Quad2, _slots, _split_slots, check_nat, eval_quad
 from .ternary import (
     COMPOSITE_MODULUS,
     MODULI,
@@ -98,7 +93,8 @@ def solve_offset_congruence(v: int, t: int, doubled: bool = False) -> frozenset[
 
 def _offset_candidates(n: int, t: int, doubled: bool) -> Iterator[int]:
     # every A in [0, start] in one of the classes, in descending order
-    classes = solve_offset_congruence(4 * n + 3, t, doubled)
+    # the caller chose t coprime to 4n+3, so the classes are read directly
+    classes = _QR_CLASSES[t, doubled].get((4 * n + 3) % (t * t))
     if not classes:
         return  # rather than walk the multiples of the modulus for nothing
     start = isqrt(n // 2) if doubled else isqrt(n)
@@ -136,8 +132,8 @@ def four_squares_to_quad2(f: FourSquareForm) -> Quad2:
         raise ValueError(f"u2={u2} must be positive and 1 mod 4")
     if a < 0 or w < 1 or w % 2 == 0 or w > 2 * a + 1:
         raise ValueError(f"w={w} must be odd and at most 2a+1={2 * a + 1}")
-    # 8a^2 + 2w^2 = (2a+w)^2 + (2a-w)^2: triangular indices a+(w-1)/2, a-(w+1)/2
-    b, d = _slots(a + (w - 1) // 2, a - (w + 1) // 2)
+    # the (b, d) slots hold (4a^2 + w^2 - 1)/4 = a^2 + 2T((w-1)/2); w = 2a+1 reaches index -1
+    b, d = _split_slots(a, (w - 1) // 2)
     return Quad2((u1 + 1) // 4 if u1 % 4 == 3 else 0, b, (u2 - 1) // 4, d)
 
 
@@ -151,13 +147,6 @@ def branch_counts() -> dict[str, int]:
 
 def reset_branch_counts() -> None:
     _branches.clear()
-
-
-def _slots(i: int, j: int) -> tuple[int, int]:
-    # map a pair of triangular indices, one odd and one even, to (odd slot, even slot)
-    if i & 1:
-        return (i + 1) // 2, j // 2
-    return (j + 1) // 2, i // 2
 
 
 def represent_thm2(n: int) -> Quad2:
@@ -180,7 +169,7 @@ def represent_thm2(n: int) -> Quad2:
                 rep = rep_ttt_mixed((n - a_off * a_off) // 2, t)
             if a_off > rep.z:
                 _branches["doubled" if doubled else "square"] += 1
-                split = _slots(*split_square_plus_double_tri(a_off, rep.z))
+                split = _split_slots(a_off, rep.z)
                 pair = _slots(rep.x, rep.y)
                 (a, c), (b, d) = (split, pair) if doubled else (pair, split)
                 return Quad2(a, b, c, d)

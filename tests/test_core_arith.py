@@ -6,6 +6,8 @@ from trisum.core_arith import (
     MAX_INPUT,
     Quad1,
     Quad2,
+    _slots,
+    _split_slots,
     check_nat,
     eval_quad,
     indices_to_quad1,
@@ -89,3 +91,27 @@ def test_indices_to_quad1_matches_triangular_sum(odd, even, order):
     indices = [merged[i] for i in order]
     quad = indices_to_quad1(*indices)
     assert eval_quad("thm1", quad) == sum(triangular(i) for i in indices)
+
+
+def test_slots_fill_one_odd_and_one_even_slot():
+    # every index pair of opposite parity, index -1 included
+    for i in range(-1, 301):
+        for j in range(i + 1, 301, 2):
+            odd, even = _slots(i, j)
+            assert odd >= 0 and even >= 0
+            assert odd * (2 * odd - 1) + even * (2 * even + 1) == triangular(i) + triangular(j)
+            assert _slots(j, i) == (odd, even)
+
+
+def test_split_slots_match_the_checked_split():
+    for a in range(301):
+        for x in range(a):
+            assert _split_slots(a, x) == _slots(*split_square_plus_double_tri(a, x))
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 7, 300])
+def test_split_slots_at_a_equal_x(a):
+    # four_squares_to_quad2 reaches a == x (w = 2a+1): the indices are
+    # (2a, -1), where the checked split would return (2a, 0) instead
+    assert _split_slots(a, a) == _slots(2 * a, -1) == (0, a)
+    assert a * (2 * a + 1) == a * a + 2 * triangular(a)

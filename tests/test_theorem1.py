@@ -1,12 +1,13 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisum import theorem1
-from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad1, eval_quad
-from trisum.ternary import TernaryRep
+from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad1, eval_quad, indices_to_quad1
+from trisum.ternary import TernaryRep, rep_2t_t_t, rep_square_two_tri
 from trisum.theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from trisum.verifier import DEFAULT_BUDGET, brute_quad
 
@@ -44,6 +45,40 @@ def test_large_inputs_stay_constructive():
     for _ in range(200):
         n = rng.randint(10**9, 10**12)
         assert eval_quad("thm1", represent_thm1(n)) == n
+    assert fallback_count() == 0
+
+
+def _two_branch_reference(n):
+    # the construction as two parity branches, each building four indices in
+    # the first order and sorting them by parity through indices_to_quad1
+    if n & 1:
+        c = (isqrt(2 * n - 1) - 1) // 2
+        d, y, z, _ = rep_2t_t_t((n - (2 * c * c + 2 * c + 1)) // 2)
+        assert c - d > y and c + d + 1 > z
+        return indices_to_quad1(c + d + 1 + z, c + d - z, c - d + y, c - d - y - 1)
+    c = isqrt(n // 2)
+    p, y, z, _ = rep_square_two_tri((n - 2 * c * c) // 2)
+    assert c - p > y and c + p > z
+    return indices_to_quad1(c - p + y, c - p - y - 1, c + p + z, c + p - z - 1)
+
+
+def test_one_peel_body_matches_the_two_branch_reference():
+    reset_fallback_count()
+    for n in range(201, 10**5 + 1):
+        assert represent_thm1(n) == _two_branch_reference(n)
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(201, MAX_INPUT)
+        assert represent_thm1(n) == _two_branch_reference(n)
+    assert fallback_count() == 0
+
+
+@given(st.integers(min_value=201, max_value=MAX_INPUT))
+@settings(max_examples=300, deadline=None)
+def test_bound_check_holds_on_the_whole_domain(n):
+    # the first order always passes above 200, so nothing falls back
+    reset_fallback_count()
+    assert eval_quad("thm1", represent_thm1(n)) == n
     assert fallback_count() == 0
 
 
