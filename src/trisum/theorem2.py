@@ -15,9 +15,9 @@ residue plus a multiple of the modulus, so it costs O(1) even for
 t = 61.  When all three moduli divide 4n+3 the problem is shrunk by a
 factor of 3965 = 5*13*61 and solved recursively; the small witness is
 lifted back up through a four-square normal form.  Smaller inputs go to
-the exhaustive search instead.  If the offsets ever ran dry, the same
-search would stand in up to verifier.DEFAULT_BUDGET; beyond it the call
-raises ConstructionFailed.
+the exhaustive search instead, with the size bound as its budget.  If the
+offsets ever ran dry, the same search would stand in up to
+verifier.DEFAULT_BUDGET; beyond it the call raises ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class FourSquareForm(NamedTuple):
 # Residue classes mod t^2 from which the offset A may be drawn:
 # keyed by (t, doubled); doubled means 8*A0^2 = v instead of 4*A0^2 = v.
 _QR_CLASSES: dict[tuple[int, bool], dict[int, frozenset[int]]] = {}
+# The peel's size bound per (t, doubled): with s = t^4 (2t^4 when doubled)
+# the argument needs n > 6s and (n - 6s)^2 > 32s^2; 32s^2 is no square, so
+# for integer n that is n > 6s + isqrt(32s^2).
+_SIZE_BOUND: dict[tuple[int, bool], int] = {}
 
 
 def _build_tables() -> None:
@@ -72,6 +76,8 @@ def _build_tables() -> None:
             for a0 in range(mod):
                 classes.setdefault(k * a0 * a0 % mod, set()).add(a0)
             _QR_CLASSES[t, doubled] = {r: frozenset(s) for r, s in classes.items()}
+            s = 2 * t**4 if doubled else t**4
+            _SIZE_BOUND[t, doubled] = 6 * s + isqrt(32 * s * s)
 
 
 _build_tables()
@@ -160,8 +166,8 @@ def represent_thm2(n: int) -> Quad2:
         _branches["descent"] += 1
         return _descend(v)
     doubled = pow(v % t, (t - 1) // 2, t) == t - 1
-    s = 2 * t**4 if doubled else t**4
-    if n > 6 * s and (n - 6 * s) ** 2 > 32 * s * s:
+    bound = _SIZE_BOUND[t, doubled]
+    if n > bound:
         for a_off in _offset_candidates(n, t, doubled):
             if doubled:
                 rep = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
@@ -179,8 +185,9 @@ def represent_thm2(n: int) -> Quad2:
         except BudgetExceeded as exc:
             raise ConstructionFailed(f"offset scan exhausted for n={n} (t={t}): {exc}") from exc
     else:
-        # below the size thresholds (n up to about 3.2e8 for t = 61): always searched
-        witness = brute_quad("thm2", n, budget=None)
+        # below the size bound (up to about 3.2e8 for t = 61): searched, with
+        # the bound as the budget
+        witness = brute_quad("thm2", n, budget=bound)
     _branches["brute"] += 1
     return Quad2(*witness)
 

@@ -7,13 +7,17 @@ of first index pairs and above that by a scan and a square root.
 
 verify_range covers a whole interval at once.  Every form is a sumset of
 slot kinds; each slot contributes a bit mask of its attainable values
-and the masks are convolved by shift-or.  The conjecture's two triples,
-odd + odd + even and odd + even + even, share the slots odd + even, and
-their third slots together take every triangular number, so the union
-is the single triple odd + even + triangular.  The last slot ORs in only
-its first few shifts; each hole left in [lo, hi] is then resolved by
-looking up the earlier slots' bitmap at n - v for the remaining slot
-values v.  The holes that stay open are the exceptions.
+and the masks are convolved by shift-or.  The bitmaps run backwards: bit
+i stands for the value hi - i, so adding a slot value v is a right shift
+by v, which drops every sum above hi instead of carrying it.  The
+conjecture's two triples, odd + odd + even and odd + even + even, share
+the slots odd + even, and their third slots together take every
+triangular number, so the union is the single triple odd + even +
+triangular.  Only the first two slots form a full stage; every later
+slot ORs in just its first few values.  Each hole left in [lo, hi] is
+then resolved exactly: n is reached when the full stage holds n - v3
+(three slots) or n - v3 - v4 (four slots) for some remaining slot values
+v3, v4.  The holes that stay open are the exceptions.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ class BudgetExceeded(ValueError):
 
 
 # A sumset does not depend on slot order, and no stage is shared between
-# forms; conj_a is listed as odd + even + odd only because that order runs
-# faster: to 10^6 about 0.045 s against 0.066 s as odd + odd + even
-# (CPython 3.11, 2-vCPU host).
+# forms; the orders below are the faster ones (CPython 3.11, 2-vCPU host).
+# The full stage shifts the first slot's bitmap by each value of the
+# second, so the sparser kind goes second: thm2 to 10^7 as odd + odd2
+# takes about 0.76 s, as odd2 + odd 1.18 s.  conj_a as odd + even + odd
+# takes about 0.040 s to 10^6, as odd + odd + even 0.092 s, most of it in
+# looking up the many more holes an odd + odd full stage leaves.
 _SLOT_KINDS = {
     "thm1": ("odd", "odd", "even", "even"),
-    "thm2": ("odd2", "odd", "even2", "even"),
+    "thm2": ("odd", "odd2", "even2", "even"),
     "conj_a": ("odd", "even", "odd"),
     "conj_b": ("odd", "even", "even"),
     "conjecture": ("odd", "even", "tri"),
@@ -158,41 +165,70 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
     return None
 
 
-# Last-slot shifts OR-ed in before the holes are looked up; only speed depends on it.
+# Values of each slot after the full stage that are OR-ed in before the
+# holes are looked up.  Only speed depends on it: at 32 the conjecture
+# sweep to 10^6 leaves 271 holes instead of 2 and runs about 1.8x slower.
 _LAST_SHIFTS = 64
 
 
+def _bitmap(values: list[int], hi: int) -> int:
+    # bit i stands for the value hi - i
+    bits = bytearray(hi // 8 + 1)
+    for v in values:
+        bits[(hi - v) >> 3] |= 1 << ((hi - v) & 7)
+    return int.from_bytes(bits, "little")
+
+
 def _shift_or(bits: int, shifts: list[int]) -> int:
-    # Largest shift first, so acc never grows and each later temporary fits
-    # in memory the allocator already holds; growing ones are mapped afresh
-    # (6x the page faults at 10^6, and nearly twice the time).
+    # Adding v to every value is bits >> v, which drops every sum above hi.
+    # Smallest shift first, so acc never grows and each later temporary fits
+    # in memory the allocator already holds.
     acc = 0
-    for v in reversed(shifts):
-        acc |= bits << v
+    for v in shifts:
+        acc |= bits >> v
     return acc
 
 
-def _exceptions(form: str, lo: int, hi: int) -> tuple[int, ...]:
+def _reached(data: bytes, p: int, room: int, slots: list[list[int]]) -> bool:
+    # whether some choice of one value per slot, with sum s <= room, leaves
+    # a value the full stage reached: bit p + s of its bytes `data`
+    if not slots:
+        return bool(data[p >> 3] >> (p & 7) & 1)
+    return any(_reached(data, p + v, room - v, slots[1:]) for v in takewhile(room.__ge__, slots[0]))
+
+
+def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tuple[str, float], ...]]:
     kinds = _SLOT_KINDS[form]
-    mask = (1 << (hi + 1)) - 1
-    base = bytearray(hi // 8 + 1)
-    for v in _slot_values(kinds[0], hi):
-        base[v >> 3] |= 1 << (v & 7)
-    prev = int.from_bytes(base, "little")
-    for kind in kinds[1:-1]:
-        prev = _shift_or(prev, _slot_values(kind, hi)) & mask
-    last = _slot_values(kinds[-1], hi)
-    holes = (~_shift_or(prev, last[:_LAST_SHIFTS]) & mask) >> lo
-    data = prev.to_bytes(hi // 8 + 1, "little")
-    rest = last[_LAST_SHIFTS:]
+    stages = []
+    mark = time.perf_counter()
+
+    def lap(name: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        stages.append((name, (now - mark) * 1000.0))
+        mark = now
+
+    full = _shift_or(_bitmap(_slot_values(kinds[0], hi), hi), _slot_values(kinds[1], hi))
+    lap(f"full {kinds[0]}+{kinds[1]}")
+    rest = [_slot_values(kind, hi) for kind in kinds[2:]]
+    reached = full
+    for kind, values in zip(kinds[2:], rest):
+        reached = _shift_or(reached, values[:_LAST_SHIFTS])
+        lap(f"partial {kind}")
+    # bit p of the holes is n = hi - p, for n in [lo, hi]
+    holes = ~reached & ((1 << (hi - lo + 1)) - 1)
     out = []
-    while holes:
-        low = holes & -holes
-        holes ^= low
-        n = lo + low.bit_length() - 1
-        if not any(data[(n - v) >> 3] >> ((n - v) & 7) & 1 for v in rest if v <= n):
-            out.append(n)
-    return tuple(out)
+    if holes:
+        data = full.to_bytes(hi // 8 + 1, "little")
+        while holes:
+            low = holes & -holes
+            holes ^= low
+            p = low.bit_length() - 1
+            if not _reached(data, p, hi - p, rest):
+                out.append(hi - p)
+        out.reverse()
+    lap("lookup")
+    return tuple(out), tuple(stages)
 
 
 class RangeReport(NamedTuple):
@@ -201,14 +237,17 @@ class RangeReport(NamedTuple):
     hi: int
     exceptions: tuple[int, ...]
     elapsed_ms: float
+    stages: tuple[tuple[str, float], ...]
 
 
 def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeReport:
     """Exceptions of `form` on [lo, hi], found by a whole-interval sweep.
 
-    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds a few
-    bitmaps of roughly hi/8 bytes each, so a larger one is a deliberate
-    choice, not a default.
+    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds several
+    bitmaps of hi/8 bytes at once (about 9 MB above the interpreter's own
+    footprint at hi = 10^7), so a larger one is a deliberate choice, not a
+    default.  `stages` lists (name, ms) for the full stage, each partial
+    stage and the hole lookup.
     """
     check_nat(lo, "lo")
     check_nat(hi, "hi")
@@ -219,6 +258,6 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
     if hi > DEFAULT_CAP and not full:
         raise BudgetExceeded(f"hi={hi} above cap={DEFAULT_CAP}; pass full=True to override")
     t0 = time.perf_counter()
-    exceptions = _exceptions(form, lo, hi)
+    exceptions, stages = _exceptions(form, lo, hi)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return RangeReport(form, lo, hi, exceptions, elapsed_ms)
+    return RangeReport(form, lo, hi, exceptions, elapsed_ms, stages)

@@ -107,6 +107,18 @@ def test_second_form_sweep_to_one_million():
     )
 
 
+def test_second_form_sweep_to_ten_million():
+    t0 = time.perf_counter()
+    report = verify_range("thm2", 0, 10**7)
+    elapsed = time.perf_counter() - t0
+    ok = report.exceptions == () and elapsed <= 300.0
+    assert _report(
+        ok,
+        f"thm2 on [0, 1e7] has no exceptions "
+        f"(found {len(report.exceptions)}, {elapsed:.1f}s, budget 300s)",
+    )
+
+
 # ------------------------------------------------ constructive totality
 
 

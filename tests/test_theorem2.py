@@ -318,3 +318,27 @@ class TestOnePeelPath:
         assert represent_thm2(n) == witness
         assert eval_quad("thm2", witness) == n
         assert branch_counts() == {"doubled" if doubled else "square": 1}
+
+
+class TestBudgetedSearch:
+    def test_size_bounds(self):
+        bounds = {(5, False): 7285, (5, True): 14571, (13, False): 332931,
+                  (13, True): 665862, (61, False): 161398950, (61, True): 322797900}  # fmt: skip
+        assert theorem2._SIZE_BOUND == bounds
+        for (t, doubled), bound in bounds.items():
+            for n in range(bound - 3, bound + 4):
+                assert _big_enough(n, t, doubled) == (n > bound), (t, doubled, n)
+
+    @pytest.mark.parametrize("n", [7284, 14571, 332923, 665858, 161398883, 322797718])
+    def test_search_below_the_bound_has_a_budget(self, monkeypatch, n):
+        # the last n below each (t, doubled) size bound, as in TestOnePeelPath
+        budgets = []
+
+        def spy(form, m, budget=DEFAULT_BUDGET):
+            budgets.append(budget)
+            return brute_quad(form, m, budget)
+
+        monkeypatch.setattr(theorem2, "brute_quad", spy)
+        witness = represent_thm2(n)
+        assert eval_quad("thm2", witness) == n
+        assert len(budgets) == 1 and budgets[0] is not None and budgets[0] >= n

@@ -278,4 +278,50 @@ class TestVerifyRange:
     def test_report_is_a_named_tuple(self):
         report = verify_range("thm1", 0, 10)
         assert isinstance(report, RangeReport)
-        assert report._fields == ("form", "lo", "hi", "exceptions", "elapsed_ms")
+        assert report._fields == ("form", "lo", "hi", "exceptions", "elapsed_ms", "stages")
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_one_full_stage_per_form(self, form):
+        # slots 0 + 1 form the only full stage, every later slot a partial one
+        kinds = verifier._SLOT_KINDS[form]
+        stages = verify_range(form, 0, 5000).stages
+        names = [name for name, _ in stages]
+        assert names == [f"full {kinds[0]}+{kinds[1]}", *(f"partial {k}" for k in kinds[2:]), "lookup"]
+        assert all(isinstance(ms, float) and ms >= 0.0 for _, ms in stages)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_every_window_up_to_forty(self, form):
+        # bit i of the sweep stands for hi - i, so hi and lo each move the
+        # byte edges; check every window with hi <= 40
+        for hi in range(41):
+            reachable = _reachable(form, hi)
+            for lo in range(hi + 1):
+                expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+                assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_byte_edges_next_to_slot_values(self, form):
+        # hi = 8k - 1, 8k and 8k + 1 for the multiple 8k nearest each slot
+        # value, so that a slot value lands on either side of a byte edge
+        kinds = set(verifier._SLOT_KINDS[form])
+        near = {8 * round(v / 8) for kind in kinds for v in verifier._slot_values(kind, 240) if v >= 8}
+        for hi in sorted(k + e for k in near for e in (-1, 0, 1)):
+            reachable = _reachable(form, hi)
+            missing = [n for n in range(hi + 1) if n not in reachable]
+            for lo in range(hi + 1):
+                expected = tuple(n for n in missing if n >= lo)
+                assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+
+    @pytest.mark.parametrize("shifts", [0, 1])
+    @pytest.mark.parametrize("form", ["thm1", "thm2"])
+    def test_two_level_lookup(self, monkeypatch, form, shifts):
+        # at most the value 0 per partial stage: every n off the full stage
+        # is a hole, resolved by a lookup of the full stage at n - v3 - v4
+        monkeypatch.setattr(verifier, "_LAST_SHIFTS", shifts)
+        for lo, hi in ((1, 40), (217, 600)):
+            reachable = _reachable(form, hi)
+            expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+            assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+        for lo, hi in ((9001, 9600), (99500, 100000)):
+            missing = tuple(n for n in range(lo, hi + 1) if brute_quad(form, n) is None)
+            assert verify_range(form, lo, hi).exceptions == missing, (form, lo, hi)
