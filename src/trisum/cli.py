@@ -106,6 +106,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "hi": report.hi,
             "exceptions": list(report.exceptions),
             "elapsed_ms": round(report.elapsed_ms, 3),
+            # a list of pairs, not an object: thm1 has two "partial even" stages
+            "stages": [[name, round(ms, 3)] for name, ms in report.stages],
         }
         print(json.dumps(payload))
     else:

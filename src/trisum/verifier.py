@@ -6,18 +6,23 @@ witness; it resolves the last two slots together, up to 2^20 from a table
 of first index pairs and above that by a scan and a square root.
 
 verify_range covers a whole interval at once.  Every form is a sumset of
-slot kinds; each slot contributes a bit mask of its attainable values
-and the masks are convolved by shift-or.  The bitmaps run backwards: bit
-i stands for the value hi - i, so adding a slot value v is a right shift
-by v, which drops every sum above hi instead of carrying it.  The
-conjecture's two triples, odd + odd + even and odd + even + even, share
-the slots odd + even, and their third slots together take every
-triangular number, so the union is the single triple odd + even +
-triangular.  Only the first two slots form a full stage; every later
-slot ORs in just its first few values.  Each hole left in [lo, hi] is
-then resolved exactly: n is reached when the full stage holds n - v3
-(three slots) or n - v3 - v4 (four slots) for some remaining slot values
-v3, v4.  The holes that stay open are the exceptions.
+slot kinds; each slot contributes the bit masks of its attainable values
+and the masks are convolved by shift-or.  The bitmaps are kept one per
+residue class r mod M = 45 and run backwards: with top = hi // M, bit i
+of class r stands for the value r + M*(top - i).  Adding a slot value
+r2 + M*q to class r1 lands in class (r1 + r2) mod M as a right shift by
+q, plus one when r1 + r2 carries past M, which drops every sum above the
+top of that class.  Every slot value is T(i) or 2T(i), so each slot kind
+fills only 12 of the 45 classes, and a stage shifts about a quarter of
+the bits one bitmap of [0, hi] would take.  The conjecture's two
+triples, odd + odd + even and odd + even + even, share the slots odd +
+even, and their third slots together take every triangular number, so
+the union is the single triple odd + even + triangular.  Only the first
+two slots form a full stage; every later slot ORs in just its first few
+values.  Each hole left in [lo, hi] is then resolved exactly: n is
+reached when the full stage holds n - v3 (three slots) or n - v3 - v4
+(four slots) for some remaining slot values v3, v4.  The holes that stay
+open, taken from every class in ascending order, are the exceptions.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ class BudgetExceeded(ValueError):
 
 # A sumset does not depend on slot order, and no stage is shared between
 # forms; the orders below are the faster ones (CPython 3.11, 2-vCPU host).
-# The full stage shifts the first slot's bitmap by each value of the
-# second, so the sparser kind goes second: thm2 to 10^7 as odd + odd2
-# takes about 0.76 s, as odd2 + odd 1.18 s.  conj_a as odd + even + odd
-# takes about 0.040 s to 10^6, as odd + odd + even 0.092 s, most of it in
-# looking up the many more holes an odd + odd full stage leaves.
+# The full stage shifts each class bitmap of the first slot by each value
+# of the second, so the sparser kind goes second: thm2 to 10^7 as odd +
+# odd2 takes about 0.23 s, as odd2 + odd 0.28 s.  conj_a as odd + even +
+# odd takes about 0.015 s to 10^6, as odd + odd + even 0.030 s, most of
+# it in looking up the many more holes an odd + odd full stage leaves.
 _SLOT_KINDS = {
     "thm1": ("odd", "odd", "even", "even"),
     "thm2": ("odd", "odd2", "even2", "even"),
@@ -167,38 +172,66 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
 
 # Values of each slot after the full stage that are OR-ed in before the
 # holes are looked up.  Only speed depends on it: at 32 the conjecture
-# sweep to 10^6 leaves 271 holes instead of 2 and runs about 1.8x slower.
+# sweep to 10^6 leaves 271 holes instead of 2 and runs about 1.5x slower.
 _LAST_SHIFTS = 64
 
 
-def _bitmap(values: list[int], hi: int) -> int:
-    # bit i stands for the value hi - i
-    bits = bytearray(hi // 8 + 1)
+# Residue classes of the sweep bitmaps; 1 is a single bitmap of [0, hi].
+# Only speed depends on it.  T(i) takes 4 classes mod 9 and 3 mod 5, so
+# every slot kind fills 12 of these 45.  The conjecture sweep to 10^6 took
+# about 18 ms at 9, 17 at 45, 18 at 63 and 22 at 105 or 315 (thm1 to 10^7
+# is faster at 315, 0.25 s against 0.34 s).
+_MODULUS = 45
+
+
+def _by_class(values: list[int]) -> dict[int, list[int]]:
+    # v = r + M*q, listed as r -> [q, ...] in ascending order
+    classes: dict[int, list[int]] = {}
     for v in values:
-        bits[(hi - v) >> 3] |= 1 << ((hi - v) & 7)
-    return int.from_bytes(bits, "little")
+        q, r = divmod(v, _MODULUS)
+        classes.setdefault(r, []).append(q)
+    return classes
 
 
-def _shift_or(bits: int, shifts: list[int]) -> int:
-    # Adding v to every value is bits >> v, which drops every sum above hi.
-    # Smallest shift first, so acc never grows and each later temporary fits
-    # in memory the allocator already holds.
-    acc = 0
-    for v in shifts:
-        acc |= bits >> v
-    return acc
+def _class_bitmaps(values: list[int], top: int) -> dict[int, int]:
+    # in class r, bit i stands for the value r + M*(top - i)
+    maps = {}
+    for r, qs in _by_class(values).items():
+        bits = bytearray(top // 8 + 1)
+        for q in qs:
+            bits[(top - q) >> 3] |= 1 << ((top - q) & 7)
+        maps[r] = int.from_bytes(bits, "little")
+    return maps
 
 
-def _reached(data: bytes, p: int, room: int, slots: list[list[int]]) -> bool:
-    # whether some choice of one value per slot, with sum s <= room, leaves
-    # a value the full stage reached: bit p + s of its bytes `data`
+def _add_slot(stage: dict[int, int], values: list[int]) -> dict[int, int]:
+    # Adding v = r2 + M*q to class r1 lands in class (r1 + r2) mod M as a
+    # right shift by q, plus one when r1 + r2 carries past M; it drops every
+    # sum above the top of its class.  Smallest shift first, so acc never
+    # grows and each later temporary fits in memory the allocator holds.
+    out: dict[int, int] = {}
+    for r2, qs in _by_class(values).items():
+        for r1, bits in stage.items():
+            carry, r = divmod(r1 + r2, _MODULUS)
+            acc = 0
+            for q in qs:
+                acc |= bits >> (q + carry)
+            out[r] = out.get(r, 0) | acc
+    return out
+
+
+def _reached(data: list[bytes], top: int, n: int, slots: list[list[int]]) -> bool:
+    # whether some choice of one value per slot, with sum s <= n, leaves a
+    # value n - s that the full stage reached, read from its class bytes
     if not slots:
-        return bool(data[p >> 3] >> (p & 7) & 1)
-    return any(_reached(data, p + v, room - v, slots[1:]) for v in takewhile(room.__ge__, slots[0]))
+        q, r = divmod(n, _MODULUS)
+        return bool(data[r][(top - q) >> 3] >> ((top - q) & 7) & 1)
+    return any(_reached(data, top, n - v, slots[1:]) for v in takewhile(n.__ge__, slots[0]))
 
 
 def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tuple[str, float], ...]]:
     kinds = _SLOT_KINDS[form]
+    top = hi // _MODULUS
     stages = []
     mark = time.perf_counter()
 
@@ -208,25 +241,30 @@ def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tup
         stages.append((name, (now - mark) * 1000.0))
         mark = now
 
-    full = _shift_or(_bitmap(_slot_values(kinds[0], hi), hi), _slot_values(kinds[1], hi))
+    full = _add_slot(_class_bitmaps(_slot_values(kinds[0], hi), top), _slot_values(kinds[1], hi))
     lap(f"full {kinds[0]}+{kinds[1]}")
     rest = [_slot_values(kind, hi) for kind in kinds[2:]]
     reached = full
     for kind, values in zip(kinds[2:], rest):
-        reached = _shift_or(reached, values[:_LAST_SHIFTS])
+        reached = _add_slot(reached, values[:_LAST_SHIFTS])
         lap(f"partial {kind}")
-    # bit p of the holes is n = hi - p, for n in [lo, hi]
-    holes = ~reached & ((1 << (hi - lo + 1)) - 1)
+    holes = []
+    for r in range(_MODULUS):
+        # bits first..last of class r are its values in [lo, hi]; the ones
+        # above hi, up to M*top + M - 1, are swept but never reported
+        first = top - (hi - r) // _MODULUS
+        last = top - max(0, -((r - lo) // _MODULUS))
+        if first > last:
+            continue
+        gaps = ~reached.get(r, 0) & ((1 << (last + 1)) - (1 << first))
+        while gaps:
+            low = gaps & -gaps
+            gaps ^= low
+            holes.append(r + _MODULUS * (top + 1 - low.bit_length()))
     out = []
     if holes:
-        data = full.to_bytes(hi // 8 + 1, "little")
-        while holes:
-            low = holes & -holes
-            holes ^= low
-            p = low.bit_length() - 1
-            if not _reached(data, p, hi - p, rest):
-                out.append(hi - p)
-        out.reverse()
+        data = [full.get(r, 0).to_bytes(top // 8 + 1, "little") for r in range(_MODULUS)]
+        out = [n for n in sorted(holes) if not _reached(data, top, n, rest)]
     lap("lookup")
     return tuple(out), tuple(stages)
 
@@ -243,10 +281,10 @@ class RangeReport(NamedTuple):
 def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeReport:
     """Exceptions of `form` on [lo, hi], found by a whole-interval sweep.
 
-    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds several
-    bitmaps of hi/8 bytes at once (about 9 MB above the interpreter's own
-    footprint at hi = 10^7), so a larger one is a deliberate choice, not a
-    default.  `stages` lists (name, ms) for the full stage, each partial
+    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds a few
+    sets of class bitmaps of hi/8 bytes in all at once (about 3.5 MB above
+    the interpreter's own footprint at hi = 10^7), so a larger one is a
+    deliberate choice, not a default.  `stages` lists (name, ms) for the full stage, each partial
     stage and the hole lookup.
     """
     check_nat(lo, "lo")

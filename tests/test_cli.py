@@ -70,16 +70,25 @@ class TestVerify:
         assert code == 0
         assert "exceptions: none" in out
 
-    def test_json_has_exactly_five_fields(self, capsys):
+    def test_json_has_exactly_six_fields(self, capsys):
         code, out, _ = run(capsys, "verify", "--form", "thm2", "--to", "2000", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert list(payload) == ["form", "lo", "hi", "exceptions", "elapsed_ms"]
+        assert list(payload) == ["form", "lo", "hi", "exceptions", "elapsed_ms", "stages"]
         assert payload["form"] == "thm2"
         assert payload["lo"] == 0
         assert payload["hi"] == 2000
         assert payload["exceptions"] == []
         assert isinstance(payload["elapsed_ms"], float)
+
+    def test_json_stages_are_name_ms_pairs(self, capsys):
+        # a list, not an object: thm1's two partial stages share a name
+        code, out, _ = run(capsys, "verify", "--form", "thm1", "--to", "2000", "--json")
+        assert code == 0
+        stages = json.loads(out)["stages"]
+        names = [name for name, _ in stages]
+        assert names == ["full odd+odd", "partial even", "partial even", "lookup"]
+        assert all(isinstance(ms, float) and ms >= 0.0 for _, ms in stages)
 
     def test_conjecture_json_exceptions(self, capsys):
         code, out, _ = run(capsys, "verify", "--form", "conjecture", "--to", "100", "--json")

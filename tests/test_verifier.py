@@ -291,8 +291,9 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_every_window_up_to_forty(self, form):
-        # bit i of the sweep stands for hi - i, so hi and lo each move the
-        # byte edges; check every window with hi <= 40
+        # hi and lo pick which bits of each class are reported; with hi < 45
+        # every class holds one bit, and a class above hi holds only a value
+        # that must not be reported; check every window with hi <= 40
         for hi in range(41):
             reachable = _reachable(form, hi)
             for lo in range(hi + 1):
@@ -302,7 +303,10 @@ class TestVerifyRange:
     @pytest.mark.parametrize("form", FORMS)
     def test_byte_edges_next_to_slot_values(self, form):
         # hi = 8k - 1, 8k and 8k + 1 for the multiple 8k nearest each slot
-        # value, so that a slot value lands on either side of a byte edge
+        # value up to 240: a slot value lands just below, on or just above
+        # hi, and so at the low or high end of its class's bits (bit i of
+        # class r stands for r + M*(hi // M - i)); test_class_edges moves
+        # hi // M across a byte edge
         kinds = set(verifier._SLOT_KINDS[form])
         near = {8 * round(v / 8) for kind in kinds for v in verifier._slot_values(kind, 240) if v >= 8}
         for hi in sorted(k + e for k in near for e in (-1, 0, 1)):
@@ -311,6 +315,33 @@ class TestVerifyRange:
             for lo in range(hi + 1):
                 expected = tuple(n for n in missing if n >= lo)
                 assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_class_edges(self, form):
+        # hi = kM - 1, kM and kM + 1, so hi // M takes 0, 1 and 6..9 and the
+        # class bitmaps grow past their first byte at 8; the values in
+        # (hi, M*(hi // M) + M - 1] are swept but must never be reported
+        m = verifier._MODULUS
+        for k in (1, 7, 8, 9):
+            for hi in (k * m - 1, k * m, k * m + 1):
+                reachable = _reachable(form, hi)
+                missing = [n for n in range(hi + 1) if n not in reachable]
+                for lo in range(hi + 1):
+                    expected = tuple(n for n in missing if n >= lo)
+                    assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+
+    @pytest.mark.parametrize("modulus", [1, 2, 9, 45, 315])
+    def test_class_count_changes_nothing(self, monkeypatch, modulus):
+        # one class is a single backwards bitmap; every modulus sweeps the
+        # same sumset, only split differently
+        monkeypatch.setattr(verifier, "_MODULUS", modulus)
+        for form in FORMS:
+            for lo, hi in ((0, 0), (0, 7), (0, 400), (150, 400), (400, 400)):
+                reachable = _reachable(form, hi)
+                expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+                assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+        assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
+        assert verify_range("conj_b", 0, 20000).exceptions == CONJ_B_TO_1E6
 
     @pytest.mark.parametrize("shifts", [0, 1])
     @pytest.mark.parametrize("form", ["thm1", "thm2"])
