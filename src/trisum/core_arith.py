@@ -15,8 +15,7 @@ number, a^2 + 2T(x) with a >= x, splits into T(a+x) + T(a-x-1), one odd
 and one even index, and that pair fills one odd slot and one even slot.
 `_slots` is the one place this mapping lives; `_split_slots` applies it
 to the split without validating, for values the constructions derived
-themselves.  The checked public forms are `split_square_plus_double_tri`
-and `indices_to_quad1`.
+themselves.
 """
 
 from __future__ import annotations
@@ -72,19 +71,6 @@ def triangular(k: int) -> int:
     return k * (k + 1) // 2
 
 
-def split_square_plus_double_tri(a: int, b: int) -> tuple[int, int]:
-    """Split a^2 + 2*T(b) into a pair of triangular indices.
-
-    Returns (a+b, a-b-1) when a > b, else (a+b, b-a); in both cases
-    T(first) + T(second) == a*a + 2*T(b).
-    """
-    check_nat(a, "a")
-    check_nat(b, "b")
-    if a > b:
-        return a + b, a - b - 1
-    return a + b, b - a
-
-
 def _slots(i: int, j: int) -> tuple[int, int]:
     # map a pair of triangular indices, one odd and one even, to (odd slot, even slot)
     if i & 1:
@@ -105,26 +91,3 @@ def eval_quad(form: str, q) -> int:
     if form == "thm2":
         return 2 * a * (2 * a - 1) + b * (2 * b - 1) + 2 * c * (2 * c + 1) + d * (2 * d + 1)
     raise ValueError(f"unknown form {form!r}")
-
-
-def indices_to_quad1(i1: int, i2: int, i3: int, i4: int) -> Quad1:
-    """Map four triangular indices (two odd, two even) to a Quad1.
-
-    Odd indices (value a(2a-1)) fill the (a, b) slots in the order given;
-    even indices (value c(2c+1)) fill (c, d) likewise.  A parity count
-    other than 2+2 is rejected.
-    """
-    odds = []
-    evens = []
-    for i in (i1, i2, i3, i4):
-        if not isinstance(i, int) or isinstance(i, bool) or i < -1:
-            raise ValueError(f"invalid triangular index {i!r}")
-        if i % 2:  # -1 % 2 == 1, so -1 lands in the odd class
-            odds.append((i + 1) // 2)
-        else:
-            evens.append(i // 2)
-    if len(odds) != 2:
-        raise ValueError(
-            f"need exactly two odd and two even indices, got {len(odds)} odd"
-        )
-    return Quad1(odds[0], odds[1], evens[0], evens[1])

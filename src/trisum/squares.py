@@ -71,16 +71,6 @@ class TwoSquares(NamedTuple):
 _SQ_MOD256 = frozenset((i * i) & 255 for i in range(256))
 
 
-def is_square(m: int) -> bool:
-    """Exact perfect-square test (integer arithmetic only)."""
-    if m < 0:
-        return False
-    if (m & 255) not in _SQ_MOD256:
-        return False
-    r = isqrt(m)
-    return r * r == m
-
-
 def eligible_three_squares(m: int) -> bool:
     """True iff m is a sum of three squares (m = 0 included)."""
     check_nat(m, "m", SQUARES_MAX)

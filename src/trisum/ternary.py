@@ -2,8 +2,8 @@
 
 Three families of results live here:
 
-* universal ternary representations (x^2+T+T, 4T+T+T, 2T+T+T), each built
-  by decomposing a shifted input into three squares and relabeling by
+* universal ternary representations (x^2+T+T, 2T+T+T), each built by
+  decomposing a shifted input into three squares and relabeling by
   residue pattern;
 * mixed-parity representations T(x) + T(y) + k^2 T(z), k = 1 (T+T+T) or
   k = 2 (T+T+4T), for inputs n with t^2 | 8n+2+k^2, t in {5, 13, 61}:
@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core_arith import check_nat, triangular
+from .core_arith import check_nat
 from .squares import three_squares, two_squares, NoRepresentation
 
 
@@ -44,27 +44,11 @@ EVEN_LIFT_NARROW = (46, 43)
 
 
 class TernaryRep(NamedTuple):
-    """A three-index witness together with the shape it satisfies."""
+    """A three-index witness (x, y, z); the function that built it names its shape."""
 
     x: int
     y: int
     z: int
-    kind: str
-
-    def value(self) -> int:
-        """Evaluate the witness under its kind's formula."""
-        tx, ty, tz = triangular(self.x), triangular(self.y), triangular(self.z)
-        if self.kind == "x^2+T+T":
-            return self.x * self.x + ty + tz
-        if self.kind == "4T+T+T":
-            return 4 * tx + ty + tz
-        if self.kind == "2T+T+T":
-            return 2 * tx + ty + tz
-        if self.kind == "T+T+T":
-            return tx + ty + tz
-        if self.kind == "T+T+4T":
-            return tx + ty + 4 * tz
-        raise ValueError(f"unknown kind {self.kind!r}")
 
 
 def _check_modulus(t: int) -> int:
@@ -101,19 +85,7 @@ def rep_square_two_tri(m: int) -> TernaryRep:
         a, mate = e2, e1
     else:
         a, mate = e1, e2
-    return TernaryRep(a // 2, (odd + mate - 1) // 2, (abs(odd - mate) - 1) // 2, "x^2+T+T")
-
-
-@lru_cache(maxsize=1 << 15)
-def rep_4t_t_t(m: int) -> TernaryRep:
-    """Write m = 4T(x) + T(y) + T(z).
-
-    8m+6 decomposes into two odd squares plus one square of root
-    congruent to 2 mod 4; the latter is forced and feeds the 4T slot.
-    """
-    check_nat(m, "m")
-    even, o1, o2 = _parity_split(three_squares(8 * m + 6), 0)
-    return TernaryRep((even - 2) // 4, (o2 - 1) // 2, (o1 - 1) // 2, "4T+T+T")
+    return TernaryRep(a // 2, (odd + mate - 1) // 2, (abs(odd - mate) - 1) // 2)
 
 
 @lru_cache(maxsize=1 << 15)
@@ -132,7 +104,7 @@ def rep_2t_t_t(m: int) -> TernaryRep:
         a, mate = o2, o1
     else:
         a, mate = o1, o2
-    return TernaryRep((a - 1) // 2, (mate + even - 1) // 2, (abs(mate - even) - 1) // 2, "2T+T+T")
+    return TernaryRep((a - 1) // 2, (mate + even - 1) // 2, (abs(mate - even) - 1) // 2)
 
 
 def _balance_raw(s: int, t: int) -> tuple[int, int]:
@@ -168,7 +140,7 @@ def balance_odd_pair(n: int, t: int) -> tuple[int, int]:
     return (a, b) if a >= b else (b, a)
 
 
-def _rep_mixed(n: int, t: int, k: int, kind: str) -> TernaryRep:
+def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     # n = T(x) + T(y) + k^2 T(z) iff 8n+2+k^2 = (2x+1)^2 + (2y+1)^2 + (k(2z+1))^2;
     # k(2z+1) is t times the first root of k's parity of the quotient by t^2
     check_nat(n, "n")
@@ -180,7 +152,7 @@ def _rep_mixed(n: int, t: int, k: int, kind: str) -> TernaryRep:
         if r & 1 == k & 1:
             break
     a, b = _balance_raw(m - r * r, t)
-    return TernaryRep((a - 1) // 2, (b - 1) // 2, (t * r - k) // (2 * k), kind)
+    return TernaryRep((a - 1) // 2, (b - 1) // 2, (t * r - k) // (2 * k))
 
 
 def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
@@ -190,7 +162,7 @@ def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     smallest root is scaled back up by t to give z, and the remaining two
     are balanced into distinct mod-4 classes to give x and y.
     """
-    return _rep_mixed(n, t, 1, "T+T+T")
+    return _rep_mixed(n, t, 1)
 
 
 def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
@@ -199,7 +171,7 @@ def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
     Requires t^2 | 8n+6.  The quotient splits into two odd squares plus a
     root congruent to 2 mod 4; that root (scaled by t) feeds the 4T slot.
     """
-    return _rep_mixed(n, t, 2, "T+T+4T")
+    return _rep_mixed(n, t, 2)
 
 
 def lift_odd_pair(p: int, q: int) -> tuple[int, int]:

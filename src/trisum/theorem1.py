@@ -72,11 +72,11 @@ def represent_thm1(n: int) -> Quad1:
         return Quad1(*brute_quad("thm1", n))
     if n & 1:
         k = (isqrt(2 * n - 1) - 1) // 2
-        d, y, z, _ = rep_2t_t_t((n - 2 * k * k - 2 * k - 1) // 2)
+        d, y, z = rep_2t_t_t((n - 2 * k * k - 2 * k - 1) // 2)
         u1, x1, u2, x2 = k + d + 1, z, k - d, y
     else:
         k = isqrt(n // 2)
-        p, y, z, _ = rep_square_two_tri((n - 2 * k * k) // 2)
+        p, y, z = rep_square_two_tri((n - 2 * k * k) // 2)
         u1, x1, u2, x2 = k - p, y, k + p, z
     if u1 > x1 and u2 > x2:
         (a, c), (b, d) = _split_slots(u1, x1), _split_slots(u2, x2)

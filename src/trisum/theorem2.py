@@ -41,10 +41,6 @@ from .verifier import BudgetExceeded, brute_quad
 logger = logging.getLogger(__name__)
 
 
-class NotCoprime(ValueError):
-    """The target shares a factor with the chosen modulus."""
-
-
 class FourSquareForm(NamedTuple):
     """Witness of 4n+3 = u1^2 + u2^2 + 4a^2 + w^2 in normal form.
 
@@ -81,20 +77,6 @@ def _build_tables() -> None:
 
 
 _build_tables()
-
-
-def solve_offset_congruence(v: int, t: int, doubled: bool = False) -> frozenset[int]:
-    """Classes A0 mod t^2 with 4*A0^2 = v (or 8*A0^2 = v when doubled).
-
-    v is 4n+3 for an input n, so it may exceed the input bound itself.
-    """
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ValueError(f"v must be a non-negative integer, got {v!r}")
-    if t not in MODULI:
-        raise ValueError(f"modulus must be one of {MODULI}, got {t}")
-    if v % t == 0:
-        raise NotCoprime(f"{v} is divisible by {t}")
-    return _QR_CLASSES[t, doubled].get(v % (t * t), frozenset())
 
 
 def _offset_candidates(n: int, t: int, doubled: bool) -> Iterator[int]:

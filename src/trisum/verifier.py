@@ -261,6 +261,7 @@ def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tup
             low = gaps & -gaps
             gaps ^= low
             holes.append(r + _MODULUS * (top + 1 - low.bit_length()))
+    del reached  # the lookup reads only the full stage
     out = []
     if holes:
         data = [full.get(r, 0).to_bytes(top // 8 + 1, "little") for r in range(_MODULUS)]
@@ -284,8 +285,8 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
     Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds a few
     sets of class bitmaps of hi/8 bytes in all at once (about 3.5 MB above
     the interpreter's own footprint at hi = 10^7), so a larger one is a
-    deliberate choice, not a default.  `stages` lists (name, ms) for the full stage, each partial
-    stage and the hole lookup.
+    deliberate choice, not a default.  `stages` lists (name, ms) for the
+    full stage, each partial stage and the hole lookup.
     """
     check_nat(lo, "lo")
     check_nat(hi, "hi")

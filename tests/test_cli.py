@@ -2,7 +2,7 @@ import json
 
 from trisum import cli
 from trisum.cli import main
-from trisum.core_arith import ConstructionFailed
+from trisum.core_arith import ConstructionFailed, Quad1
 
 
 def run(capsys, *argv):
@@ -54,6 +54,16 @@ class TestDecompose:
 
     def test_negative_input(self, capsys):
         assert run(capsys, "decompose", "--theorem", "1", "--", "-5")[0] == 2
+
+    def test_wrong_witness_is_a_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "represent_thm1", lambda n: Quad1(0, 0, 0, 0))
+        code, out, err = run(capsys, "decompose", "201", "--theorem", "1")
+        assert code == 1
+        assert out == "thm1(201): a=0 b=0 c=0 d=0 [MISMATCH]\n"
+        assert err == ""
+        code, out, _ = run(capsys, "decompose", "201", "--theorem", "1", "--json")
+        assert code == 1
+        assert json.loads(out) == {"n": 201, "form": "thm1", "witness": [0, 0, 0, 0], "check": False}
 
 
 class TestVerify:
@@ -112,6 +122,25 @@ class TestVerify:
 
     def test_unknown_form(self, capsys):
         assert run(capsys, "verify", "--form", "thm3", "--to", "10")[0] == 2
+
+    def test_wrong_exceptions_are_a_mismatch(self, capsys, monkeypatch):
+        real = cli.verify_range
+
+        def one_off(form, lo, hi, *, full=False):
+            # drops the first exception of conjecture, adds 7 to thm1's none
+            report = real(form, lo, hi, full=full)
+            return report._replace(exceptions=report.exceptions[1:] or (7,))
+
+        monkeypatch.setattr(cli, "verify_range", one_off)
+        code, out, err = run(capsys, "verify", "--form", "conjecture", "--to", "100")
+        assert code == 1
+        assert out.startswith("conjecture on [0, 100]: exceptions: 68 (")
+        assert "as expected" not in out
+        assert err == "MISMATCH: expected exceptions: 8, 68\n"
+        code, out, err = run(capsys, "verify", "--form", "thm1", "--to", "100", "--json")
+        assert code == 1
+        assert json.loads(out)["exceptions"] == [7]
+        assert err == "MISMATCH: expected exceptions: none\n"
 
 
 class TestSelftest:

@@ -10,8 +10,6 @@ from trisum.core_arith import (
     _split_slots,
     check_nat,
     eval_quad,
-    indices_to_quad1,
-    split_square_plus_double_tri,
     triangular,
 )
 
@@ -50,47 +48,33 @@ def test_eval_quad_unknown_form():
         eval_quad("thm3", (0, 0, 0, 0))
 
 
-@given(a=st.integers(min_value=0, max_value=5000), b=st.integers(min_value=0, max_value=5000))
+@given(a=st.integers(min_value=0, max_value=5000), x=st.integers(min_value=0, max_value=5000))
 @settings(max_examples=200)
-def test_split_recombines_square_and_double_triangular(a, b):
-    i, j = split_square_plus_double_tri(a, b)
-    assert i >= -1 and j >= -1
-    assert triangular(i) + triangular(j) == a * a + 2 * triangular(b)
+def test_split_recombines_square_and_double_triangular(a, x):
+    a, x = max(a, x), min(a, x)
+    odd, even = _split_slots(a, x)
+    assert odd >= 0 and even >= 0
+    assert odd * (2 * odd - 1) + even * (2 * even + 1) == a * a + 2 * triangular(x)
 
 
 def test_split_known_edges():
-    assert split_square_plus_double_tri(3, 1) == (4, 1)
-    assert split_square_plus_double_tri(1, 1) == (2, 0)
-    assert split_square_plus_double_tri(0, 0) == (0, 0)
-    # a = b + 1 exercises the j = 0 edge, a <= b the other branch
-    assert split_square_plus_double_tri(2, 1) == (3, 0)
-    assert split_square_plus_double_tri(1, 3) == (4, 2)
+    # a^2 + 2T(x) = T(a+x) + T(a-x-1); a = x + 1 gives index 0, a = x index -1
+    assert _split_slots(3, 1) == _slots(4, 1) == (1, 2)
+    assert _split_slots(2, 1) == _slots(3, 0) == (2, 0)
+    assert _split_slots(1, 0) == _slots(1, 0) == (1, 0)
+    assert _split_slots(0, 0) == _slots(0, -1) == (0, 0)
 
 
-def test_indices_to_quad1_known():
-    assert indices_to_quad1(13, 10, 9, 4) == Quad1(7, 5, 5, 2)
-    assert indices_to_quad1(9, 8, 11, 10) == Quad1(5, 6, 4, 5)
+def test_slots_known_values():
+    # the index pairs of represent_thm1(201) and (202): (a, c) from the
+    # first pair, (b, d) from the second
+    (a, c), (b, d) = _slots(13, 10), _slots(9, 4)
+    assert Quad1(a, b, c, d) == Quad1(7, 5, 5, 2)
+    (a, c), (b, d) = _slots(9, 8), _slots(11, 10)
+    assert Quad1(a, b, c, d) == Quad1(5, 6, 4, 5)
     # index -1 encodes a zero odd-slot term
-    assert indices_to_quad1(-1, 0, 1, 0) == Quad1(0, 1, 0, 0)
-
-
-@pytest.mark.parametrize("indices", [(1, 1, 1, 2), (2, 2, 2, 2), (1, 3, 5, 7)])
-def test_indices_to_quad1_needs_two_of_each_parity(indices):
-    with pytest.raises(ValueError):
-        indices_to_quad1(*indices)
-
-
-@given(
-    odd=st.lists(st.integers(min_value=-1, max_value=999).map(lambda k: 2 * k + 1), min_size=2, max_size=2),
-    even=st.lists(st.integers(min_value=0, max_value=999).map(lambda k: 2 * k), min_size=2, max_size=2),
-    order=st.permutations(range(4)),
-)
-@settings(max_examples=200)
-def test_indices_to_quad1_matches_triangular_sum(odd, even, order):
-    merged = odd + even
-    indices = [merged[i] for i in order]
-    quad = indices_to_quad1(*indices)
-    assert eval_quad("thm1", quad) == sum(triangular(i) for i in indices)
+    assert _slots(-1, 0) == _slots(0, -1) == (0, 0)
+    assert _slots(1, 0) == (1, 0)
 
 
 def test_slots_fill_one_odd_and_one_even_slot():
@@ -104,14 +88,15 @@ def test_slots_fill_one_odd_and_one_even_slot():
 
 
 def test_split_slots_match_the_checked_split():
+    # the split of a^2 + 2T(x) into T(a+x) + T(a-x-1), mapped to slots
     for a in range(301):
         for x in range(a):
-            assert _split_slots(a, x) == _slots(*split_square_plus_double_tri(a, x))
+            assert _split_slots(a, x) == _slots(a + x, a - x - 1)
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 7, 300])
 def test_split_slots_at_a_equal_x(a):
     # four_squares_to_quad2 reaches a == x (w = 2a+1): the indices are
-    # (2a, -1), where the checked split would return (2a, 0) instead
+    # (2a, -1), and index -1 puts a zero in the odd slot
     assert _split_slots(a, a) == _slots(2 * a, -1) == (0, a)
     assert a * (2 * a + 1) == a * a + 2 * triangular(a)

@@ -14,7 +14,6 @@ from trisum.squares import (
     ThreeSquares,
     TwoSquares,
     eligible_three_squares,
-    is_square,
     three_squares,
     two_squares,
 )
@@ -25,12 +24,6 @@ def _eligible_by_definition(m: int) -> bool:
     while m % 4 == 0 and m > 0:
         m //= 4
     return m % 8 != 7
-
-
-def test_is_square():
-    squares = {k * k for k in range(100)}
-    for m in range(5000):
-        assert is_square(m) == (m in squares)
 
 
 def test_eligibility_matches_definition():
@@ -140,7 +133,7 @@ def _splits_by_scan(m):
     return tuple(
         (q, math.isqrt(m - q * q))
         for q in range(math.isqrt(m // 2) + 1)
-        if is_square(m - q * q)
+        if math.isqrt(m - q * q) ** 2 == m - q * q
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum.core_arith import MAX_INPUT
+from trisum.core_arith import MAX_INPUT, triangular
 from trisum.squares import three_squares
 from trisum.ternary import (
     COMPOSITE_MODULUS,
@@ -20,13 +20,20 @@ from trisum.ternary import (
     lift_even_odd_pair,
     lift_odd_pair,
     rep_2t_t_t,
-    rep_4t_t_t,
     rep_square_two_tri,
     rep_tt4t_mixed,
     rep_ttt_mixed,
 )
 
 moduli = pytest.mark.parametrize("t", MODULI)
+
+# the shape each representation promises, as a formula in its witness
+_SHAPES = {
+    rep_square_two_tri: lambda x, y, z: x * x + triangular(y) + triangular(z),
+    rep_2t_t_t: lambda x, y, z: 2 * triangular(x) + triangular(y) + triangular(z),
+    rep_ttt_mixed: lambda x, y, z: triangular(x) + triangular(y) + triangular(z),
+    rep_tt4t_mixed: lambda x, y, z: triangular(x) + triangular(y) + 4 * triangular(z),
+}
 
 
 def test_constants_are_two_square_splittings():
@@ -37,43 +44,29 @@ def test_constants_are_two_square_splittings():
         assert alpha**2 + beta**2 == t * t
 
 
-def test_ternary_rep_value_covers_all_kinds():
-    assert TernaryRep(3, 2, 1, "x^2+T+T").value() == 9 + 3 + 1
-    assert TernaryRep(3, 2, 1, "4T+T+T").value() == 24 + 3 + 1
-    assert TernaryRep(3, 2, 1, "2T+T+T").value() == 12 + 3 + 1
-    assert TernaryRep(3, 2, 1, "T+T+T").value() == 6 + 3 + 1
-    assert TernaryRep(3, 2, 1, "T+T+4T").value() == 6 + 3 + 4
-    with pytest.raises(ValueError):
-        TernaryRep(0, 0, 0, "T").value()
-
-
 def test_universal_rep_known_values():
-    assert rep_square_two_tri(0) == TernaryRep(0, 0, 0, "x^2+T+T")
-    assert rep_square_two_tri(1) == TernaryRep(1, 0, 0, "x^2+T+T")
-    assert rep_square_two_tri(7) == TernaryRep(0, 3, 1, "x^2+T+T")
-    assert rep_4t_t_t(0) == TernaryRep(0, 0, 0, "4T+T+T")
-    assert rep_4t_t_t(1) == TernaryRep(0, 1, 0, "4T+T+T")
-    assert rep_4t_t_t(7) == TernaryRep(1, 2, 0, "4T+T+T")
-    assert rep_2t_t_t(0) == TernaryRep(0, 0, 0, "2T+T+T")
-    assert rep_2t_t_t(7) == TernaryRep(0, 3, 1, "2T+T+T")
-    assert rep_2t_t_t(10) == TernaryRep(2, 2, 1, "2T+T+T")
+    assert rep_square_two_tri(0) == TernaryRep(0, 0, 0)
+    assert rep_square_two_tri(1) == TernaryRep(1, 0, 0)
+    assert rep_square_two_tri(7) == TernaryRep(0, 3, 1)
+    assert rep_2t_t_t(0) == TernaryRep(0, 0, 0)
+    assert rep_2t_t_t(7) == TernaryRep(0, 3, 1)
+    assert rep_2t_t_t(10) == TernaryRep(2, 2, 1)
 
 
-@pytest.mark.parametrize("rep_fn", [rep_square_two_tri, rep_4t_t_t, rep_2t_t_t])
+@pytest.mark.parametrize("rep_fn", [rep_square_two_tri, rep_2t_t_t])
 @given(m=st.integers(min_value=0, max_value=100000))
 @settings(max_examples=200)
 def test_universal_reps_evaluate_back(rep_fn, m):
     rep = rep_fn(m)
-    assert rep.value() == m
+    assert _SHAPES[rep_fn](*rep) == m
     assert rep.x >= 0 and rep.y >= 0 and rep.z >= 0
 
 
 def test_universal_reps_are_total_on_a_dense_range():
     # no eligibility condition: every shifted input must decompose
     for m in range(4000):
-        assert rep_square_two_tri(m).value() == m
-        assert rep_4t_t_t(m).value() == m
-        assert rep_2t_t_t(m).value() == m
+        assert _SHAPES[rep_square_two_tri](*rep_square_two_tri(m)) == m
+        assert _SHAPES[rep_2t_t_t](*rep_2t_t_t(m)) == m
 
 
 def _split_by_filter(tri, parity):
@@ -127,12 +120,12 @@ def test_balance_odd_pair_properties(t):
 
 
 def test_mixed_rep_known_values():
-    assert rep_ttt_mixed(9, 5) == TernaryRep(0, 3, 2, "T+T+T")
-    assert rep_ttt_mixed(63, 13) == TernaryRep(3, 8, 6, "T+T+T")
-    assert rep_ttt_mixed(1809, 5) == TernaryRep(35, 48, 2, "T+T+T")
-    assert rep_tt4t_mixed(18, 5) == TernaryRep(0, 3, 2, "T+T+4T")
-    assert rep_tt4t_mixed(126, 13) == TernaryRep(3, 8, 6, "T+T+4T")
-    assert rep_tt4t_mixed(793, 5) == TernaryRep(37, 12, 2, "T+T+4T")
+    assert rep_ttt_mixed(9, 5) == TernaryRep(0, 3, 2)
+    assert rep_ttt_mixed(63, 13) == TernaryRep(3, 8, 6)
+    assert rep_ttt_mixed(1809, 5) == TernaryRep(35, 48, 2)
+    assert rep_tt4t_mixed(18, 5) == TernaryRep(0, 3, 2)
+    assert rep_tt4t_mixed(126, 13) == TernaryRep(3, 8, 6)
+    assert rep_tt4t_mixed(793, 5) == TernaryRep(37, 12, 2)
 
 
 def test_mixed_rep_preconditions():
@@ -151,12 +144,12 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     for n in range(20000):
         if (8 * n + 3) % tt == 0:
             rep = rep_ttt_mixed(n, t)
-            assert rep.value() == n
+            assert _SHAPES[rep_ttt_mixed](*rep) == n
             assert (rep.x ^ rep.y) & 1, (n, t)
             hits += 1
         if (8 * n + 6) % tt == 0:
             rep = rep_tt4t_mixed(n, t)
-            assert rep.value() == n
+            assert _SHAPES[rep_tt4t_mixed](*rep) == n
             assert (rep.x ^ rep.y) & 1, (n, t)
             hits += 1
     assert hits > 0
@@ -223,21 +216,21 @@ def test_lift_even_odd_pair_closure(p, q):
     assert a >= b - 1
 
 
-# the universal representations shift m to 4m+1, 8m+6 and 4m+2, which pass
-# 2^58 well inside the input domain; each must take every m up to MAX_INPUT
-@pytest.mark.parametrize("rep", [rep_square_two_tri, rep_4t_t_t, rep_2t_t_t])
+# the universal representations shift m to 4m+1 and 4m+2, which pass 2^58
+# well inside the input domain; each must take every m up to MAX_INPUT
+@pytest.mark.parametrize("rep", [rep_square_two_tri, rep_2t_t_t])
 @pytest.mark.parametrize("m", [MAX_INPUT // 8, MAX_INPUT // 8 + 1, MAX_INPUT - 1, MAX_INPUT])
 def test_universal_reps_at_the_top_of_the_domain(rep, m):
     r = rep(m)
-    assert r.value() == m
+    assert _SHAPES[rep](*r) == m
     assert min(r.x, r.y, r.z) >= 0
 
 
-@pytest.mark.parametrize("rep", [rep_square_two_tri, rep_4t_t_t, rep_2t_t_t])
+@pytest.mark.parametrize("rep", [rep_square_two_tri, rep_2t_t_t])
 def test_universal_reps_on_seeded_top_inputs(rep):
     rng = random.Random(58)
     for _ in range(30):
         m = rng.randint(1 << 56, MAX_INPUT)
-        assert rep(m).value() == m
+        assert _SHAPES[rep](*rep(m)) == m
     with pytest.raises(ValueError):
         rep(MAX_INPUT + 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisum import theorem1
-from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad1, eval_quad, indices_to_quad1
+from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad1, eval_quad
 from trisum.ternary import TernaryRep, rep_2t_t_t, rep_square_two_tri
 from trisum.theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from trisum.verifier import DEFAULT_BUDGET, brute_quad
@@ -48,18 +48,27 @@ def test_large_inputs_stay_constructive():
     assert fallback_count() == 0
 
 
+def _by_parity(*indices):
+    # odd indices (value a(2a-1), index -1 included) fill (a, b) in the
+    # order given, even indices (value c(2c+1)) fill (c, d)
+    odd = [(i + 1) // 2 for i in indices if i & 1]
+    even = [i // 2 for i in indices if not i & 1]
+    assert len(odd) == len(even) == 2, indices
+    return Quad1(*odd, *even)
+
+
 def _two_branch_reference(n):
     # the construction as two parity branches, each building four indices in
-    # the first order and sorting them by parity through indices_to_quad1
+    # the first order and sorting them by parity
     if n & 1:
         c = (isqrt(2 * n - 1) - 1) // 2
-        d, y, z, _ = rep_2t_t_t((n - (2 * c * c + 2 * c + 1)) // 2)
+        d, y, z = rep_2t_t_t((n - (2 * c * c + 2 * c + 1)) // 2)
         assert c - d > y and c + d + 1 > z
-        return indices_to_quad1(c + d + 1 + z, c + d - z, c - d + y, c - d - y - 1)
+        return _by_parity(c + d + 1 + z, c + d - z, c - d + y, c - d - y - 1)
     c = isqrt(n // 2)
-    p, y, z, _ = rep_square_two_tri((n - 2 * c * c) // 2)
+    p, y, z = rep_square_two_tri((n - 2 * c * c) // 2)
     assert c - p > y and c + p > z
-    return indices_to_quad1(c - p + y, c - p - y - 1, c + p + z, c + p - z - 1)
+    return _by_parity(c - p + y, c - p - y - 1, c + p + z, c + p - z - 1)
 
 
 def test_one_peel_body_matches_the_two_branch_reference():
@@ -108,7 +117,7 @@ def test_witnesses_evaluate_back_on_the_whole_domain(n):
 def _break_the_bound_checks(monkeypatch):
     # a ternary witness with huge slots fails both bound checks in both orders
     def rep(m):
-        return TernaryRep(0, 10**12, 10**12, "broken")
+        return TernaryRep(0, 10**12, 10**12)
 
     monkeypatch.setattr(theorem1, "rep_2t_t_t", rep)
     monkeypatch.setattr(theorem1, "rep_square_two_tri", rep)

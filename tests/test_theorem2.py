@@ -10,46 +10,50 @@ from trisum import theorem2
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
 from trisum.ternary import MODULI
 from trisum.theorem2 import (
+    _QR_CLASSES,
     FourSquareForm,
-    NotCoprime,
     _offset_candidates,
     branch_counts,
     four_squares_to_quad2,
     quad2_to_four_squares,
     represent_thm2,
     reset_branch_counts,
-    solve_offset_congruence,
 )
 from trisum.verifier import DEFAULT_BUDGET, brute_quad
 
 
+def _classes(v, t, doubled):
+    # the offset congruence solved from scratch: 4*A0^2 = v (8*A0^2 when
+    # doubled) mod t^2
+    k, mod = (8 if doubled else 4), t * t
+    return {a for a in range(mod) if k * a * a % mod == v % mod}
+
+
 class TestOffsets:
     def test_congruence_classes(self):
-        assert solve_offset_congruence(11, 5) == frozenset({3, 22})
-        assert solve_offset_congruence(7, 5, doubled=True) == frozenset({2, 23})
-        assert solve_offset_congruence(11, 5, doubled=True) == frozenset()
+        assert _QR_CLASSES[5, False][11] == frozenset({3, 22})
+        assert _QR_CLASSES[5, True][7] == frozenset({2, 23})
+        assert 11 not in _QR_CLASSES[5, True]
 
     def test_congruence_classes_satisfy_their_congruence(self):
-        for t in (5, 13, 61):
-            for v in (7, 11, 103, 2027):
-                for doubled in (False, True):
-                    for a0 in solve_offset_congruence(v, t, doubled):
-                        k = 8 if doubled else 4
-                        assert k * a0 * a0 % (t * t) == v % (t * t)
-
-    def test_congruence_rejects_shared_factor(self):
-        with pytest.raises(NotCoprime):
-            solve_offset_congruence(10, 5)
-        with pytest.raises(ValueError):
-            solve_offset_congruence(11, 7)
+        # every class sits under the residue of its own square, and every
+        # A0 mod t^2 is listed: so each entry is exactly the congruence's solutions
+        for t in MODULI:
+            mod = t * t
+            for doubled in (False, True):
+                k, table = (8 if doubled else 4), _QR_CLASSES[t, doubled]
+                for v, classes in table.items():
+                    assert all(k * a0 * a0 % mod == v for a0 in classes), (v, t, doubled)
+                assert sorted(a0 for classes in table.values() for a0 in classes) == list(range(mod))
 
     def test_congruence_takes_targets_above_the_input_bound(self):
         # v = 4n+3 exceeds MAX_INPUT for every n above (2^58-3)//4
-        v = 4 * MAX_INPUT + 3
-        assert solve_offset_congruence(v, 13) == solve_offset_congruence(v % 169, 13)
-        for bad in (-1, True, 1.0):
-            with pytest.raises(ValueError):
-                solve_offset_congruence(bad, 5)
+        n = MAX_INPUT
+        for t in MODULI:
+            doubled = not _classes(4 * n + 3, t, False)
+            got = list(islice(_offset_candidates(n, t, doubled), 20))
+            assert len(got) == 20
+            assert got == list(islice(_scan_offsets(n, t, doubled), 20)), (t, doubled)
 
     def test_first_offset_known_values(self):
         assert next(_offset_candidates(20002, 5, False)) == 128
@@ -61,7 +65,7 @@ class TestOffsets:
     def test_first_offset_respects_parity_and_class(self):
         a = next(_offset_candidates(20002, 5, False))
         assert a % 2 == 20002 % 2
-        assert a % 25 in solve_offset_congruence(4 * 20002 + 3, 5)
+        assert a % 25 in _classes(4 * 20002 + 3, 5, False)
 
     def test_first_offset_no_class(self):
         # square-mode classes are empty here
@@ -69,14 +73,15 @@ class TestOffsets:
 
 
 def _scan_offsets(n, t, doubled):
-    # the linear scan the class arithmetic replaced, kept as the reference
-    classes = solve_offset_congruence(4 * n + 3, t, doubled)
+    # the linear scan the class arithmetic replaced, kept as the reference:
+    # every A from the top down with 4A^2 = 4n+3 (8A^2 when doubled) mod t^2
+    k, mod = (8 if doubled else 4), t * t
+    v = (4 * n + 3) % mod
     start = isqrt(n // 2) if doubled else isqrt(n)
-    mod = t * t
     for a in range(start, -1, -1):
         if not doubled and (a ^ n) & 1:
             continue  # n - A^2 must stay even
-        if a % mod in classes:
+        if k * a * a % mod == v:
             yield a
 
 
@@ -98,7 +103,7 @@ class TestOffsetCandidatesMatchTheScan:
             while (4 * n + 3) % t == 0:
                 n = rng.randint(0, MAX_INPUT)
             # t is 5 mod 8, so 2 is a non-residue: exactly one shape has classes
-            doubled = not solve_offset_congruence(4 * n + 3, t)
+            doubled = not _classes(4 * n + 3, t, False)
             got = list(islice(_offset_candidates(n, t, doubled), 50))
             assert len(got) == 50
             assert got == list(islice(_scan_offsets(n, t, doubled), 50)), (n, t, doubled)
@@ -106,7 +111,7 @@ class TestOffsetCandidatesMatchTheScan:
 
     def test_start_below_the_smallest_residue(self):
         # classes 1803 and 1918 mod 61^2, but A may not exceed isqrt(50) = 7
-        assert sorted(solve_offset_congruence(403, 61, doubled=True)) == [1803, 1918]
+        assert sorted(_QR_CLASSES[61, True][403]) == [1803, 1918]
         assert list(_offset_candidates(100, 61, True)) == []
 
 
