@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .core_arith import MAX_INPUT, ConstructionFailed, eval_quad
 from .theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from .theorem2 import branch_counts, represent_thm2, reset_branch_counts
-from .verifier import FORMS, BudgetExceeded, brute_quad, verify_range
+from .verifier import DEFAULT_CAP, FORMS, BudgetExceeded, brute_quad, verify_range
 
 _EXPECTED_EXCEPTIONS = {
     "thm1": (),
@@ -96,7 +96,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = verify_range(args.form, 0, args.to, full=args.full)
-    except (BudgetExceeded, ValueError) as exc:
+    except BudgetExceeded:
+        # the sweep cap, which the command line lifts with --full
+        message = f"--to {args.to} above cap={DEFAULT_CAP}; pass --full to override"
+        print(f"error: {message}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -20,9 +20,11 @@ A prime 3 mod 4 to an odd power rules the remainder out at once
 (Fermat); otherwise its splits are the products of the Gaussian primes
 over its prime factors 1 mod 4 (Hermite-Serret).  Both paths give the
 same output; the scan is also the reference the tests hold the factor
-path to.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, the largest
-value the ternary layer derives from an input, which is below 2^64,
-where this Miller-Rabin is exact.
+path to.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, which is below
+2^64, where this Miller-Rabin is exact.  No library path needs all of
+it: the largest value one passes is 4*MAX_INPUT + 2, from
+rep_2t_t_t(MAX_INPUT), since the mixed ternary representations divide
+8n+2+k^2 by t^2 first.  The domain keeps the value it was published with.
 
 The listing of a remainder's splits is memoised for the last few
 remainders.  The mixed ternary representations call three_squares(m)
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from .core_arith import MAX_INPUT, check_nat
 
-SQUARES_MAX = 8 * MAX_INPUT + 6  # 8m+6 for m = MAX_INPUT, below 2^64
+SQUARES_MAX = 8 * MAX_INPUT + 6  # published domain, below 2^64; paths pass <= 4*MAX_INPUT + 2
 
 # Below this the q-scan beats factoring.  Measured crossovers: about 2^13
 # for three_squares, 2^15 for two_squares on inputs that have a split.

@@ -2,9 +2,10 @@
 
 Three families of results live here:
 
-* universal ternary representations (x^2+T+T, 2T+T+T), each built by
-  decomposing a shifted input into three squares and relabeling by
-  residue pattern;
+* universal ternary representations (x^2+T+T, 2T+T+T), for every input:
+  one body splits 4m+1 (4m+2) into three squares, gives the x^2 (2T)
+  slot the even (odd) root farther from (closer to) the third root, and
+  pairs the other two into the triangular indices;
 * mixed-parity representations T(x) + T(y) + k^2 T(z), k = 1 (T+T+T) or
   k = 2 (T+T+4T), for inputs n with t^2 | 8n+2+k^2, t in {5, 13, 61}:
   one body peels the first root of k's parity off the quotient for z and
@@ -68,6 +69,20 @@ def _parity_split(tri: tuple[int, int, int], parity: int) -> tuple[int, int, int
     return c, a, b
 
 
+def _rep_universal(total: int, parity: int, farther: bool) -> TernaryRep:
+    # total = s^2 + r1^2 + r2^2 with s the one root of the given parity and
+    # r1 <= r2; the slot takes the root farther from s (closer unless
+    # farther), the larger on ties, and its mate pairs with s as
+    # s^2 + mate^2 = 4(T(y) + T(z)) + 1.  For odd a, (a - 1) // 2 == a // 2.
+    s, r1, r2 = _parity_split(three_squares(total), parity)
+    gap = abs(s - r2) - abs(s - r1)
+    if (gap if farther else -gap) >= 0:
+        a, mate = r2, r1
+    else:
+        a, mate = r1, r2
+    return TernaryRep(a // 2, (s + mate - 1) // 2, (abs(s - mate) - 1) // 2)
+
+
 @lru_cache(maxsize=1 << 15)
 def rep_square_two_tri(m: int) -> TernaryRep:
     """Write m = x^2 + T(y) + T(z).
@@ -78,14 +93,7 @@ def rep_square_two_tri(m: int) -> TernaryRep:
     triangular indices stay as balanced as the decomposition allows.
     """
     check_nat(m, "m")
-    odd, e1, e2 = _parity_split(three_squares(4 * m + 1), 1)
-    # taking e1 as the square leaves the pair (odd, e2), and vice versa;
-    # pick the assignment with the smaller gap, the larger square on ties
-    if abs(odd - e1) <= abs(odd - e2):
-        a, mate = e2, e1
-    else:
-        a, mate = e1, e2
-    return TernaryRep(a // 2, (odd + mate - 1) // 2, (abs(odd - mate) - 1) // 2)
+    return _rep_universal(4 * m + 1, 1, True)
 
 
 @lru_cache(maxsize=1 << 15)
@@ -97,14 +105,7 @@ def rep_2t_t_t(m: int) -> TernaryRep:
     (larger slot value on ties), mirroring rep_square_two_tri.
     """
     check_nat(m, "m")
-    even, o1, o2 = _parity_split(three_squares(4 * m + 2), 0)
-    # taking o1 leaves the pair (o2, even), and vice versa; pick the
-    # assignment with the wider gap, the larger 2T slot on ties
-    if abs(o1 - even) >= abs(o2 - even):
-        a, mate = o2, o1
-    else:
-        a, mate = o1, o2
-    return TernaryRep((a - 1) // 2, (mate + even - 1) // 2, (abs(mate - even) - 1) // 2)
+    return _rep_universal(4 * m + 2, 0, False)
 
 
 def _balance_raw(s: int, t: int) -> tuple[int, int]:
@@ -214,18 +215,13 @@ def lift_even_odd_pair(p: int, q: int) -> tuple[int, int]:
     check_nat(q, "q")
     if p & 1 or not q & 1:
         raise PreconditionViolated(f"({p}, {q}) must be (even, odd)")
-
-    def compose(alpha: int, beta: int) -> tuple[int, int]:
+    # the two compositions in order of preference
+    pairs = (EVEN_LIFT_WIDE, EVEN_LIFT_NARROW) if p > 5 * q else (EVEN_LIFT_NARROW, EVEN_LIFT_WIDE)
+    for alpha, beta in pairs:
         big, small = abs(alpha * p - beta * q), abs(beta * p + alpha * q)
         if big & 1:
             big, small = small, big
-        return big, small
-
-    primary = EVEN_LIFT_WIDE if p > 5 * q else EVEN_LIFT_NARROW
-    fallback = EVEN_LIFT_NARROW if p > 5 * q else EVEN_LIFT_WIDE
-    out = compose(*primary)
-    if out[0] < out[1] - 1:
-        out = compose(*fallback)
-        if out[0] < out[1] - 1:  # pragma: no cover - unreachable on valid input
-            raise PreconditionViolated(f"no size-preserving lift for ({p}, {q})")
-    return out
+        if big >= small - 1:
+            return big, small
+    # unreachable on valid input
+    raise PreconditionViolated(f"no size-preserving lift for ({p}, {q})")  # pragma: no cover

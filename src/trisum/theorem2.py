@@ -9,15 +9,16 @@ representations, and glues the halves back together through the slot map
 of core_arith: the offset's part splits as T(A+z) + T(A-z-1), and that
 index pair and the ternary's (x, y) each fill one odd and one even slot.
 Offsets are tried largest first and come from class arithmetic, not a
-scan: for the square shape the parity rule (n - A^2 even) is folded into
-the classes, which then live mod 2t^2, and each candidate is a class
-residue plus a multiple of the modulus, so it costs O(1) even for
-t = 61.  When all three moduli divide 4n+3 the problem is shrunk by a
-factor of 3965 = 5*13*61 and solved recursively; the small witness is
-lifted back up through a four-square normal form.  Smaller inputs go to
-the exhaustive search instead, with the size bound as its budget.  If the
-offsets ever ran dry, the same search would stand in up to
-verifier.DEFAULT_BUDGET; beyond it the call raises ConstructionFailed.
+scan: each candidate is a class residue plus a multiple of t^2, so it
+costs O(1) even for t = 61, and the square shape skips the candidates
+that leave n - A^2 odd.  When all three moduli divide 4n+3 the problem
+is shrunk by a factor of 3965 = 5*13*61 and solved recursively; the
+small witness is lifted back up through a four-square normal form.
+Smaller inputs go to the exhaustive search instead.  The same search
+call is the safety net should the offsets ever run dry: its budget,
+max(size bound, verifier.DEFAULT_BUDGET), admits every input below the
+size bound, and above it stops at DEFAULT_BUDGET, beyond which the call
+raises ConstructionFailed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .ternary import (
     rep_tt4t_mixed,
     rep_ttt_mixed,
 )
-from .verifier import BudgetExceeded, brute_quad
+from .verifier import DEFAULT_BUDGET, BudgetExceeded, brute_quad
 
 logger = logging.getLogger(__name__)
 
@@ -80,27 +81,20 @@ _build_tables()
 
 
 def _offset_candidates(n: int, t: int, doubled: bool) -> Iterator[int]:
-    # every A in [0, start] in one of the classes, in descending order
-    # the caller chose t coprime to 4n+3, so the classes are read directly
+    # every A in [0, start] in one of the classes, in descending order; the
+    # caller chose t coprime to 4n+3, so the classes are read directly, and
+    # the square shape keeps n - A^2 even
     classes = _QR_CLASSES[t, doubled].get((4 * n + 3) % (t * t))
     if not classes:
         return  # rather than walk the multiples of the modulus for nothing
     start = isqrt(n // 2) if doubled else isqrt(n)
     mod = t * t
-    if not doubled:
-        # n - A^2 must stay even: t is odd, so each class mod t^2 has one
-        # member mod 2t^2 with A = n mod 2
-        classes = [c + mod if (c ^ n) & 1 else c for c in classes]
-        mod *= 2
     residues = sorted(classes, reverse=True)
-    base = start - start % mod
-    top = start - base
-    for r in residues:
-        if r <= top:
-            yield base + r
-    for base in range(base - mod, -1, -mod):
+    for base in range(start - start % mod, -1, -mod):
         for r in residues:
-            yield base + r
+            a = base + r
+            if a <= start and (doubled or (a ^ n) & 1 == 0):
+                yield a
 
 
 def quad2_to_four_squares(n: int, q: Quad2) -> FourSquareForm:
@@ -162,14 +156,13 @@ def represent_thm2(n: int) -> Quad2:
                 (a, c), (b, d) = (split, pair) if doubled else (pair, split)
                 return Quad2(a, b, c, d)
         logger.warning("offset scan exhausted for n=%d (t=%d); falling back", n, t)
-        try:
-            witness = brute_quad("thm2", n)
-        except BudgetExceeded as exc:
-            raise ConstructionFailed(f"offset scan exhausted for n={n} (t={t}): {exc}") from exc
-    else:
-        # below the size bound (up to about 3.2e8 for t = 61): searched, with
-        # the bound as the budget
-        witness = brute_quad("thm2", n, budget=bound)
+    # below the size bound (up to about 3.2e8 for t = 61) the search is the
+    # construction; above it, the safety net: an n > bound fits the budget
+    # max(bound, DEFAULT_BUDGET) exactly when n <= DEFAULT_BUDGET
+    try:
+        witness = brute_quad("thm2", n, budget=max(bound, DEFAULT_BUDGET))
+    except BudgetExceeded as exc:
+        raise ConstructionFailed(f"offset scan exhausted for n={n} (t={t}): {exc}") from exc
     _branches["brute"] += 1
     return Quad2(*witness)
 

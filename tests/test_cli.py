@@ -115,7 +115,7 @@ class TestVerify:
     def test_cap_requires_full_flag(self, capsys):
         code, _, err = run(capsys, "verify", "--form", "thm1", "--to", str(2 * 10**8))
         assert code == 2
-        assert "full" in err
+        assert "--full" in err
 
     def test_negative_range(self, capsys):
         assert run(capsys, "verify", "--form", "thm1", "--to", "-1")[0] == 2

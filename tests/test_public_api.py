@@ -1,6 +1,10 @@
-"""The package exports what it defines, once each, and none of the helpers it dropped."""
+"""The package exports what it defines, once each, and none of the helpers it dropped;
+README's examples run as written."""
 
+import doctest
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +42,15 @@ def test_ternary_rep_is_three_indices():
     assert rep == (3, 2, 1)
     assert not hasattr(rep, "kind")
     assert not hasattr(rep, "value")
+
+
+def test_readme_examples_run_as_written():
+    # the >>> lines of README's python blocks, without the fences, which
+    # `python -m doctest README.md` would read as part of the last output
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    test = doctest.DocTestParser().get_doctest("".join(blocks), {}, "README", str(readme), 0)
+    report: list[str] = []
+    failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
+    assert attempted >= 3
+    assert failed == 0, "".join(report)

@@ -45,10 +45,14 @@ def test_constants_are_two_square_splittings():
 
 
 def test_universal_rep_known_values():
+    # each tie rule's branches: equal roots, a tie between distinct roots,
+    # the first root closer to the singleton, the second root closer
     assert rep_square_two_tri(0) == TernaryRep(0, 0, 0)
     assert rep_square_two_tri(1) == TernaryRep(1, 0, 0)
+    assert rep_square_two_tri(4) == TernaryRep(2, 0, 0)
     assert rep_square_two_tri(7) == TernaryRep(0, 3, 1)
     assert rep_2t_t_t(0) == TernaryRep(0, 0, 0)
+    assert rep_2t_t_t(3) == TernaryRep(1, 1, 0)
     assert rep_2t_t_t(7) == TernaryRep(0, 3, 1)
     assert rep_2t_t_t(10) == TernaryRep(2, 2, 1)
 
