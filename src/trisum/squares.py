@@ -31,7 +31,9 @@ remainders.  The mixed ternary representations call three_squares(m)
 and then two_squares(m - r^2) for a root r of the triple; when r is
 the smallest component, that remainder is the last one three_squares
 listed, so its factorisation is not done a second time.  Listings are
-tuples, so a shared one cannot be changed by a caller.
+tuples, so a shared one cannot be changed by a caller.  The mixed
+representations are memoised themselves, so a repeated one never
+reaches three_squares at all.
 """
 
 from __future__ import annotations

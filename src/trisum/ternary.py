@@ -15,7 +15,12 @@ Three families of results live here:
   the descent step of the second quadruple construction.
 
 All outputs are deterministic because every two/three-square choice below
-delegates to the canonical decompositions in `squares`.
+delegates to the canonical decompositions in `squares`.  All four ternary
+representations, universal and mixed, are memoised (an lru_cache of 2^15
+entries each): a construction passes them remainders of about sqrt(n), so
+nearby inputs repeat their arguments.  The values are immutable
+TernaryRep tuples, so one cached value can be shared between callers; a
+raised PreconditionViolated is not cached.
 """
 
 from __future__ import annotations
@@ -156,6 +161,7 @@ def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     return TernaryRep((a - 1) // 2, (b - 1) // 2, (t * r - k) // (2 * k))
 
 
+@lru_cache(maxsize=1 << 15)
 def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     """Write n = T(x) + T(y) + T(z) with x, y of different parity.
 
@@ -166,6 +172,7 @@ def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     return _rep_mixed(n, t, 1)
 
 
+@lru_cache(maxsize=1 << 15)
 def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
     """Write n = T(x) + T(y) + 4T(z) with x, y of different parity.
 
@@ -206,22 +213,21 @@ def lift_even_odd_pair(p: int, q: int) -> tuple[int, int]:
     """Scale an (even, odd) two-square pair by 3965, keeping the shape.
 
     Returns (P even, Q odd) with P^2 + Q^2 = 3965(p^2+q^2) and P >= Q-1.
-    Branch choice follows the magnitude split p > 5q; near the boundary
-    (reachable only from the descent's w = 2A+1 edge) the computation is
-    done with signed arithmetic, made positive, and reassigned by parity,
-    retrying with the other composition pair if the size constraint fails.
+    The composition follows the magnitude split: (59, 22) when p > 5q,
+    else (46, 43).  Near the boundary (reachable only from the descent's
+    w = 2A+1 edge) the computation is done with signed arithmetic, made
+    positive, and reassigned by parity.  The chosen pair always meets the
+    size constraint: (59, 22) needs 37p >= 81q - 1, true for p > 5q, and
+    (46, 43) needs 3p <= 89q + 1, true for p <= 5q.
     """
     check_nat(p, "p")
     check_nat(q, "q")
     if p & 1 or not q & 1:
         raise PreconditionViolated(f"({p}, {q}) must be (even, odd)")
-    # the two compositions in order of preference
-    pairs = (EVEN_LIFT_WIDE, EVEN_LIFT_NARROW) if p > 5 * q else (EVEN_LIFT_NARROW, EVEN_LIFT_WIDE)
-    for alpha, beta in pairs:
-        big, small = abs(alpha * p - beta * q), abs(beta * p + alpha * q)
-        if big & 1:
-            big, small = small, big
-        if big >= small - 1:
-            return big, small
-    # unreachable on valid input
-    raise PreconditionViolated(f"no size-preserving lift for ({p}, {q})")  # pragma: no cover
+    alpha, beta = EVEN_LIFT_WIDE if p > 5 * q else EVEN_LIFT_NARROW
+    big, small = abs(alpha * p - beta * q), abs(beta * p + alpha * q)
+    if big & 1:
+        big, small = small, big
+    if big < small - 1:  # unreachable on valid input
+        raise PreconditionViolated(f"no size-preserving lift for ({p}, {q})")  # pragma: no cover
+    return big, small

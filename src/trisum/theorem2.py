@@ -11,9 +11,11 @@ index pair and the ternary's (x, y) each fill one odd and one even slot.
 Offsets are tried largest first and come from class arithmetic, not a
 scan: each candidate is a class residue plus a multiple of t^2, so it
 costs O(1) even for t = 61, and the square shape skips the candidates
-that leave n - A^2 odd.  When all three moduli divide 4n+3 the problem
-is shrunk by a factor of 3965 = 5*13*61 and solved recursively; the
-small witness is lifted back up through a four-square normal form.
+that leave n - A^2 odd.  The residues of each class are built once, at
+import, and stored in descending order, so a call walks them as stored.
+When all three moduli divide 4n+3 the problem is shrunk by a factor of
+3965 = 5*13*61 and solved recursively; the small witness is lifted back
+up through a four-square normal form.
 Smaller inputs go to the exhaustive search instead.  The same search
 call is the safety net should the offsets ever run dry: its budget,
 max(size bound, verifier.DEFAULT_BUDGET), admits every input below the
@@ -57,7 +59,8 @@ class FourSquareForm(NamedTuple):
 
 # Residue classes mod t^2 from which the offset A may be drawn:
 # keyed by (t, doubled); doubled means 8*A0^2 = v instead of 4*A0^2 = v.
-_QR_CLASSES: dict[tuple[int, bool], dict[int, frozenset[int]]] = {}
+# Each v maps to its residues A0 in descending order, the scan's order.
+_QR_CLASSES: dict[tuple[int, bool], dict[int, tuple[int, ...]]] = {}
 # The peel's size bound per (t, doubled): with s = t^4 (2t^4 when doubled)
 # the argument needs n > 6s and (n - 6s)^2 > 32s^2; 32s^2 is no square, so
 # for integer n that is n > 6s + isqrt(32s^2).
@@ -69,10 +72,10 @@ def _build_tables() -> None:
         mod = t * t
         for doubled in (False, True):
             k = 8 if doubled else 4
-            classes: dict[int, set[int]] = {}
-            for a0 in range(mod):
-                classes.setdefault(k * a0 * a0 % mod, set()).add(a0)
-            _QR_CLASSES[t, doubled] = {r: frozenset(s) for r, s in classes.items()}
+            classes: dict[int, list[int]] = {}
+            for a0 in range(mod - 1, -1, -1):
+                classes.setdefault(k * a0 * a0 % mod, []).append(a0)
+            _QR_CLASSES[t, doubled] = {r: tuple(s) for r, s in classes.items()}
             s = 2 * t**4 if doubled else t**4
             _SIZE_BOUND[t, doubled] = 6 * s + isqrt(32 * s * s)
 
@@ -82,14 +85,14 @@ _build_tables()
 
 def _offset_candidates(n: int, t: int, doubled: bool) -> Iterator[int]:
     # every A in [0, start] in one of the classes, in descending order; the
-    # caller chose t coprime to 4n+3, so the classes are read directly, and
-    # the square shape keeps n - A^2 even
-    classes = _QR_CLASSES[t, doubled].get((4 * n + 3) % (t * t))
-    if not classes:
+    # caller chose t coprime to 4n+3, so the residues are read directly, in
+    # the descending order the table stores them; the square shape keeps
+    # n - A^2 even
+    residues = _QR_CLASSES[t, doubled].get((4 * n + 3) % (t * t))
+    if not residues:
         return  # rather than walk the multiples of the modulus for nothing
     start = isqrt(n // 2) if doubled else isqrt(n)
     mod = t * t
-    residues = sorted(classes, reverse=True)
     for base in range(start - start % mod, -1, -mod):
         for r in residues:
             a = base + r

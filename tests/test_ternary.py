@@ -159,6 +159,33 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     assert hits > 0
 
 
+@pytest.mark.parametrize("rep_fn", [rep_ttt_mixed, rep_tt4t_mixed])
+def test_mixed_reps_have_a_bounded_cache(rep_fn):
+    assert rep_fn.cache_info().maxsize is not None
+
+
+@moduli
+@pytest.mark.parametrize("k", [1, 2])
+def test_cached_mixed_rep_equals_the_uncached_one(t, k):
+    rep_fn = rep_ttt_mixed if k == 1 else rep_tt4t_mixed
+    tt = t * t
+    # the n with t^2 | 8n+2+k^2 form one class mod t^2
+    n0 = -(2 + k * k) * pow(8, -1, tt) % tt
+    rng = random.Random(1000 * t + k)
+    for _ in range(200):
+        n = n0 + tt * rng.randrange(10**9 // tt)
+        first = rep_fn(n, t)
+        assert rep_fn(n, t) == first == rep_fn.__wrapped__(n, t), (n, t)
+
+
+def test_mixed_rep_failures_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            rep_ttt_mixed(10, 5)
+        with pytest.raises(PreconditionViolated):
+            rep_tt4t_mixed(10, 5)
+
+
 def test_lift_odd_pair_known_values():
     assert lift_odd_pair(3, 1) == (125, 155)
     assert lift_odd_pair(5, 3) == (163, 329)
@@ -199,6 +226,20 @@ def test_lift_even_odd_pair_known_values():
     assert lift_even_odd_pair(4, 1) == (218, 141)
     assert lift_even_odd_pair(2, 3) == (224, 37)
     assert lift_even_odd_pair(0, 1) == (46, 43)
+
+
+def test_lift_even_odd_pair_takes_the_preferred_pair():
+    # (59, 22) when p > 5q, else (46, 43): that pair alone always meets
+    # P >= Q - 1, on a dense grid and on both sides of p = 5q
+    grid = [(p, q) for q in range(1, 100, 2) for p in range(0, 40 * q, 2)]
+    edge = [(p, q) for q in range(1, 4000, 2) for p in range(5 * q - 40, 5 * q + 41) if p >= 0 and not p & 1]
+    for p, q in grid + edge:
+        alpha, beta = EVEN_LIFT_WIDE if p > 5 * q else EVEN_LIFT_NARROW
+        big, small = abs(alpha * p - beta * q), abs(beta * p + alpha * q)
+        if big & 1:
+            big, small = small, big
+        assert big >= small - 1, (p, q)
+        assert lift_even_odd_pair(p, q) == (big, small), (p, q)
 
 
 def test_lift_even_odd_pair_preconditions():

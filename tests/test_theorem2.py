@@ -31,8 +31,9 @@ def _classes(v, t, doubled):
 
 class TestOffsets:
     def test_congruence_classes(self):
-        assert _QR_CLASSES[5, False][11] == frozenset({3, 22})
-        assert _QR_CLASSES[5, True][7] == frozenset({2, 23})
+        # residues are stored in descending order, the order the scan takes
+        assert _QR_CLASSES[5, False][11] == (22, 3)
+        assert _QR_CLASSES[5, True][7] == (23, 2)
         assert 11 not in _QR_CLASSES[5, True]
 
     def test_congruence_classes_satisfy_their_congruence(self):

@@ -9,12 +9,13 @@ span under every name.
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import trisum
 from trisum import theorem1, theorem2, verifier
-from trisum.ternary import rep_2t_t_t, rep_square_two_tri
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,9 +35,13 @@ def traced(monkeypatch):
     for module, attr, _ in tracing.SPANNED + tracing.COUNTED:
         mod = importlib.import_module(f"trisum.{module}")
         monkeypatch.setattr(mod, attr, getattr(mod, attr))
-    # cached reps would skip three_squares on inputs seen before
-    rep_2t_t_t.cache_clear()
-    rep_square_two_tri.cache_clear()
+    # a cached call would skip the layers below it on inputs seen before;
+    # every cache is found by its cache_clear, so a new one is cleared too
+    for info in pkgutil.iter_modules(trisum.__path__):
+        mod = importlib.import_module(f"trisum.{info.name}")
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
     recorder = tracing.Tracer()
     recorder.install()
     return tracing, recorder
