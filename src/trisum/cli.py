@@ -5,9 +5,14 @@ Subcommands:
   verify     sweep [0, N] for exceptions of a chosen form
   selftest   cross-check constructive witnesses against brute force
 
+Each subcommand's handler returns 0 or 1 for the outcome it checked and
+raises the library's typed errors, all ValueErrors; main alone turns one
+into an exit code, after printing "error: <message>" to stderr.
+
 Exit codes: 0 = success / expected outcome, 1 = a witness failed to
 check or could not be built (ConstructionFailed), or the exception set
-was not the expected one, 2 = usage error.
+was not the expected one, 2 = usage error (any other ValueError).
+selftest counts a typed error on one of its inputs as a failed input.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from .core_arith import MAX_INPUT, ConstructionFailed, eval_quad
@@ -46,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--theorem", type=int, choices=(1, 2), required=True, help="which quadruple form to use"
     )
     p_dec.add_argument("--json", action="store_true", help="machine readable output")
+    p_dec.set_defaults(run=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="sweep a range for exceptions")
     p_ver.add_argument("--form", choices=FORMS, required=True)
@@ -56,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow sweeps past the safety cap (memory grows with --to)",
     )
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_self = sub.add_parser("selftest", help="cross-check witnesses against brute force")
     p_self.add_argument("--to", type=int, default=10000, help="exhaustive range end (inclusive)")
@@ -66,22 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="extra random inputs to check, drawn from [10^9, 2^58]",
     )
     p_self.add_argument("--seed", type=int, default=0, help="seed for the random inputs")
+    p_self.set_defaults(run=_cmd_selftest)
     return parser
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    form = "thm1" if args.theorem == 1 else "thm2"
-    try:
-        if args.theorem == 1:
-            witness = represent_thm1(args.n)
-        else:
-            witness = represent_thm2(args.n)
-    except ConstructionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    form, solve = ("thm1", represent_thm1) if args.theorem == 1 else ("thm2", represent_thm2)
+    witness = solve(args.n)
     ok = eval_quad(form, witness) == args.n
     if args.json:
         payload = {"n": args.n, "form": form, "witness": list(witness), "check": ok}
@@ -98,12 +97,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify_range(args.form, 0, args.to, full=args.full)
     except BudgetExceeded:
         # the sweep cap, which the command line lifts with --full
-        message = f"--to {args.to} above cap={DEFAULT_CAP}; pass --full to override"
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--to {args.to} above cap={DEFAULT_CAP}; pass --full to override")
     if args.json:
         payload = {
             "form": report.form,
@@ -134,27 +128,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     if args.to < 0 or args.random < 0:
-        print("error: --to and --random must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("--to and --random must be non-negative")
     reset_fallback_count()
     reset_branch_counts()
+    pairs = (("thm1", represent_thm1), ("thm2", represent_thm2))
     failures = 0
 
     def check(form: str, n: int, solve) -> None:
         nonlocal failures
         try:
             witness = solve(n)
-        except ConstructionFailed:
-            witness = None
+        except ValueError:
+            witness = None  # a typed error on an input in range is a failed input
         if witness is None or eval_quad(form, witness) != n:
             failures += 1
             print(f"FAIL {form} n={n} witness={witness}", file=sys.stderr)
 
     for n in range(args.to + 1):
-        check("thm1", n, represent_thm1)
-        check("thm1", n, lambda m: brute_quad("thm1", m))
-        check("thm2", n, represent_thm2)
-        check("thm2", n, lambda m: brute_quad("thm2", m))
+        for form, solve in pairs:
+            check(form, n, solve)
+            check(form, n, partial(brute_quad, form))
     print(f"checked {args.to + 1} inputs against brute force: {failures} failures")
 
     if args.random:
@@ -162,8 +155,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         for _ in range(args.random):
             n = rng.randint(_RANDOM_LO, _RANDOM_HI)
-            check("thm1", n, represent_thm1)
-            check("thm2", n, represent_thm2)
+            for form, solve in pairs:
+                check(form, n, solve)
         print(f"checked {args.random} random large inputs: {failures - before} failures")
 
     branches = branch_counts()
@@ -173,17 +166,16 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2
-    if args.command == "decompose":
-        return _cmd_decompose(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_selftest(args)
+    try:
+        return args.run(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, ConstructionFailed) else 2
 
 
 if __name__ == "__main__":

@@ -250,17 +250,15 @@ def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tup
         lap(f"partial {kind}")
     holes = []
     for r in range(_MODULUS):
-        # bits first..last of class r are its values in [lo, hi]; the ones
-        # above hi, up to M*top + M - 1, are swept but never reported
-        first = top - (hi - r) // _MODULUS
-        last = top - max(0, -((r - lo) // _MODULUS))
-        if first > last:
-            continue
-        gaps = ~reached.get(r, 0) & ((1 << (last + 1)) - (1 << first))
+        # every class is swept up to M*top + r, which can pass hi; only the
+        # holes in [lo, hi] are reported
+        gaps = ~reached.get(r, 0) & ((1 << (top + 1)) - 1)
         while gaps:
             low = gaps & -gaps
             gaps ^= low
-            holes.append(r + _MODULUS * (top + 1 - low.bit_length()))
+            n = r + _MODULUS * (top + 1 - low.bit_length())
+            if lo <= n <= hi:
+                holes.append(n)
     del reached  # the lookup reads only the full stage
     out = []
     if holes:

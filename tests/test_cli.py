@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from trisum import cli
 from trisum.cli import main
 from trisum.core_arith import ConstructionFailed, Quad1
+from trisum.ternary import PreconditionViolated
 
 
 def run(capsys, *argv):
@@ -202,3 +207,36 @@ def test_failed_construction_is_not_a_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, "selftest", "--to", "3")
     assert code == 1
     assert "FAIL thm1 n=3 witness=None" in err
+
+
+def test_selftest_counts_a_typed_error_as_a_failed_input(capsys, monkeypatch):
+    # any ValueError on an input in range is a FAIL line and exit 1, never a usage error
+    real = cli.represent_thm2
+
+    def fail_at_four(n):
+        if n == 4:
+            raise PreconditionViolated(f"forced for n={n}")
+        return real(n)
+
+    monkeypatch.setattr(cli, "represent_thm2", fail_at_four)
+    code, out, err = run(capsys, "selftest", "--to", "5")
+    assert code == 1
+    assert "checked 6 inputs against brute force: 1 failures" in out
+    assert err == "FAIL thm2 n=4 witness=None\n"
+
+
+def test_module_entry_point_in_a_process():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def trisum(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "trisum.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    done = trisum("decompose", "201", "--theorem", "1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "thm1(201): a=7 b=5 c=5 d=2 [ok]\n", "")
+    done = trisum("decompose", str(2**58 + 1), "--theorem", "1")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")

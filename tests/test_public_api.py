@@ -4,11 +4,13 @@ README's examples run as written."""
 import doctest
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import trisum
+from trisum import cli
 from trisum.ternary import TernaryRep
 
 
@@ -54,3 +56,14 @@ def test_readme_examples_run_as_written():
     failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
     assert attempted >= 3
     assert failed == 0, "".join(report)
+
+
+def test_readme_command_lines_exit_zero(capsys):
+    # the trisum lines of the sh block under "## Command line", run in-process
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("trisum ")]
+    assert len(lines) == 5
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
