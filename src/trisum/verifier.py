@@ -3,7 +3,8 @@
 Two engines live here.  brute_quad walks a table of forms, each given as
 its slot kinds in search order, and returns the lexicographically first
 witness; it resolves the last two slots together, up to 2^20 from a table
-of first index pairs and above that by a scan and a square root.
+with one packed first index pair per sum and above that by a scan and a
+square root.
 
 verify_range covers a whole interval at once.  Every form is a sumset of
 slot kinds; each slot contributes the bit masks of its attainable values
@@ -28,6 +29,8 @@ open, taken from every class in ascending order, are the exceptions.
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_right
 from functools import partial
 from itertools import accumulate, count, islice, takewhile
 from math import isqrt
@@ -88,26 +91,30 @@ _BRUTE_FORMS = {
     "conj_b": (("odd", "even", "even"), itemgetter(0, 1, 2)),
 }
 
-# Keyed by the last two slot kinds: the table's limit, and for every sum up
-# to it the first index pair in lexicographic order.  Grown on demand, and
-# with them every kind's list of values up to the largest limit so far.
-_pairs: dict[tuple[str, ...], tuple[int, dict[int, tuple[int, int]]]] = {}
+# Keyed by the last two slot kinds: the table's limit, and an array with
+# one entry per sum s up to it, j << 16 | k for the first index pair (j, k)
+# in lexicographic order, or -1 if no pair reaches s; up to _PAIR_MAX both
+# indices stay below 2^10.  Grown on demand, and with them every kind's
+# list of values up to the largest limit so far.
+_pairs: dict[tuple[str, ...], tuple[int, array]] = {}
 _SMALL_VALUES: dict[str, list[int]] = {"odd": [], "even": [], "odd2": [], "even2": []}
 
 
-def _pair_table(kinds: tuple[str, ...], n: int) -> dict[int, tuple[int, int]]:
-    limit, table = _pairs.get(kinds) or (-1, {})
-    if n > limit:
-        # sums already in the table keep their pair, so it grows in place
-        limit = min(max(n, 2 * limit, 1024), _PAIR_MAX)
+def _pair_table(kinds: tuple[str, ...], n: int) -> array:
+    old, table = _pairs.get(kinds) or (-1, array("i"))
+    if n > old:
+        limit = min(max(n, 2 * old, 1024), _PAIR_MAX)
         for kind, values in _SMALL_VALUES.items():
             values.extend(takewhile(limit.__ge__, islice(_values(kind), len(values), None)))
         first, last = (_SMALL_VALUES[kind] for kind in kinds)
-        for j, u in enumerate(first):
-            for k, v in enumerate(last):
-                if u + v > limit:
-                    break
-                table.setdefault(u + v, (j, k))
+        # sums up to old keep their pair, so only pairs summing into
+        # (old, limit] are walked; each j goes backwards, and the last
+        # write to a sum is its first pair
+        table.extend(array("i", [-1]) * (limit - old))
+        for j in reversed(range(bisect_right(first, limit))):
+            u, packed = first[j], j << 16
+            for k in reversed(range(bisect_right(last, old - u), bisect_right(last, limit - u))):
+                table[u + last[k]] = packed | k
         _pairs[kinds] = limit, table
     return table
 
@@ -132,11 +139,13 @@ def _search(kinds: tuple[str, ...], n: int, pairs, i: int = 0) -> Optional[tuple
     # the last two come from `pairs` if there is a table, else from a scan
     head, left = kinds[i], len(kinds) - i
     values = _values(head) if pairs is None else _SMALL_VALUES[head]
-    resolve = None  # recurse into slot i + 1
     if left == 3 and pairs is not None:
-        resolve = pairs.get
-    elif left == 2:
-        resolve = partial(_index_of, kinds[-1])
+        for j, v in enumerate(takewhile(n.__ge__, values)):
+            packed = pairs[n - v]
+            if packed >= 0:
+                return j, packed >> 16, packed & 0xFFFF
+        return None
+    resolve = partial(_index_of, kinds[-1]) if left == 2 else None  # None: recurse into slot i + 1
     j = 0
     for v in values:
         if v > n:

@@ -3,7 +3,9 @@
 One sha256 over the repr of every output (as a plain tuple) or error
 (type and message) of a fixed set of calls.  A change that is meant to
 keep every witness bit for bit keeps this digest; a change that alters
-an output on purpose has to re-pin it, and say why.
+an output on purpose has to re-pin it, and say why.  A second digest,
+built the same way, pins brute_quad's first witnesses on both sides of
+its pair table's limit.
 """
 
 import hashlib
@@ -13,8 +15,10 @@ from trisum.core_arith import MAX_INPUT
 from trisum.squares import three_squares, two_squares
 from trisum.theorem1 import represent_thm1
 from trisum.theorem2 import represent_thm2
+from trisum.verifier import FORMS, brute_quad
 
 GOLDEN = "d1ca8272b72d09906e371d4295a786c7039c2f2770f04174522d682d2b6736db"
+GOLDEN_BRUTE = "7b4de024f59969fb50bb5e9356c49cb5ce1fa3ef61feafe24dfe09f185fb3c6b"
 
 LARGE = (10**6, MAX_INPUT)
 FORCED_T61_BAND = (10**12, 2 * 10**12 - 1)
@@ -63,3 +67,25 @@ def golden_digest() -> str:
 
 def test_outputs_match_the_golden_digest():
     assert golden_digest() == GOLDEN
+
+
+def _brute_inputs():
+    # every n to 5000, then seeded n from the pair table's range and above it
+    yield from range(5001)
+    rng = random.Random(20160205)
+    for _ in range(200):
+        yield rng.randint(5001, 1 << 20)
+    for _ in range(20):
+        yield rng.randint((1 << 20) + 1, 10**7)
+
+
+def brute_digest() -> str:
+    h = hashlib.sha256()
+    for n in _brute_inputs():
+        for form in FORMS:
+            h.update(f"brute_quad({form!r}, {n}) = {brute_quad(form, n)!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_brute_quad_matches_its_golden_digest():
+    assert brute_digest() == GOLDEN_BRUTE

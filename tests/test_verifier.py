@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,65 @@ class TestBruteQuad:
         for n in (5, 2000, 40000, 6000):
             witness = brute_quad("thm2", n)
             assert eval_quad("thm2", witness) == n
+
+    @pytest.mark.parametrize("part", sorted(verifier._BRUTE_FORMS))
+    def test_table_path_equals_scan_path(self, part):
+        # the scan is the path brute_quad takes above 2^20, so it is a
+        # reference independent of the table
+        kinds = verifier._BRUTE_FORMS[part][0]
+        table = verifier._pair_table(kinds[-2:], 1 << 20)
+        rng = random.Random(1515)
+        inputs = [*range(3001), *(rng.randint(3001, (1 << 20) - 1) for _ in range(100)), 1 << 20]
+        for n in inputs:
+            assert verifier._search(kinds, n, table) == verifier._search(kinds, n, None), (part, n)
+
+    @pytest.mark.parametrize("kinds", [("odd", "even"), ("even", "even")])
+    def test_table_grown_in_steps_equals_one_build(self, monkeypatch, kinds):
+        monkeypatch.setattr(verifier, "_pairs", {})
+        monkeypatch.setattr(verifier, "_SMALL_VALUES", {kind: [] for kind in verifier._SMALL_VALUES})
+        for n in (5, 2000, 40000, 1 << 17):
+            stepped = verifier._pair_table(kinds, n)
+            limit = verifier._pairs[kinds][0]
+            assert len(stepped) == limit + 1
+            assert stepped.itemsize <= 4
+        monkeypatch.setattr(verifier, "_pairs", {})
+        once = verifier._pair_table(kinds, 1 << 17)
+        assert verifier._pairs[kinds][0] == limit == 1 << 17
+        assert len(once) == limit + 1
+        assert once == stepped
+        # every entry against the first pair met in lexicographic order
+        value = {"odd": lambda k: k * (2 * k - 1), "even": lambda k: k * (2 * k + 1)}
+        first, last = ([value[kind](k) for k in range(isqrt(limit) + 1)] for kind in kinds)
+        expected = [-1] * (limit + 1)
+        for (j, u), (k, v) in itertools.product(enumerate(first), enumerate(last)):
+            if u + v <= limit and expected[u + v] < 0:
+                expected[u + v] = j << 16 | k
+        assert once.tolist() == expected
+
+    def test_first_table_use_memory_in_a_fresh_process(self):
+        # growth of the process's peak resident set (VmHWM, which unlike
+        # ru_maxrss does not carry the parent's peak) over one brute-branch
+        # call that builds the odd + even table to 1000008
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "from trisum.theorem2 import represent_thm2\n"
+            "def hwm():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "base = hwm()\n"
+            "represent_thm2(1000008)\n"
+            "print(hwm() - base)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert int(done.stdout) < 16 * 1024  # kB
 
 
 class TestVerifyRange:
