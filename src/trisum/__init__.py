@@ -7,7 +7,6 @@ from .core_arith import (
     Quad2,
     check_nat,
     eval_quad,
-    triangular,
 )
 from .squares import (
     NoRepresentation,
@@ -15,7 +14,6 @@ from .squares import (
     SQUARES_MAX,
     ThreeSquares,
     TwoSquares,
-    eligible_three_squares,
     three_squares,
     two_squares,
 )
@@ -24,7 +22,6 @@ from .ternary import (
     MODULI,
     PreconditionViolated,
     TernaryRep,
-    balance_odd_pair,
     lift_even_odd_pair,
     lift_odd_pair,
     rep_2t_t_t,
@@ -58,20 +55,17 @@ __all__ = [
     "Quad2",
     "check_nat",
     "eval_quad",
-    "triangular",
     "NoRepresentation",
     "NotRepresentable",
     "SQUARES_MAX",
     "ThreeSquares",
     "TwoSquares",
-    "eligible_three_squares",
     "three_squares",
     "two_squares",
     "COMPOSITE_MODULUS",
     "MODULI",
     "PreconditionViolated",
     "TernaryRep",
-    "balance_odd_pair",
     "lift_even_odd_pair",
     "lift_odd_pair",
     "rep_2t_t_t",

@@ -62,15 +62,6 @@ def check_nat(n: int, name: str = "n", bound: int = MAX_INPUT) -> int:
     return n
 
 
-def triangular(k: int) -> int:
-    """Return T(k) = k(k+1)/2 for k >= -1 (T(-1) = T(0) = 0)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"index must be an integer, got {type(k).__name__}")
-    if k < -1:
-        raise ValueError(f"triangular index must be >= -1, got {k}")
-    return k * (k + 1) // 2
-
-
 def _slots(i: int, j: int) -> tuple[int, int]:
     # map a pair of triangular indices, one odd and one even, to (odd slot, even slot)
     if i & 1:

@@ -12,15 +12,13 @@ is what makes the higher-level constructions reproducible:
   order: powers of 4 are taken out first.
 * two_squares returns the split p^2 + q^2 with the smallest q.
 
-How the splits of a remainder are found depends on the size of m.
-Below FACTOR_FROM a direct q-scan with an exact square test is fastest.
-From FACTOR_FROM on, the remainder is factored instead: trial division by
+The splits of a remainder are found by factoring it: trial division by
 the primes below 2^10, deterministic Miller-Rabin and Pollard-Brent rho.
 A prime 3 mod 4 to an odd power rules the remainder out at once
 (Fermat); otherwise its splits are the products of the Gaussian primes
-over its prime factors 1 mod 4 (Hermite-Serret).  Both paths give the
-same output; the scan is also the reference the tests hold the factor
-path to.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, which is below
+over its prime factors 1 mod 4 (Hermite-Serret).  Every input takes this
+one path; the tests hold it to a direct q-scan with an exact square
+test.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, which is below
 2^64, where this Miller-Rabin is exact.  No library path needs all of
 it: the largest value one passes is 4*MAX_INPUT + 2, from
 rep_2t_t_t(MAX_INPUT), since the mixed ternary representations divide
@@ -47,10 +45,6 @@ from .core_arith import MAX_INPUT, check_nat
 
 SQUARES_MAX = 8 * MAX_INPUT + 6  # published domain, below 2^64; paths pass <= 4*MAX_INPUT + 2
 
-# Below this the q-scan beats factoring.  Measured crossovers: about 2^13
-# for three_squares, 2^15 for two_squares on inputs that have a split.
-FACTOR_FROM = 1 << 16
-
 
 class NotRepresentable(ValueError):
     """Input is of the excluded form 4^l(8k+7)."""
@@ -69,16 +63,6 @@ class ThreeSquares(NamedTuple):
 class TwoSquares(NamedTuple):
     p: int
     q: int
-
-
-# Quadratic residues mod 256; cheap reject filter before isqrt in scans.
-_SQ_MOD256 = frozenset((i * i) & 255 for i in range(256))
-
-
-def eligible_three_squares(m: int) -> bool:
-    """True iff m is a sum of three squares (m = 0 included)."""
-    check_nat(m, "m", SQUARES_MAX)
-    return _eligible(m)
 
 
 def _eligible(m: int) -> bool:
@@ -102,62 +86,6 @@ def three_squares(m: int) -> ThreeSquares:
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
     if m and not m & 3:
         return ThreeSquares(*(2 * v for v in three_squares(m >> 2)))
-    if m < FACTOR_FROM:
-        return _three_squares_scan(m)
-    return _three_squares_factored(m)
-
-
-def two_squares(m: int) -> TwoSquares:
-    """Decompose m = p^2 + q^2 with p >= q, maximizing p (minimizing q).
-
-    Defined for 0 <= m <= SQUARES_MAX.
-    """
-    check_nat(m, "m", SQUARES_MAX)
-    if m < FACTOR_FROM:
-        return _two_squares_scan(m)
-    splits = _two_square_splits(m)
-    if not splits:
-        raise NoRepresentation(f"{m} is not a sum of two squares")
-    q, p = splits[0]
-    return TwoSquares(p, q)
-
-
-def _three_squares_scan(m: int) -> ThreeSquares:
-    # the reference: for each a, q runs over every value of the right parity
-    first: ThreeSquares | None = None
-    for a in range(isqrt(m // 3) + 1):
-        resid = m - a * a
-        r4 = resid & 3
-        if r4 == 3:
-            continue  # two squares never sum to 3 mod 4
-        q = a
-        step = 1
-        if r4 == 0:  # both remaining components even
-            if q & 1:
-                q += 1
-            step = 2
-        elif r4 == 2:  # both remaining components odd
-            if not q & 1:
-                q += 1
-            step = 2
-        qmax = isqrt(resid >> 1)
-        while q <= qmax:
-            rem = resid - q * q
-            if (rem & 255) in _SQ_MOD256:
-                p = isqrt(rem)
-                if p * p == rem:
-                    if a < q < p:
-                        return ThreeSquares(a, q, p)
-                    if first is None:
-                        first = ThreeSquares(a, q, p)
-            q += step
-    if first is None:
-        raise NotRepresentable(f"no three-square decomposition of {m}")
-    return first
-
-
-def _three_squares_factored(m: int) -> ThreeSquares:
-    # the same order as the scan, with each remainder's splits listed at once
     first: ThreeSquares | None = None
     for a in range(isqrt(m // 3) + 1):
         for q, p in _two_square_splits(m - a * a):
@@ -172,17 +100,17 @@ def _three_squares_factored(m: int) -> ThreeSquares:
     return first
 
 
-def _two_squares_scan(m: int) -> TwoSquares:
-    # the reference: the ascending-q scan stops at the smallest q
-    q = 0
-    while 2 * q * q <= m:
-        rem = m - q * q
-        if (rem & 255) in _SQ_MOD256:
-            p = isqrt(rem)
-            if p * p == rem:
-                return TwoSquares(p, q)
-        q += 1
-    raise NoRepresentation(f"{m} is not a sum of two squares")
+def two_squares(m: int) -> TwoSquares:
+    """Decompose m = p^2 + q^2 with p >= q, maximizing p (minimizing q).
+
+    Defined for 0 <= m <= SQUARES_MAX.
+    """
+    check_nat(m, "m", SQUARES_MAX)
+    splits = _two_square_splits(m)
+    if not splits:
+        raise NoRepresentation(f"{m} is not a sum of two squares")
+    q, p = splits[0]
+    return TwoSquares(p, q)
 
 
 def _primes_below(limit: int) -> list[int]:

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core_arith import check_nat
-from .squares import three_squares, two_squares, NoRepresentation
+from .squares import three_squares, two_squares
 
 
 class PreconditionViolated(ValueError):
@@ -127,25 +127,6 @@ def _balance_raw(s: int, t: int) -> tuple[int, int]:
     return alpha * p - beta * q, beta * p + alpha * q
 
 
-def balance_odd_pair(n: int, t: int) -> tuple[int, int]:
-    """Write n = a^2 + b^2 with a, b odd, a > b, and a != b (mod 4).
-
-    Requires t^2 | n and n a sum of two odd squares (n = 2 mod 8).
-    """
-    check_nat(n, "n")
-    _check_modulus(t)
-    tt = t * t
-    if n % tt:
-        raise PreconditionViolated(f"{t}^2 does not divide {n}")
-    if n % 8 != 2:
-        raise PreconditionViolated(f"{n} is not a sum of two odd squares")
-    try:
-        a, b = _balance_raw(n // tt, t)
-    except NoRepresentation as exc:
-        raise PreconditionViolated(str(exc)) from exc
-    return (a, b) if a >= b else (b, a)
-
-
 def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     # n = T(x) + T(y) + k^2 T(z) iff 8n+2+k^2 = (2x+1)^2 + (2y+1)^2 + (k(2z+1))^2;
     # k(2z+1) is t times the first root of k's parity of the quotient by t^2
@@ -228,6 +209,4 @@ def lift_even_odd_pair(p: int, q: int) -> tuple[int, int]:
     big, small = abs(alpha * p - beta * q), abs(beta * p + alpha * q)
     if big & 1:
         big, small = small, big
-    if big < small - 1:  # unreachable on valid input
-        raise PreconditionViolated(f"no size-preserving lift for ({p}, {q})")  # pragma: no cover
     return big, small

@@ -18,11 +18,11 @@ from trisum.ternary import (
     EVEN_LIFT_WIDE,
     MODULI,
     ODD_LIFT,
-    balance_odd_pair,
+    _balance_raw,
     lift_even_odd_pair,
     lift_odd_pair,
 )
-from trisum.squares import NotRepresentable, eligible_three_squares, three_squares
+from trisum.squares import NotRepresentable, three_squares
 from trisum.theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from trisum.theorem2 import (
     branch_counts,
@@ -170,7 +170,10 @@ def test_pinned_witnesses():
 def test_three_square_eligibility_agreement():
     bad = []
     for m in range(10**5 + 1):
-        if eligible_three_squares(m):
+        r = m
+        while r and r % 4 == 0:
+            r //= 4
+        if r % 8 != 7:  # Legendre: m is not of the form 4^l(8k+7)
             t = three_squares(m)
             if t.a**2 + t.b**2 + t.c**2 != m:
                 bad.append(m)
@@ -193,10 +196,10 @@ def test_balance_on_random_inputs():
         p = 2 * rng.randint(0, 149) + 1
         q = 2 * rng.randint(0, 149) + 1
         n = t * t * (p * p + q * q)
-        a, b = balance_odd_pair(n, t)
-        if not (a * a + b * b == n and a >= b and a & 1 and b & 1 and a % 4 != b % 4):
+        a, b = _balance_raw(p * p + q * q, t)
+        if not (a * a + b * b == n and a > 0 and b > 0 and a & 1 and b & 1 and a % 4 != b % 4):
             bad.append((n, t))
-    assert _report(not bad, f"balance_odd_pair sound on 10^4 seeded inputs (bad={bad[:3]})")
+    assert _report(not bad, f"balance sound on 10^4 seeded inputs (bad={bad[:3]})")
 
 
 def test_lift_identities_and_closure():

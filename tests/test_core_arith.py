@@ -10,17 +10,11 @@ from trisum.core_arith import (
     _split_slots,
     check_nat,
     eval_quad,
-    triangular,
 )
 
 
-def test_triangular_small_values():
-    assert [triangular(k) for k in range(-1, 8)] == [0, 0, 1, 3, 6, 10, 15, 21, 28]
-
-
-def test_triangular_rejects_below_minus_one():
-    with pytest.raises(ValueError):
-        triangular(-2)
+def _tri(k):
+    return k * (k + 1) // 2
 
 
 def test_check_nat_accepts_bounds():
@@ -54,7 +48,7 @@ def test_split_recombines_square_and_double_triangular(a, x):
     a, x = max(a, x), min(a, x)
     odd, even = _split_slots(a, x)
     assert odd >= 0 and even >= 0
-    assert odd * (2 * odd - 1) + even * (2 * even + 1) == a * a + 2 * triangular(x)
+    assert odd * (2 * odd - 1) + even * (2 * even + 1) == a * a + 2 * _tri(x)
 
 
 def test_split_known_edges():
@@ -83,7 +77,7 @@ def test_slots_fill_one_odd_and_one_even_slot():
         for j in range(i + 1, 301, 2):
             odd, even = _slots(i, j)
             assert odd >= 0 and even >= 0
-            assert odd * (2 * odd - 1) + even * (2 * even + 1) == triangular(i) + triangular(j)
+            assert odd * (2 * odd - 1) + even * (2 * even + 1) == _tri(i) + _tri(j)
             assert _slots(j, i) == (odd, even)
 
 
@@ -99,4 +93,4 @@ def test_split_slots_at_a_equal_x(a):
     # four_squares_to_quad2 reaches a == x (w = 2a+1): the indices are
     # (2a, -1), and index -1 puts a zero in the odd slot
     assert _split_slots(a, a) == _slots(2 * a, -1) == (0, a)
-    assert a * (2 * a + 1) == a * a + 2 * triangular(a)
+    assert a * (2 * a + 1) == a * a + 2 * _tri(a)

@@ -3,9 +3,10 @@
 One sha256 over the repr of every output (as a plain tuple) or error
 (type and message) of a fixed set of calls.  A change that is meant to
 keep every witness bit for bit keeps this digest; a change that alters
-an output on purpose has to re-pin it, and say why.  A second digest,
-built the same way, pins brute_quad's first witnesses on both sides of
-its pair table's limit.
+an output on purpose has to re-pin it, and say why.  Two more digests,
+built the same way, pin brute_quad's first witnesses on both sides of
+its pair table's limit, and three_squares and two_squares on every m up
+to 2^16, the range a separate q-scan once served.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from trisum.verifier import FORMS, brute_quad
 
 GOLDEN = "d1ca8272b72d09906e371d4295a786c7039c2f2770f04174522d682d2b6736db"
 GOLDEN_BRUTE = "7b4de024f59969fb50bb5e9356c49cb5ce1fa3ef61feafe24dfe09f185fb3c6b"
+GOLDEN_SQUARES = "790112cf95567fa5222d56d54cd6a0ac905207e8e13f44a5dbfdaa47c0a89414"
 
 LARGE = (10**6, MAX_INPUT)
 FORCED_T61_BAND = (10**12, 2 * 10**12 - 1)
@@ -54,15 +56,19 @@ def _calls():
         yield three_squares, m
 
 
-def golden_digest() -> str:
+def _digest(calls) -> str:
     h = hashlib.sha256()
-    for fn, x in _calls():
+    for fn, x in calls:
         try:
             line = repr(tuple(fn(x)))
         except Exception as exc:  # the error is part of the output
             line = f"{type(exc).__name__}: {exc}"
         h.update(f"{fn.__name__}({x}) = {line}\n".encode())
     return h.hexdigest()
+
+
+def golden_digest() -> str:
+    return _digest(_calls())
 
 
 def test_outputs_match_the_golden_digest():
@@ -89,3 +95,11 @@ def brute_digest() -> str:
 
 def test_brute_quad_matches_its_golden_digest():
     assert brute_digest() == GOLDEN_BRUTE
+
+
+def squares_digest() -> str:
+    return _digest((fn, m) for m in range((1 << 16) + 1) for fn in (three_squares, two_squares))
+
+
+def test_squares_match_their_golden_digest():
+    assert squares_digest() == GOLDEN_SQUARES

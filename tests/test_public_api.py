@@ -26,8 +26,11 @@ def test_every_exported_name_resolves():
     [
         ("core_arith", "split_square_plus_double_tri"),
         ("core_arith", "indices_to_quad1"),
+        ("core_arith", "triangular"),
         ("squares", "is_square"),
+        ("squares", "eligible_three_squares"),
         ("ternary", "rep_4t_t_t"),
+        ("ternary", "balance_odd_pair"),
         ("theorem2", "solve_offset_congruence"),
         ("theorem2", "NotCoprime"),
     ],

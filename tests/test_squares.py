@@ -13,7 +13,6 @@ from trisum.squares import (
     NotRepresentable,
     ThreeSquares,
     TwoSquares,
-    eligible_three_squares,
     three_squares,
     two_squares,
 )
@@ -28,7 +27,11 @@ def _eligible_by_definition(m: int) -> bool:
 
 def test_eligibility_matches_definition():
     for m in range(20000):
-        assert eligible_three_squares(m) == _eligible_by_definition(m), m
+        if _eligible_by_definition(m):
+            three_squares(m)
+        else:
+            with pytest.raises(NotRepresentable):
+                three_squares(m)
 
 
 @pytest.mark.parametrize(
@@ -56,7 +59,7 @@ def test_three_squares_canonical_values(m, expected):
 
 @pytest.mark.parametrize("m", [7, 15, 23, 28, 112, 2**10 * 7])
 def test_three_squares_rejects_ineligible(m):
-    assert not eligible_three_squares(m)
+    assert not _eligible_by_definition(m)
     with pytest.raises(NotRepresentable):
         three_squares(m)
 
@@ -64,7 +67,7 @@ def test_three_squares_rejects_ineligible(m):
 @given(st.integers(min_value=0, max_value=200000))
 @settings(max_examples=300)
 def test_three_squares_sound_and_ordered(m):
-    if not eligible_three_squares(m):
+    if not _eligible_by_definition(m):
         with pytest.raises(NotRepresentable):
             three_squares(m)
         return
@@ -115,7 +118,57 @@ def test_two_squares_returns_largest_leading_component(m):
         assert two_squares(m).p >= two_squares(m).q
 
 
-# --- the factor path against the scan it replaces above FACTOR_FROM ---
+# --- the factor path against a direct q-scan, the tests' reference ---
+
+def _three_squares_scan(m):
+    # for each a, q runs over every value of the right parity
+    first = None
+    for a in range(math.isqrt(m // 3) + 1):
+        resid = m - a * a
+        r4 = resid & 3
+        if r4 == 3:
+            continue  # two squares never sum to 3 mod 4
+        q = a
+        step = 1
+        if r4 == 0:  # both remaining components even
+            if q & 1:
+                q += 1
+            step = 2
+        elif r4 == 2:  # both remaining components odd
+            if not q & 1:
+                q += 1
+            step = 2
+        qmax = math.isqrt(resid >> 1)
+        while q <= qmax:
+            rem = resid - q * q
+            p = math.isqrt(rem)
+            if p * p == rem:
+                if a < q < p:
+                    return ThreeSquares(a, q, p)
+                if first is None:
+                    first = ThreeSquares(a, q, p)
+            q += step
+    if first is None:
+        raise NotRepresentable(f"no three-square decomposition of {m}")
+    return first
+
+
+def _splits_by_scan(m):
+    return tuple(
+        (q, p)
+        for q in range(math.isqrt(m // 2) + 1)
+        if (p := math.isqrt(m - q * q)) ** 2 == m - q * q
+    )
+
+
+def _two_squares_scan(m):
+    # the reference for two_squares: the scanned split with the smallest q
+    splits = _splits_by_scan(m)
+    if not splits:
+        raise NoRepresentation(f"{m} is not a sum of two squares")
+    q, p = splits[0]
+    return TwoSquares(p, q)
+
 
 def _scan_or_none(scan, m):
     try:
@@ -124,33 +177,20 @@ def _scan_or_none(scan, m):
         return None
 
 
-def _factored_two_squares(m):
-    splits = squares._two_square_splits(m)
-    return TwoSquares(splits[0][1], splits[0][0]) if splits else None
-
-
-def _splits_by_scan(m):
-    return tuple(
-        (q, math.isqrt(m - q * q))
-        for q in range(math.isqrt(m // 2) + 1)
-        if math.isqrt(m - q * q) ** 2 == m - q * q
-    )
-
-
 def test_factor_path_matches_scan_on_small_range():
     for m in range(20001):
-        if eligible_three_squares(m):
-            assert squares._three_squares_factored(m) == squares._three_squares_scan(m), m
-        assert _factored_two_squares(m) == _scan_or_none(squares._two_squares_scan, m), m
+        if _eligible_by_definition(m):
+            assert three_squares(m) == _three_squares_scan(m), m
+        assert _scan_or_none(two_squares, m) == _scan_or_none(_two_squares_scan, m), m
 
 
 def test_factor_path_matches_scan_on_seeded_inputs():
     rng = random.Random(2016)
     for _ in range(1000):
         m = rng.randint(1 << 16, 1 << 28)
-        if eligible_three_squares(m):
-            assert three_squares(m) == squares._three_squares_scan(m), m
-        assert _scan_or_none(two_squares, m) == _scan_or_none(squares._two_squares_scan, m), m
+        if _eligible_by_definition(m):
+            assert three_squares(m) == _three_squares_scan(m), m
+        assert _scan_or_none(two_squares, m) == _scan_or_none(_two_squares_scan, m), m
 
 
 @pytest.mark.parametrize(
@@ -174,11 +214,10 @@ def test_factor_path_matches_scan_on_seeded_inputs():
     ],
 )
 def test_factor_path_matches_scan_on_edge_shapes(m):
-    assert m >= squares.FACTOR_FROM
     assert squares._two_square_splits(m) == _splits_by_scan(m)
-    assert _scan_or_none(two_squares, m) == _scan_or_none(squares._two_squares_scan, m)
-    if eligible_three_squares(m):
-        assert three_squares(m) == squares._three_squares_scan(m)
+    assert _scan_or_none(two_squares, m) == _scan_or_none(_two_squares_scan, m)
+    if _eligible_by_definition(m):
+        assert three_squares(m) == _three_squares_scan(m)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +233,7 @@ def test_factor_path_matches_scan_on_edge_shapes(m):
     ],
 )
 def test_factor_path_follows_the_scan_tie_rules(m, expected):
-    assert squares._three_squares_scan(m) == expected
+    assert _three_squares_scan(m) == expected
     assert three_squares(m) == expected
 
 
@@ -244,17 +283,31 @@ def test_domain_reaches_squares_max():
 
 def test_multiples_of_four_are_twice_the_quarter():
     for m in range(1, 1 << 12):
-        if eligible_three_squares(m):
+        if _eligible_by_definition(m):
             doubled = tuple(2 * v for v in three_squares(m))
-            assert three_squares(4 * m) == squares._three_squares_scan(4 * m) == doubled, m
+            assert three_squares(4 * m) == _three_squares_scan(4 * m) == doubled, m
+
+
+def _unscaled_factor_walk(m):
+    # three_squares' order run on m itself, 4^k not taken out; too slow for the scan above 2^28
+    first = None
+    for a in range(math.isqrt(m // 3) + 1):
+        for q, p in squares._two_square_splits(m - a * a):
+            if q < a:
+                continue
+            if a < q < p:
+                return ThreeSquares(a, q, p)
+            if first is None:
+                first = ThreeSquares(a, q, p)
+    return first
 
 
 def test_multiples_of_four_match_the_unscaled_factor_path():
     rng = random.Random(4)
     for _ in range(200):
         m = rng.randint(1 << 16, 1 << 30)
-        if eligible_three_squares(m):
-            assert three_squares(4 * m) == squares._three_squares_factored(4 * m), m
+        if _eligible_by_definition(m):
+            assert three_squares(4 * m) == _unscaled_factor_walk(4 * m), m
 
 
 @pytest.mark.parametrize(
@@ -274,10 +327,12 @@ def test_powers_of_four_without_a_distinct_triple(m, expected):
 # --- the split listing is memoised: three_squares' last remainder is reused ---
 
 def test_mixed_rep_reuses_the_last_listed_remainder():
-    n = 10**12 + 9  # 25 | 8n+3; the quotient and its remainders are above FACTOR_FROM
-    squares._two_square_splits.cache_clear()
-    rep_ttt_mixed(n, 5)
-    assert squares._two_square_splits.cache_info().hits >= 1
+    # 25 | 8n+3 for both; the quotients are 320000000003 and 323
+    for n in (10**12 + 9, 1009):
+        rep_ttt_mixed.cache_clear()  # an earlier call must not answer this one
+        squares._two_square_splits.cache_clear()
+        rep_ttt_mixed(n, 5)
+        assert squares._two_square_splits.cache_info().hits >= 1, n
 
 
 def test_split_listing_is_immutable():
@@ -311,9 +366,9 @@ def _interleaved(seed, lo, hi):
 
 
 def test_memoised_listing_matches_the_scan_when_interleaved():
-    scans = {three_squares: squares._three_squares_scan, two_squares: squares._two_squares_scan}
+    scans = {three_squares: _three_squares_scan, two_squares: _two_squares_scan}
     for fn, m, got in _interleaved(6, 1 << 16, 1 << 28):
-        if fn is three_squares and not eligible_three_squares(m):
+        if fn is three_squares and not _eligible_by_definition(m):
             assert got is NotRepresentable, m
         else:
             assert got == _outcome(scans[fn], m), (fn.__name__, m)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum.core_arith import MAX_INPUT, triangular
+from trisum.core_arith import MAX_INPUT
 from trisum.squares import three_squares
 from trisum.ternary import (
     COMPOSITE_MODULUS,
@@ -16,7 +16,7 @@ from trisum.ternary import (
     PreconditionViolated,
     _parity_split,
     TernaryRep,
-    balance_odd_pair,
+    _balance_raw,
     lift_even_odd_pair,
     lift_odd_pair,
     rep_2t_t_t,
@@ -27,12 +27,17 @@ from trisum.ternary import (
 
 moduli = pytest.mark.parametrize("t", MODULI)
 
+
+def _tri(k):
+    return k * (k + 1) // 2
+
+
 # the shape each representation promises, as a formula in its witness
 _SHAPES = {
-    rep_square_two_tri: lambda x, y, z: x * x + triangular(y) + triangular(z),
-    rep_2t_t_t: lambda x, y, z: 2 * triangular(x) + triangular(y) + triangular(z),
-    rep_ttt_mixed: lambda x, y, z: triangular(x) + triangular(y) + triangular(z),
-    rep_tt4t_mixed: lambda x, y, z: triangular(x) + triangular(y) + 4 * triangular(z),
+    rep_square_two_tri: lambda x, y, z: x * x + _tri(y) + _tri(z),
+    rep_2t_t_t: lambda x, y, z: 2 * _tri(x) + _tri(y) + _tri(z),
+    rep_ttt_mixed: lambda x, y, z: _tri(x) + _tri(y) + _tri(z),
+    rep_tt4t_mixed: lambda x, y, z: _tri(x) + _tri(y) + 4 * _tri(z),
 }
 
 
@@ -94,33 +99,9 @@ def test_parity_split_picks_the_same_roots_as_filtering():
     "n,t,expected",
     [(50, 5, (7, 1)), (338, 13, (17, 7)), (7442, 61, (71, 49))],
 )
-def test_balance_odd_pair_known_values(n, t, expected):
-    assert balance_odd_pair(n, t) == expected
-
-
-def test_balance_odd_pair_preconditions():
-    with pytest.raises(ValueError):
-        balance_odd_pair(50, 7)  # not a supported modulus
-    with pytest.raises(PreconditionViolated):
-        balance_odd_pair(52, 5)  # 25 does not divide 52
-    with pytest.raises(PreconditionViolated):
-        balance_odd_pair(100, 5)  # 100 = 4 mod 8, not two odd squares
-    with pytest.raises(PreconditionViolated):
-        balance_odd_pair(25 * 42, 5)  # 42 has no two-square splitting
-
-
-@moduli
-def test_balance_odd_pair_properties(t):
-    rng = random.Random(t)
-    for _ in range(300):
-        x = 2 * rng.randint(0, 149) + 1
-        y = 2 * rng.randint(0, 149) + 1
-        n = t * t * (x * x + y * y)
-        a, b = balance_odd_pair(n, t)
-        assert a * a + b * b == n
-        assert a >= b > 0
-        assert a & 1 and b & 1
-        assert a % 4 != b % 4
+def test_balance_raw_known_values(n, t, expected):
+    a, b = _balance_raw(n // (t * t), t)  # in construction order
+    assert (max(a, b), min(a, b)) == expected
 
 
 def test_mixed_rep_known_values():
