@@ -47,7 +47,11 @@ class Quad2(NamedTuple):
 
 
 class ConstructionFailed(ValueError):
-    """The construction failed and the input is beyond the brute-force budget."""
+    """The construction failed and the input is beyond its search's budget.
+
+    That budget is verifier.DEFAULT_BUDGET for theorem 1, and for theorem 2
+    the size bound of the modulus and shape the input picks.
+    """
 
 
 def check_nat(n: int, name: str = "n", bound: int = MAX_INPUT) -> int:

@@ -236,7 +236,9 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
     for p in _ODD_PRIMES:
         if g == 1:
             break
-        if g % p:
+        if p * p > g:
+            p = g  # no factor of g below p is left, so g is prime
+        elif g % p:
             continue
         g //= p
         e = 0

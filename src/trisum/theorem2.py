@@ -1,31 +1,47 @@
 """Constructive witnesses for 2a(2a-1) + b(2b-1) + 2c(2c+1) + d(2d+1).
 
-Strategy: pick the smallest modulus t in {5, 13, 61} coprime to 4n+3.
-If 4n+3 is a quadratic residue mod t, peel off A^2, else 2A^2
-("doubled"); one path serves both shapes.  With s = t^4 (2t^4 when
-doubled), every n > 6s with (n - 6s)^2 > 32s^2 takes A from a residue
-class mod t^2, writes the rest as T+T+T or T+T+4T with the mixed ternary
-representations, and glues the halves back together through the slot map
-of core_arith: the offset's part splits as T(A+z) + T(A-z-1), and that
+One rule serves every input.  Pick the smallest modulus t in {5, 13, 61}
+coprime to 4n+3.  If 4n+3 is a quadratic residue mod t, peel off A^2,
+else 2A^2 ("doubled"); write k = 1 or 2 for the two shapes.  A is drawn
+from a residue class mod t^2; the mixed ternary representations write
+(n - A^2)/2 as T+T+T, or n - 2A^2 as T+T+4T when doubled; and the two
+parts are glued back together through the slot map of core_arith: the
+offset's part splits as T(A+z) + T(A-z-1), which needs A > z, and that
 index pair and the ternary's (x, y) each fill one odd and one even slot.
 Offsets are tried largest first and come from class arithmetic, not a
 scan: each candidate is a class residue plus a multiple of t^2, so it
 costs O(1) even for t = 61, and the square shape skips the candidates
 that leave n - A^2 odd.  The residues of each class are built once, at
 import, and stored in descending order, so a call walks them as stored.
+
+Above the size bound n > (6 + sqrt 32)s, s = k t^4, the first candidate
+passes.  Its class holds a residue and its negative mod t^2, of opposite
+parity, so every t^2 consecutive integers hold a candidate of either
+parity, and the first candidate A lies within t^2 of the root
+R = sqrt(n/k): A > R - t^2.  The bound reads R > (2 + sqrt 2)t^2, so
+R - t^2 > R/sqrt 2, and therefore
+
+    2kA^2 > n,  that is  n - kA^2 < kA^2.
+
+The ternary's z sits in one of its squares: (2z+1)^2 <= 8m+3 for
+m = (n - A^2)/2, and 4(2z+1)^2 <= 8m+6 for m = n - 2A^2 when doubled;
+both read (2z+1)^2 <= (4(n - kA^2) + 3)/k, and so
+
+    (2z+1)^2 < 4A^2 + 3/k <= (2A+1)^2    (A >= 1),
+
+which is A > z.  At or below the bound a later candidate may pass where
+the first does not; where none does, the exhaustive search, budgeted at
+the size bound, is the construction.  Above the bound a dry scan is the
+case ruled out above: the search refuses it and the call raises
+ConstructionFailed.
+
 When all three moduli divide 4n+3 the problem is shrunk by a factor of
 3965 = 5*13*61 and solved recursively; the small witness is lifted back
 up through a four-square normal form.
-Smaller inputs go to the exhaustive search instead.  The same search
-call is the safety net should the offsets ever run dry: its budget,
-max(size bound, verifier.DEFAULT_BUDGET), admits every input below the
-size bound, and above it stops at DEFAULT_BUDGET, beyond which the call
-raises ConstructionFailed.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from math import isqrt
 from typing import Iterator, NamedTuple
@@ -39,9 +55,7 @@ from .ternary import (
     rep_tt4t_mixed,
     rep_ttt_mixed,
 )
-from .verifier import DEFAULT_BUDGET, BudgetExceeded, brute_quad
-
-logger = logging.getLogger(__name__)
+from .verifier import BudgetExceeded, brute_quad
 
 
 class FourSquareForm(NamedTuple):
@@ -62,8 +76,9 @@ class FourSquareForm(NamedTuple):
 # Each v maps to its residues A0 in descending order, the scan's order.
 _QR_CLASSES: dict[tuple[int, bool], dict[int, tuple[int, ...]]] = {}
 # The peel's size bound per (t, doubled): with s = t^4 (2t^4 when doubled)
-# the argument needs n > 6s and (n - 6s)^2 > 32s^2; 32s^2 is no square, so
-# for integer n that is n > 6s + isqrt(32s^2).
+# the module docstring's argument needs n > (6 + sqrt 32)s, that is n > 6s
+# and (n - 6s)^2 > 32s^2; 32s^2 is no square, so for integer n that is
+# n > 6s + isqrt(32s^2).
 _SIZE_BOUND: dict[tuple[int, bool], int] = {}
 
 
@@ -145,25 +160,21 @@ def represent_thm2(n: int) -> Quad2:
         _branches["descent"] += 1
         return _descend(v)
     doubled = pow(v % t, (t - 1) // 2, t) == t - 1
-    bound = _SIZE_BOUND[t, doubled]
-    if n > bound:
-        for a_off in _offset_candidates(n, t, doubled):
-            if doubled:
-                rep = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
-            else:
-                rep = rep_ttt_mixed((n - a_off * a_off) // 2, t)
-            if a_off > rep.z:
-                _branches["doubled" if doubled else "square"] += 1
-                split = _split_slots(a_off, rep.z)
-                pair = _slots(rep.x, rep.y)
-                (a, c), (b, d) = (split, pair) if doubled else (pair, split)
-                return Quad2(a, b, c, d)
-        logger.warning("offset scan exhausted for n=%d (t=%d); falling back", n, t)
-    # below the size bound (up to about 3.2e8 for t = 61) the search is the
-    # construction; above it, the safety net: an n > bound fits the budget
-    # max(bound, DEFAULT_BUDGET) exactly when n <= DEFAULT_BUDGET
+    for a_off in _offset_candidates(n, t, doubled):
+        if doubled:
+            rep = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
+        else:
+            rep = rep_ttt_mixed((n - a_off * a_off) // 2, t)
+        if a_off > rep.z:
+            _branches["doubled" if doubled else "square"] += 1
+            split = _split_slots(a_off, rep.z)
+            pair = _slots(rep.x, rep.y)
+            (a, c), (b, d) = (split, pair) if doubled else (pair, split)
+            return Quad2(a, b, c, d)
+    # the offsets ran dry, which the size bound confines to inputs at or
+    # below it; the search refuses any input above it
     try:
-        witness = brute_quad("thm2", n, budget=max(bound, DEFAULT_BUDGET))
+        witness = brute_quad("thm2", n, budget=_SIZE_BOUND[t, doubled])
     except BudgetExceeded as exc:
         raise ConstructionFailed(f"offset scan exhausted for n={n} (t={t}): {exc}") from exc
     _branches["brute"] += 1

@@ -18,7 +18,7 @@ from trisum.theorem1 import represent_thm1
 from trisum.theorem2 import represent_thm2
 from trisum.verifier import FORMS, brute_quad
 
-GOLDEN = "d1ca8272b72d09906e371d4295a786c7039c2f2770f04174522d682d2b6736db"
+GOLDEN = "a134a8b67418ebb386a62fa1e7586477bc4805bf73575e94435141f50339f071"
 GOLDEN_BRUTE = "7b4de024f59969fb50bb5e9356c49cb5ce1fa3ef61feafe24dfe09f185fb3c6b"
 GOLDEN_SQUARES = "790112cf95567fa5222d56d54cd6a0ac905207e8e13f44a5dbfdaa47c0a89414"
 

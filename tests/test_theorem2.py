@@ -246,25 +246,41 @@ class TestRepresent:
             represent_thm2(MAX_INPUT + 1)
 
 
+def _spy_budgets(monkeypatch):
+    # the budget of every brute_quad call theorem2 makes, in call order
+    budgets = []
+
+    def spy(form, m, budget=DEFAULT_BUDGET):
+        budgets.append(budget)
+        return brute_quad(form, m, budget)
+
+    monkeypatch.setattr(theorem2, "brute_quad", spy)
+    return budgets
+
+
 class TestExhaustedOffsetScan:
-    # with no offset candidates the scan runs dry for every big-enough input
+    # with no offset candidates the scan runs dry for every input
 
     @pytest.fixture(autouse=True)
     def _no_offsets(self, monkeypatch):
         monkeypatch.setattr(theorem2, "_offset_candidates", lambda n, t, doubled: iter(()))
 
     def test_falls_back_to_brute_force_within_the_budget(self):
-        reset_branch_counts()
-        n = 10**6
-        assert tuple(represent_thm2(n)) == brute_quad("thm2", n)
-        assert branch_counts() == {"brute": 1}
+        # the budget is the size bound; these inputs lie at or below theirs
+        for n in (0, 7284, 14571, 665858, 1000008):
+            reset_branch_counts()
+            assert tuple(represent_thm2(n)) == brute_quad("thm2", n)
+            assert branch_counts() == {"brute": 1}
 
-    @pytest.mark.parametrize("n", [DEFAULT_BUDGET + 1, MAX_INPUT])
-    def test_beyond_the_budget_raises(self, n):
+    @pytest.mark.parametrize("n", [10**6, DEFAULT_BUDGET + 1, MAX_INPUT])
+    def test_beyond_the_budget_raises(self, monkeypatch, n):
+        # above the size bound the search refuses the input before it starts
+        budgets = _spy_budgets(monkeypatch)
         reset_branch_counts()
         with pytest.raises(ConstructionFailed):
             represent_thm2(n)
         assert branch_counts() == {}
+        assert budgets and all(b is not None and b < n for b in budgets)
 
 
 def _selects(n):
@@ -289,22 +305,23 @@ class TestOnePeelPath:
     @pytest.mark.parametrize(
         "t,doubled,below,above",
         [
-            (5, False, (7284, (0, 26, 4, 54)), (7287, (29, 33, 1, 30))),
-            (5, True, (14571, (0, 23, 1, 82)), (14575, (41, 19, 38, 26))),
-            (13, False, (332923, (0, 74, 3, 401)), (332938, (181, 209, 104, 189))),
-            (13, True, (665858, (0, 409, 0, 407)), (665863, (156, 48, 370, 89))),
-            (61, False, (161398883, (0, 4304, 2, 7885)), (161399078, (1815, 6130, 198, 6038))),
-            (61, True, (322797718, (0, 9361, 1, 8589)), (322797978, (3470, 961, 8258, 15))),
+            (5, False, (7284, (29, 26, 16, 28)), (7287, (29, 33, 1, 30))),
+            (5, True, (14571, (43, 19, 40, 6)), (14575, (41, 19, 38, 26))),
+            (13, False, (332923, (82, 247, 103, 266)), (332938, (181, 209, 104, 189))),
+            (13, True, (665858, (342, 62, 218, 16)), (665863, (156, 48, 370, 89))),
+            (61, False, (161398883, (2901, 4075, 4051, 3800)), (161399078, (1815, 6130, 198, 6038))),
+            (61, True, (322797718, (6145, 1144, 6175, 2882)), (322797978, (3470, 961, 8258, 15))),
         ],
     )
     def test_size_bound_edges(self, t, doubled, below, above):
+        # both sides of the bound take the one peel path
         (lo, lo_witness), (hi, hi_witness) = below, above
         assert _selects(lo) == _selects(hi) == (t, doubled)
         assert all(_selects(n) != (t, doubled) for n in range(lo + 1, hi))
         assert not _big_enough(lo, t, doubled) and _big_enough(hi, t, doubled)
         reset_branch_counts()
         assert represent_thm2(lo) == lo_witness
-        assert branch_counts() == {"brute": 1}
+        assert branch_counts() == {"doubled" if doubled else "square": 1}
         reset_branch_counts()
         assert represent_thm2(hi) == hi_witness
         assert branch_counts() == {"doubled" if doubled else "square": 1}
@@ -316,6 +333,9 @@ class TestOnePeelPath:
             (131330312208, 13, True, (128789, 7223, 127339, 3055)),
             (570301855613, 61, False, (16174, 376568, 22849, 376537)),
             (236031553793, 61, True, (176381, 1701, 166895, 9192)),
+            # below the t = 61 size bounds
+            (32369918, 61, True, (1850, 2181, 1514, 15)),
+            (143280003, 61, False, (961, 5817, 1113, 5786)),
         ],
     )
     def test_constructive_witnesses(self, n, t, doubled, witness):
@@ -335,16 +355,41 @@ class TestBudgetedSearch:
             for n in range(bound - 3, bound + 4):
                 assert _big_enough(n, t, doubled) == (n > bound), (t, doubled, n)
 
-    @pytest.mark.parametrize("n", [7284, 14571, 332923, 665858, 161398883, 322797718])
+    # inputs whose offsets run dry: two for each t, at or below their bound
+    @pytest.mark.parametrize("n", [2369, 7631, 112343, 505438, 11999438, 155829293])
     def test_search_below_the_bound_has_a_budget(self, monkeypatch, n):
-        # the last n below each (t, doubled) size bound, as in TestOnePeelPath
-        budgets = []
-
-        def spy(form, m, budget=DEFAULT_BUDGET):
-            budgets.append(budget)
-            return brute_quad(form, m, budget)
-
-        monkeypatch.setattr(theorem2, "brute_quad", spy)
+        budgets = _spy_budgets(monkeypatch)
         witness = represent_thm2(n)
         assert eval_quad("thm2", witness) == n
-        assert len(budgets) == 1 and budgets[0] is not None and budgets[0] >= n
+        assert budgets == [theorem2._SIZE_BOUND[_selects(n)]]
+        assert budgets[0] >= n
+
+
+class TestFirstCandidateAboveTheBound:
+    # the size bound's argument: above it, every input that peels takes the
+    # first offset candidate, so exactly one mixed representation is asked for
+    @pytest.mark.parametrize("t,doubled", [(t, d) for t in MODULI for d in (False, True)])
+    def test_one_mixed_rep_per_input(self, monkeypatch, t, doubled):
+        calls = []
+
+        def spied(rep):
+            def spy(m, modulus):
+                calls.append(m)
+                return rep(m, modulus)
+
+            return spy
+
+        for name in ("rep_ttt_mixed", "rep_tt4t_mixed"):
+            monkeypatch.setattr(theorem2, name, spied(getattr(theorem2, name)))
+        bound = theorem2._SIZE_BOUND[t, doubled]
+        rng = random.Random(t * 2 + doubled)
+        for lo, hi in ((bound + 1, 10 * bound), (10**12, 2 * 10**12 - 1)):
+            seen = 0
+            while seen < 40:
+                n = rng.randint(lo, hi)
+                if _selects(n) != (t, doubled):
+                    continue
+                seen += 1
+                calls.clear()
+                assert eval_quad("thm2", represent_thm2(n)) == n
+                assert len(calls) == 1, n
