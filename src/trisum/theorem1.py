@@ -30,21 +30,18 @@ n > 200 gives k >= 8 (odd) and k >= 10 (even).  Hence k - s > y, which
 is the check on the pair that holds y; the other root, k+d+1 or k+p, is
 no smaller, and both ternary reps return z <= y, which settles the
 other check.  (n <= 200 goes straight to the exhaustive search.)  The
-check still runs, as a safety net: a failure is counted and logged, and
-the brute-force search stands in up to verifier.DEFAULT_BUDGET; beyond
-it the call raises ConstructionFailed.
+check still runs, as a safety net: a failure is counted, and the
+brute-force search stands in up to verifier.DEFAULT_BUDGET; beyond it
+the call raises ConstructionFailed.
 """
 
 from __future__ import annotations
 
-import logging
 from math import isqrt
 
 from .core_arith import ConstructionFailed, Quad1, _split_slots, check_nat
 from .ternary import rep_2t_t_t, rep_square_two_tri
 from .verifier import BudgetExceeded, brute_quad
-
-logger = logging.getLogger(__name__)
 
 _fallbacks = 0
 
@@ -59,14 +56,9 @@ def reset_fallback_count() -> None:
     _fallbacks = 0
 
 
-def _note_fallback(n: int) -> None:
-    global _fallbacks
-    _fallbacks += 1
-    logger.warning("bound check failed for n=%d; trying the brute-force search", n)
-
-
 def represent_thm1(n: int) -> Quad1:
     """Return (a, b, c, d) with a(2a-1)+b(2b-1)+c(2c+1)+d(2d+1) = n."""
+    global _fallbacks
     check_nat(n)
     if n > 200:
         if n & 1:
@@ -80,7 +72,7 @@ def represent_thm1(n: int) -> Quad1:
         if u1 > x1 and u2 > x2:
             (a, c), (b, d) = _split_slots(u1, x1), _split_slots(u2, x2)
             return Quad1(a, b, c, d)
-        _note_fallback(n)
+        _fallbacks += 1
     # the construction for n <= 200, the safety net above it
     try:
         return Quad1(*brute_quad("thm1", n))

@@ -98,6 +98,9 @@ _BRUTE_FORMS = {
 # list of values up to the largest limit so far.
 _pairs: dict[tuple[str, ...], tuple[int, array]] = {}
 _SMALL_VALUES: dict[str, list[int]] = {"odd": [], "even": [], "odd2": [], "even2": []}
+# New table entries start as copies of this block, so growth never holds a
+# second array as large as the entries it adds.
+_NO_PAIRS = array("i", [-1]) * 4096
 
 
 def _pair_table(kinds: tuple[str, ...], n: int) -> array:
@@ -110,7 +113,9 @@ def _pair_table(kinds: tuple[str, ...], n: int) -> array:
         # sums up to old keep their pair, so only pairs summing into
         # (old, limit] are walked; each j goes backwards, and the last
         # write to a sum is its first pair
-        table.extend(array("i", [-1]) * (limit - old))
+        for _ in range(old, limit, len(_NO_PAIRS)):
+            table.extend(_NO_PAIRS)
+        del table[limit + 1 :]
         for j in reversed(range(bisect_right(first, limit))):
             u, packed = first[j], j << 16
             for k in reversed(range(bisect_right(last, old - u), bisect_right(last, limit - u))):

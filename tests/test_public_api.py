@@ -3,8 +3,11 @@ README's examples run as written."""
 
 import doctest
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,24 @@ def test_dropped_helpers_are_unreachable(module, name):
     assert name not in trisum.__all__
     assert not hasattr(trisum, name)
     assert not hasattr(importlib.import_module(f"trisum.{module}"), name)
+
+
+def test_import_loads_no_logging():
+    # only the modules the import itself adds, since which ones `site`
+    # preloads differs between hosts
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys\nbefore = set(sys.modules)\nimport trisum\nprint(*set(sys.modules) - before)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    added = done.stdout.split()
+    assert "trisum.theorem1" in added
+    assert "logging" not in added
 
 
 def test_ternary_rep_is_three_indices():

@@ -37,14 +37,20 @@ class TestOffsets:
         assert 11 not in _QR_CLASSES[5, True]
 
     def test_congruence_classes_satisfy_their_congruence(self):
-        # every class sits under the residue of its own square, and every
-        # A0 mod t^2 is listed: so each entry is exactly the congruence's solutions
+        # every class sits under the residue of its own square, every A0 mod
+        # t^2 is listed, and each class descends: so each entry is exactly the
+        # congruence's solutions as a descending scan of all A0 lists them
         for t in MODULI:
             mod = t * t
             for doubled in (False, True):
                 k, table = (8 if doubled else 4), _QR_CLASSES[t, doubled]
                 for v, classes in table.items():
                     assert all(k * a0 * a0 % mod == v for a0 in classes), (v, t, doubled)
+                    # the scan walks them as stored; the closed form builds a
+                    # class coprime to t from its two roots r and t^2 - r
+                    assert all(a > b for a, b in zip(classes, classes[1:])), (v, t, doubled)
+                    if v % t:
+                        assert len(classes) == 2 and sum(classes) == mod, (v, t, doubled)
                 assert sorted(a0 for classes in table.values() for a0 in classes) == list(range(mod))
 
     def test_congruence_takes_targets_above_the_input_bound(self):

@@ -221,29 +221,40 @@ class TestBruteQuad:
         assert once.tolist() == expected
 
     def test_first_table_use_memory_in_a_fresh_process(self):
-        # growth of the process's peak resident set (VmHWM, which unlike
-        # ru_maxrss does not carry the parent's peak) over one brute-branch
-        # call that builds the odd + even table to 1000008
-        if not Path("/proc/self/status").exists():
-            pytest.skip("no /proc/self/status")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        code = (
-            "from trisum.theorem2 import represent_thm2\n"
-            "def hwm():\n"
-            "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-            "base = hwm()\n"
-            "represent_thm2(1000008)\n"
-            "print(hwm() - base)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
-        assert int(done.stdout) < 16 * 1024  # kB
+        # one brute-branch call that builds the odd + even table to 1000008
+        grown = _peak_growth_kb("from trisum.theorem2 import represent_thm2", "represent_thm2(1000008)")
+        assert grown < 16 * 1024
+
+    def test_both_tables_memory_in_a_fresh_process(self):
+        # 8 MB of tables to 2^20; growing each from a small block of empty
+        # entries, not from one the size of the fill, keeps the peak near them
+        calls = "_pair_table(('odd', 'even'), 1 << 20); _pair_table(('even', 'even'), 1 << 20)"
+        assert _peak_growth_kb("from trisum.verifier import _pair_table", calls) < 10 * 1024
+
+
+def _peak_growth_kb(setup: str, calls: str) -> int:
+    # growth of a fresh process's peak resident set (VmHWM, which unlike
+    # ru_maxrss does not carry the parent's peak) over `calls`, after `setup`
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"{setup}\n"
+        "def hwm():\n"
+        "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "base = hwm()\n"
+        f"{calls}\n"
+        "print(hwm() - base)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return int(done.stdout)
 
 
 class TestVerifyRange:
