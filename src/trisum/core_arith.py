@@ -47,10 +47,11 @@ class Quad2(NamedTuple):
 
 
 class ConstructionFailed(ValueError):
-    """The construction failed and the input is beyond its search's budget.
+    """The construction failed where its proof says it cannot.
 
-    That budget is verifier.DEFAULT_BUDGET for theorem 1, and for theorem 2
-    the size bound of the modulus and shape the input picks.
+    For theorem 1 that is a failed bound check above 200; for theorem 2 a
+    dry offset scan above the size bound of the modulus and shape the
+    input picks.  Neither case is searched.
     """
 
 

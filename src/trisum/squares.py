@@ -20,9 +20,11 @@ over its prime factors 1 mod 4 (Hermite-Serret).  Every input takes this
 one path; the tests hold it to a direct q-scan with an exact square
 test.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, which is below
 2^64, where this Miller-Rabin is exact.  No library path needs all of
-it: the largest value one passes is 4*MAX_INPUT + 2, from
-rep_2t_t_t(MAX_INPUT), since the mixed ternary representations divide
-8n+2+k^2 by t^2 first.  The domain keeps the value it was published with.
+it: the largest value one passes is 8*MAX_INPUT + 2, the 8m+2 whose
+splits verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its
+last two slots; the ternary representations pass at most 4*MAX_INPUT + 2
+(rep_2t_t_t(MAX_INPUT)), since the mixed ones divide 8n+2+k^2 by t^2
+first.  The domain keeps the value it was published with.
 
 The listing of a remainder's splits is memoised for the last few
 remainders.  The mixed ternary representations call three_squares(m)
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 from .core_arith import MAX_INPUT, check_nat
 
-SQUARES_MAX = 8 * MAX_INPUT + 6  # published domain, below 2^64; paths pass <= 4*MAX_INPUT + 2
+SQUARES_MAX = 8 * MAX_INPUT + 6  # published domain, below 2^64; paths pass <= 8*MAX_INPUT + 2
 
 
 class NotRepresentable(ValueError):

@@ -30,9 +30,9 @@ n > 200 gives k >= 8 (odd) and k >= 10 (even).  Hence k - s > y, which
 is the check on the pair that holds y; the other root, k+d+1 or k+p, is
 no smaller, and both ternary reps return z <= y, which settles the
 other check.  (n <= 200 goes straight to the exhaustive search.)  The
-check still runs, as a safety net: a failure is counted, and the
-brute-force search stands in up to verifier.DEFAULT_BUDGET; beyond it
-the call raises ConstructionFailed.
+check still runs, as a safety net: a failure, which the argument above
+rules out, is counted and raises ConstructionFailed at once, with no
+search to stand in.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from math import isqrt
 
 from .core_arith import ConstructionFailed, Quad1, _split_slots, check_nat
 from .ternary import rep_2t_t_t, rep_square_two_tri
-from .verifier import BudgetExceeded, brute_quad
+from .verifier import brute_quad
 
 _fallbacks = 0
 
@@ -73,8 +73,5 @@ def represent_thm1(n: int) -> Quad1:
             (a, c), (b, d) = _split_slots(u1, x1), _split_slots(u2, x2)
             return Quad1(a, b, c, d)
         _fallbacks += 1
-    # the construction for n <= 200, the safety net above it
-    try:
-        return Quad1(*brute_quad("thm1", n))
-    except BudgetExceeded as exc:
-        raise ConstructionFailed(f"bound check failed for n={n}: {exc}") from exc
+        raise ConstructionFailed(f"bound check failed for n={n}")
+    return Quad1(*brute_quad("thm1", n))

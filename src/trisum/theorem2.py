@@ -14,8 +14,9 @@ costs O(1) even for t = 61, and the square shape skips the candidates
 that leave n - A^2 odd.  The residues of each class are built once, at
 import, in closed form and in descending order, so a call walks them as
 stored: t is an odd prime coprime to k, so a class v coprime to t holds
-exactly the two roots r and t^2 - r of kA^2 = v, and the class 0 holds
-the multiples of t.
+exactly the two roots r and t^2 - r of kA^2 = v.  Only those classes are
+kept: t is coprime to 4n+3, so 4n+3 never falls in a class divisible by
+t, and no multiple of t is ever an offset.
 
 Above the size bound n > (6 + sqrt 32)s, s = k t^4, the first candidate
 passes.  Its class holds a residue and its negative mod t^2, of opposite
@@ -77,8 +78,10 @@ class FourSquareForm(NamedTuple):
 # Residue classes mod t^2 from which the offset A may be drawn:
 # keyed by (t, doubled); doubled means 8*A0^2 = v instead of 4*A0^2 = v.
 # Each v maps to its residues A0 in descending order, the scan's order.
-# Built in closed form from the roots a <= t^2/2 (module docstring): half
-# the steps of a pass over every A0 mod t^2, and paid at every import.
+# Built in closed form from the roots a <= t^2/2 coprime to t (module
+# docstring): half the steps of a pass over every A0 mod t^2, and paid at
+# every import.  The multiples of t are left out, since t never divides
+# the 4n+3 they would serve.
 _QR_CLASSES: dict[tuple[int, bool], dict[int, tuple[int, ...]]] = {}
 # The peel's size bound per (t, doubled): with s = t^4 (2t^4 when doubled)
 # the module docstring's argument needs n > (6 + sqrt 32)s, that is n > 6s
@@ -90,13 +93,10 @@ _SIZE_BOUND: dict[tuple[int, bool], int] = {}
 def _build_tables() -> None:
     for t in MODULI:
         mod = t * t
-        zero = tuple(range(mod - t, -1, -t))
         for doubled in (False, True):
             k = 8 if doubled else 4
-            # a and mod - a share a class; a multiple of t lands in class 0
-            _QR_CLASSES[t, doubled] = {
-                k * a * a % mod: (mod - a, a) if a % t else zero for a in range(1, mod // 2 + 1)
-            }
+            # a and mod - a share a class
+            _QR_CLASSES[t, doubled] = {k * a * a % mod: (mod - a, a) for a in range(1, mod // 2 + 1) if a % t}
             s = 2 * t**4 if doubled else t**4
             _SIZE_BOUND[t, doubled] = 6 * s + isqrt(32 * s * s)
 

@@ -2,9 +2,12 @@
 
 Two engines live here.  brute_quad walks a table of forms, each given as
 its slot kinds in search order, and returns the lexicographically first
-witness; it resolves the last two slots together, up to 2^20 from a table
-with one packed first index pair per sum and above that by a scan and a
-square root.
+witness.  Every form ends in an odd or even slot pair, whose values
+T(m) + T(l) sum to n exactly when (2m+1)^2 + (2l+1)^2 = 8n+2, so those
+two slots are resolved together: up to 2^20 from a table with one packed
+first index pair per sum, above that from the two-square splits of 8n+2
+that squares lists.  Up to n = 2^58 that is at most 8*2^58 + 2, inside
+the squares domain.
 
 verify_range covers a whole interval at once.  Every form is a sumset of
 slot kinds; each slot contributes the bit masks of its attainable values
@@ -31,13 +34,12 @@ from __future__ import annotations
 import time
 from array import array
 from bisect import bisect_right
-from functools import partial
 from itertools import accumulate, count, islice, takewhile
-from math import isqrt
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .core_arith import check_nat
+from .squares import _two_square_splits
 
 FORMS = ("thm1", "thm2", "conj_a", "conj_b", "conjecture")
 
@@ -82,8 +84,9 @@ _PAIR_MAX = 1 << 20
 
 # Slot kinds in search order, and where each searched index goes in the
 # witness; thm2 searches a, c, b, d so that it ends in odd + even like
-# conj_a.  Forms whose first two slots share a kind need no b >= a start:
-# their first witness has b >= a anyway.
+# conj_a, and every form ends in two undoubled slots, the pair _search
+# resolves together.  Forms whose first two slots share a kind need no
+# b >= a start: their first witness has b >= a anyway.
 _BRUTE_FORMS = {
     "thm1": (("odd", "odd", "even", "even"), itemgetter(0, 1, 2, 3)),
     "thm2": (("odd2", "even2", "odd", "even"), itemgetter(0, 2, 1, 3)),
@@ -124,41 +127,38 @@ def _pair_table(kinds: tuple[str, ...], n: int) -> array:
     return table
 
 
-def _index_of(kind: str, r: int) -> Optional[tuple[int]]:
-    # T(m) = r exactly when 8r+1 = (2m+1)^2; an odd kind takes m = 2k-1
-    # (m = -1 for r = 0), an even kind m = 2k, a doubled kind twice that
-    if kind[-1] == "2":
-        if r & 1:
-            return None
-        r >>= 1
-    s = 8 * r + 1
-    root = isqrt(s)
-    if root * root != s:
-        return None
-    k, even = divmod((root + 1) >> 1, 2)
-    return (k,) if even == (kind[0] == "e") or not r else None
+def _slot_index(kind: str, root: int) -> Optional[int]:
+    # an odd slot holds T(2k-1) at index k and an even slot T(2k), and T(m)
+    # takes root |2m+1|, so 4k-1 or 4k+1; root 1 is index 0 of both
+    if root == 1 or root & 2 == (kind == "odd") << 1:
+        return (root + 1) >> 2
+    return None
 
 
 def _search(kinds: tuple[str, ...], n: int, pairs, i: int = 0) -> Optional[tuple[int, ...]]:
     # the first indices in lexicographic order for slots i.. summing to n;
-    # the last two come from `pairs` if there is a table, else from a scan
-    head, left = kinds[i], len(kinds) - i
-    values = _values(head) if pairs is None else _SMALL_VALUES[head]
-    if left == 3 and pairs is not None:
-        for j, v in enumerate(takewhile(n.__ge__, values)):
-            packed = pairs[n - v]
-            if packed >= 0:
-                return j, packed >> 16, packed & 0xFFFF
-        return None
-    resolve = partial(_index_of, kinds[-1]) if left == 2 else None  # None: recurse into slot i + 1
-    j = 0
-    for v in values:
+    # the last two come from `pairs` if there is a table, else from the
+    # two-square splits of 8n+2: T(m) + T(l) = n exactly when
+    # (2m+1)^2 + (2l+1)^2 = 8n+2
+    if i == len(kinds) - 2:
+        if pairs is not None:
+            packed = pairs[n]
+            return (packed >> 16, packed & 0xFFFF) if packed >= 0 else None
+        first, last = kinds[i:]
+        options = []
+        for q, p in _two_square_splits(8 * n + 2):
+            for x, y in ((q, p), (p, q)):
+                j, k = _slot_index(first, x), _slot_index(last, y)
+                if j is not None and k is not None:
+                    options.append((j, k))
+        return min(options, default=None)
+    values = _values(kinds[i]) if pairs is None else _SMALL_VALUES[kinds[i]]
+    for j, v in enumerate(values):
         if v > n:
-            return None
-        found = _search(kinds, n - v, pairs, i + 1) if resolve is None else resolve(n - v)
+            break
+        found = _search(kinds, n - v, pairs, i + 1)
         if found is not None:
             return (j, *found)
-        j += 1
     return None
 
 

@@ -124,11 +124,16 @@ def _break_the_bound_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1001, 1002])
-def test_failed_bound_check_falls_back_to_brute_force(monkeypatch, n):
+def test_failed_bound_check_raises_without_a_search(monkeypatch, n):
+    # the proof rules the failure out above 200, so nothing retries it
     _break_the_bound_checks(monkeypatch)
+    searched = []
+    monkeypatch.setattr(theorem1, "brute_quad", lambda *args, **kwargs: searched.append(args))
     reset_fallback_count()
-    assert tuple(represent_thm1(n)) == brute_quad("thm1", n)
+    with pytest.raises(ConstructionFailed):
+        represent_thm1(n)
     assert fallback_count() == 1
+    assert searched == []
 
 
 @pytest.mark.parametrize("n", [DEFAULT_BUDGET + 1, MAX_INPUT])

@@ -38,20 +38,22 @@ class TestOffsets:
 
     def test_congruence_classes_satisfy_their_congruence(self):
         # every class sits under the residue of its own square, every A0 mod
-        # t^2 is listed, and each class descends: so each entry is exactly the
-        # congruence's solutions as a descending scan of all A0 lists them
+        # t^2 coprime to t is listed and no multiple of t, and each class
+        # descends: so each entry is exactly the congruence's solutions as a
+        # descending scan of all A0 lists them (t never divides the 4n+3 a
+        # multiple of t would serve)
         for t in MODULI:
             mod = t * t
             for doubled in (False, True):
                 k, table = (8 if doubled else 4), _QR_CLASSES[t, doubled]
                 for v, classes in table.items():
                     assert all(k * a0 * a0 % mod == v for a0 in classes), (v, t, doubled)
-                    # the scan walks them as stored; the closed form builds a
-                    # class coprime to t from its two roots r and t^2 - r
+                    # the scan walks them as stored; the closed form builds
+                    # each class, all coprime to t, from its two roots r and t^2 - r
                     assert all(a > b for a, b in zip(classes, classes[1:])), (v, t, doubled)
-                    if v % t:
-                        assert len(classes) == 2 and sum(classes) == mod, (v, t, doubled)
-                assert sorted(a0 for classes in table.values() for a0 in classes) == list(range(mod))
+                    assert v % t and len(classes) == 2 and sum(classes) == mod, (v, t, doubled)
+                listed = sorted(a0 for classes in table.values() for a0 in classes)
+                assert listed == [a0 for a0 in range(mod) if a0 % t], (t, doubled)
 
     def test_congruence_takes_targets_above_the_input_bound(self):
         # v = 4n+3 exceeds MAX_INPUT for every n above (2^58-3)//4

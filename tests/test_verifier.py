@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from trisum import verifier
-from trisum.core_arith import eval_quad
+from trisum.core_arith import MAX_INPUT, eval_quad
 from trisum.verifier import (
     FORMS,
     BudgetExceeded,
@@ -97,6 +97,31 @@ CONJ_B_TO_1E6 = (
 )  # fmt: skip
 
 
+def _index_of(kind: str, r: int):
+    # T(m) = r exactly when 8r+1 = (2m+1)^2; an odd kind takes m = 2k-1
+    # (m = -1 for r = 0), an even kind m = 2k
+    s = 8 * r + 1
+    root = isqrt(s)
+    if root * root != s:
+        return None
+    k, even = divmod((root + 1) >> 1, 2)
+    return (k,) if even == (kind == "even") or not r else None
+
+
+def _scan_search(kinds: tuple[str, ...], n: int, i: int = 0):
+    # an O(sqrt n) scan, a reference independent of table and splits: every
+    # value of the slots before the last in order, the last slot resolved by
+    # an exact square root
+    j = 0
+    for v in verifier._values(kinds[i]):
+        if v > n:
+            return None
+        found = _index_of(kinds[-1], n - v) if i == len(kinds) - 2 else _scan_search(kinds, n - v, i + 1)
+        if found is not None:
+            return (j, *found)
+        j += 1
+
+
 class TestBruteQuad:
     def test_known_witnesses(self):
         assert brute_quad("thm1", 8) == (1, 1, 1, 1)
@@ -146,8 +171,9 @@ class TestBruteQuad:
             assert brute_quad(form, n) == first.get(n), (form, n)
 
     def test_doubled_form_above_the_pair_table(self):
-        # above 2^20 the last two slots are scanned, in the same a, c, b, d
-        # order as below (n drawn with random.Random(2020) from (2^20, 10^7])
+        # above 2^20 the last two slots come from the two-square splits, in
+        # the same a, c, b, d order as below (n drawn with random.Random(2020)
+        # from (2^20, 10^7])
         pinned = {
             2**20 + 1: (0, 146, 2, 709),
             3976601: (0, 393, 5, 1354),
@@ -173,12 +199,22 @@ class TestBruteQuad:
                 assert brute_quad(form, n) == first[form].get(n), (form, n)
         assert {(f, n): brute_quad(f, n) for f, n in large} == large
 
-    @pytest.mark.parametrize("kind", ["odd", "even", "odd2", "even2"])
+    @pytest.mark.parametrize("kind", ["odd", "even"])
     def test_last_slot_inverse(self, kind):
+        # T(m) = r takes the root 2m+1 = isqrt(8r+1); every such r up to 5000
+        # is a value of exactly one kind, or of both at 0
         values = verifier._slot_values(kind, 5000)
         for r in range(5001):
-            expected = (values.index(r),) if r in values else None
-            assert verifier._index_of(kind, r) == expected, (kind, r)
+            root = isqrt(8 * r + 1)
+            if root * root == 8 * r + 1:
+                expected = values.index(r) if r in values else None
+                assert verifier._slot_index(kind, root) == expected, (kind, r)
+
+    def test_every_form_ends_in_an_undoubled_pair(self):
+        # the leaf resolves the last two slots from the splits of 8m+2, which
+        # holds only for odd and even slots
+        for kinds, _ in verifier._BRUTE_FORMS.values():
+            assert len(kinds) >= 3 and set(kinds[-2:]) <= {"odd", "even"}, kinds
 
     def test_doubled_form_table_growth(self):
         # exercise the cached pair table across a growing range
@@ -188,14 +224,35 @@ class TestBruteQuad:
 
     @pytest.mark.parametrize("part", sorted(verifier._BRUTE_FORMS))
     def test_table_path_equals_scan_path(self, part):
-        # the scan is the path brute_quad takes above 2^20, so it is a
-        # reference independent of the table
+        # three independent ways to the last two slots: the pair table, the
+        # two-square splits brute_quad takes above 2^20, and the scan
         kinds = verifier._BRUTE_FORMS[part][0]
         table = verifier._pair_table(kinds[-2:], 1 << 20)
         rng = random.Random(1515)
         inputs = [*range(3001), *(rng.randint(3001, (1 << 20) - 1) for _ in range(100)), 1 << 20]
+        missing = 0
         for n in inputs:
-            assert verifier._search(kinds, n, table) == verifier._search(kinds, n, None), (part, n)
+            found = _scan_search(kinds, n)
+            missing += found is None
+            assert verifier._search(kinds, n, table) == verifier._search(kinds, n, None) == found, (part, n)
+        # the three-slot forms have exceptions below 3001, and all agree on them
+        assert missing > 0 if len(kinds) == 3 else missing == 0, part
+        for n in (rng.randint((1 << 20) + 1, 10**7) for _ in range(20)):
+            assert verifier._search(kinds, n, None) == _scan_search(kinds, n), (part, n)
+
+    def test_top_of_the_domain_without_a_budget(self):
+        # an O(sqrt n) scan would not finish here; every witness evaluates
+        # back (conjecture's is conj_a's when there is one)
+        rng = random.Random(58)
+        for n in (MAX_INPUT, *(rng.randint(1 << 56, MAX_INPUT) for _ in range(3))):
+            found = {form: brute_quad(form, n, budget=None) for form in FORMS}
+            assert eval_quad("thm1", found["thm1"]) == n
+            assert eval_quad("thm2", found["thm2"]) == n
+            a, b, c = found["conj_a"]
+            assert a * (2 * a - 1) + b * (2 * b - 1) + c * (2 * c + 1) == n
+            a, b, c = found["conj_b"]
+            assert a * (2 * a - 1) + b * (2 * b + 1) + c * (2 * c + 1) == n
+            assert found["conjecture"] == found["conj_a"]
 
     @pytest.mark.parametrize("kinds", [("odd", "even"), ("even", "even")])
     def test_table_grown_in_steps_equals_one_build(self, monkeypatch, kinds):
