@@ -13,9 +13,10 @@ The index parity decides which quadruple slot a triangular value feeds:
 Both constructions end the same way: a square plus a doubled triangular
 number, a^2 + 2T(x) with a >= x, splits into T(a+x) + T(a-x-1), one odd
 and one even index, and that pair fills one odd slot and one even slot.
-`_slots` is the one place this mapping lives; `_split_slots` applies it
-to the split without validating, for values the constructions derived
-themselves.
+`_quad` is the one place this mapping lives: it takes two such index
+pairs, the first for (a, c) and the second for (b, d), and builds the
+witness from them without validating, for indices the constructions
+derived themselves.
 """
 
 from __future__ import annotations
@@ -67,16 +68,20 @@ def check_nat(n: int, name: str = "n", bound: int = MAX_INPUT) -> int:
     return n
 
 
-def _slots(i: int, j: int) -> tuple[int, int]:
-    # map a pair of triangular indices, one odd and one even, to (odd slot, even slot)
+def _quad(cls, i: int, j: int, k: int, l: int):
+    # (i, j) fills (a, c) and (k, l) fills (b, d); each pair holds one odd
+    # index (-1 included), which goes to the odd slot, and one even index.
+    # tuple.__new__ is what the NamedTuple's own __new__ calls, without its
+    # keyword handling
     if i & 1:
-        return (i + 1) // 2, j // 2
-    return (j + 1) // 2, i // 2
-
-
-def _split_slots(a: int, x: int) -> tuple[int, int]:
-    # (odd slot, even slot) of a^2 + 2T(x) for a >= x; a == x gives index -1
-    return _slots(a + x, a - x - 1)
+        a, c = (i + 1) // 2, j // 2
+    else:
+        a, c = (j + 1) // 2, i // 2
+    if k & 1:
+        b, d = (k + 1) // 2, l // 2
+    else:
+        b, d = (l + 1) // 2, k // 2
+    return tuple.__new__(cls, (a, b, c, d))
 
 
 def eval_quad(form: str, q) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .core_arith import ConstructionFailed, Quad1, _split_slots, check_nat
+from .core_arith import ConstructionFailed, Quad1, _quad, check_nat
 from .ternary import rep_2t_t_t, rep_square_two_tri
 from .verifier import brute_quad
 
@@ -70,8 +70,7 @@ def represent_thm1(n: int) -> Quad1:
             p, y, z = rep_square_two_tri((n - 2 * k * k) // 2)
             u1, x1, u2, x2 = k - p, y, k + p, z
         if u1 > x1 and u2 > x2:
-            (a, c), (b, d) = _split_slots(u1, x1), _split_slots(u2, x2)
-            return Quad1(a, b, c, d)
+            return _quad(Quad1, u1 + x1, u1 - x1 - 1, u2 + x2, u2 - x2 - 1)
         _fallbacks += 1
         raise ConstructionFailed(f"bound check failed for n={n}")
     return Quad1(*brute_quad("thm1", n))

@@ -9,14 +9,16 @@ parts are glued back together through the slot map of core_arith: the
 offset's part splits as T(A+z) + T(A-z-1), which needs A > z, and that
 index pair and the ternary's (x, y) each fill one odd and one even slot.
 Offsets are tried largest first and come from class arithmetic, not a
-scan: each candidate is a class residue plus a multiple of t^2, so it
-costs O(1) even for t = 61, and the square shape skips the candidates
-that leave n - A^2 odd.  The residues of each class are built once, at
-import, in closed form and in descending order, so a call walks them as
-stored: t is an odd prime coprime to k, so a class v coprime to t holds
-exactly the two roots r and t^2 - r of kA^2 = v.  Only those classes are
-kept: t is coprime to 4n+3, so 4n+3 never falls in a class divisible by
-t, and no multiple of t is ever an offset.
+scan: one loop walks the multiples of t^2 down from the root's, and an
+inner loop adds each residue of the class of 4n+3, so a candidate costs
+O(1) even for t = 61; candidates above the root are skipped, and so, in
+the square shape, are those that leave n - A^2 odd.  The residues of
+each class are built once, at import, in closed form and in descending
+order, so the inner loop walks them as stored: t is an odd prime coprime
+to k, so a class v coprime to t holds exactly the two roots r and
+t^2 - r of kA^2 = v.  Only those classes are kept: t is coprime to
+4n+3, so 4n+3 never falls in a class divisible by t, and no multiple of
+t is ever an offset.
 
 Above the size bound n > (6 + sqrt 32)s, s = k t^4, the first candidate
 passes.  Its class holds a residue and its negative mod t^2, of opposite
@@ -46,11 +48,10 @@ up through a four-square normal form.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .core_arith import ConstructionFailed, Quad2, _slots, _split_slots, check_nat, eval_quad
+from .core_arith import ConstructionFailed, Quad2, _quad, check_nat, eval_quad
 from .ternary import (
     COMPOSITE_MODULUS,
     MODULI,
@@ -104,23 +105,6 @@ def _build_tables() -> None:
 _build_tables()
 
 
-def _offset_candidates(n: int, t: int, doubled: bool) -> Iterator[int]:
-    # every A in [0, start] in one of the classes, in descending order; the
-    # caller chose t coprime to 4n+3, so the residues are read directly, in
-    # the descending order the table stores them; the square shape keeps
-    # n - A^2 even
-    residues = _QR_CLASSES[t, doubled].get((4 * n + 3) % (t * t))
-    if not residues:
-        return  # rather than walk the multiples of the modulus for nothing
-    start = isqrt(n // 2) if doubled else isqrt(n)
-    mod = t * t
-    for base in range(start - start % mod, -1, -mod):
-        for r in residues:
-            a = base + r
-            if a <= start and (doubled or (a ^ n) & 1 == 0):
-                yield a
-
-
 def quad2_to_four_squares(n: int, q: Quad2) -> FourSquareForm:
     """Repackage a witness for n as a four-square witness of 4n+3."""
     if eval_quad("thm2", q) != n:
@@ -138,21 +122,23 @@ def four_squares_to_quad2(f: FourSquareForm) -> Quad2:
         raise ValueError(f"u2={u2} must be positive and 1 mod 4")
     if a < 0 or w < 1 or w % 2 == 0 or w > 2 * a + 1:
         raise ValueError(f"w={w} must be odd and at most 2a+1={2 * a + 1}")
-    # the (b, d) slots hold (4a^2 + w^2 - 1)/4 = a^2 + 2T((w-1)/2); w = 2a+1 reaches index -1
-    b, d = _split_slots(a, (w - 1) // 2)
-    return Quad2((u1 + 1) // 4 if u1 % 4 == 3 else 0, b, (u2 - 1) // 4, d)
+    # u1 = 2i+1 and u2 = 2j+1 give the (a, c) indices, the wildcard u1 = 1
+    # index -1; the (b, d) slots hold (4a^2 + w^2 - 1)/4 = a^2 + 2T(x),
+    # x = (w-1)/2, split as T(a+x) + T(a-x-1), and w = 2a+1 reaches index -1
+    x = (w - 1) // 2
+    return _quad(Quad2, (u1 - 1) // 2 if u1 % 4 == 3 else -1, (u2 - 1) // 2, a + x, a - x - 1)
 
 
-_branches: Counter[str] = Counter()
+_branches = dict.fromkeys(("brute", "square", "doubled", "descent"), 0)
 
 
 def branch_counts() -> dict[str, int]:
-    """How often each strategy (brute/square/doubled/descent) ran."""
-    return dict(_branches)
+    """How often each strategy (brute/square/doubled/descent) ran; only those that did."""
+    return {branch: count for branch, count in _branches.items() if count}
 
 
 def reset_branch_counts() -> None:
-    _branches.clear()
+    _branches.update(dict.fromkeys(_branches, 0))
 
 
 def represent_thm2(n: int) -> Quad2:
@@ -166,17 +152,28 @@ def represent_thm2(n: int) -> Quad2:
         _branches["descent"] += 1
         return _descend(v)
     doubled = pow(v % t, (t - 1) // 2, t) == t - 1
-    for a_off in _offset_candidates(n, t, doubled):
-        if doubled:
-            rep = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
-        else:
-            rep = rep_ttt_mixed((n - a_off * a_off) // 2, t)
-        if a_off > rep.z:
-            _branches["doubled" if doubled else "square"] += 1
-            split = _split_slots(a_off, rep.z)
-            pair = _slots(rep.x, rep.y)
-            (a, c), (b, d) = (split, pair) if doubled else (pair, split)
-            return Quad2(a, b, c, d)
+    mod = t * t
+    # t is coprime to v, so its class is read directly; the residues are
+    # stored in descending order, so with base descending too the offsets
+    # of [0, start] come largest first; an empty class walks nothing,
+    # rather than the multiples of the modulus
+    residues = _QR_CLASSES[t, doubled].get(v % mod)
+    start = isqrt(n // 2) if doubled else isqrt(n)
+    for base in range(start - start % mod, -1, -mod) if residues else ():
+        for r in residues:
+            a_off = base + r
+            if a_off > start:
+                continue
+            if doubled:
+                x, y, z = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
+                if a_off > z:
+                    _branches["doubled"] += 1
+                    return _quad(Quad2, a_off + z, a_off - z - 1, x, y)
+            elif (a_off ^ n) & 1 == 0:  # n - A^2 must be even
+                x, y, z = rep_ttt_mixed((n - a_off * a_off) // 2, t)
+                if a_off > z:
+                    _branches["square"] += 1
+                    return _quad(Quad2, x, y, a_off + z, a_off - z - 1)
     # the offsets ran dry, which the size bound confines to inputs at or
     # below it; the search refuses any input above it
     try:

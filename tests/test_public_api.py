@@ -4,6 +4,7 @@ README's examples run as written."""
 import doctest
 import importlib
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import trisum
-from trisum import cli
+from trisum import cli, theorem2
+from trisum.core_arith import Quad1, Quad2
 from trisum.ternary import TernaryRep
 
 
@@ -91,3 +93,37 @@ def test_readme_command_lines_exit_zero(capsys):
     assert len(lines) == 5
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+# one input per branch, with the witness and the `decompose --json` line it
+# gives; the theorem-2 branch is read from the tally (the descent's inner
+# input takes the brute branch)
+@pytest.mark.parametrize(
+    "theorem, n, branch, witness",
+    [
+        (1, 150, None, (0, 5, 0, 7)),  # exhaustive search, n <= 200
+        (1, 10**6 + 1, None, (373, 334, 346, 360)),  # odd peel
+        (1, 10**6, None, (351, 362, 345, 356)),  # even peel
+        (2, 2369, "brute", (0, 31, 4, 14)),
+        (2, 20002, "square", (18, 63, 24, 65)),
+        (2, 20001, "doubled", (48, 19, 50, 6)),
+        (2, 2973, "descent", (1, 1, 22, 22)),
+    ],
+)
+def test_witness_type_in_every_branch(capsys, theorem, n, branch, witness):
+    cls, represent = (Quad1, trisum.represent_thm1) if theorem == 1 else (Quad2, trisum.represent_thm2)
+    theorem2.reset_branch_counts()
+    w = represent(n)
+    if branch is not None:
+        assert branch in theorem2.branch_counts()
+    assert type(w) is cls
+    assert (w.a, w.b, w.c, w.d) == witness
+    assert w._asdict() == dict(zip("abcd", witness))
+    assert w == cls(*w) == cls(*witness)
+    back = pickle.loads(pickle.dumps(w))
+    assert type(back) is cls and back == w
+    assert cli.main(["decompose", str(n), "--theorem", str(theorem), "--json"]) == 0
+    shown = ", ".join(map(str, witness))
+    assert capsys.readouterr().out == (
+        f'{{"n": {n}, "form": "thm{theorem}", "witness": [{shown}], "check": true}}\n'
+    )

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from trisum import theorem2
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
-from trisum.ternary import MODULI
+from trisum.ternary import MODULI, rep_tt4t_mixed, rep_ttt_mixed
 from trisum.theorem2 import (
     _QR_CLASSES,
     FourSquareForm,
-    _offset_candidates,
     branch_counts,
     four_squares_to_quad2,
     quad2_to_four_squares,
@@ -27,6 +26,23 @@ def _classes(v, t, doubled):
     # doubled) mod t^2
     k, mod = (8 if doubled else 4), t * t
     return {a for a in range(mod) if k * a * a % mod == v % mod}
+
+
+def _offset_candidates(n, t, doubled):
+    # the offsets represent_thm2 tries, as the generator it used to call,
+    # kept as the reference: every A in [0, start] in one of the classes, in
+    # descending order, read from the residues the table stores in that
+    # order; the square shape keeps n - A^2 even
+    residues = _QR_CLASSES[t, doubled].get((4 * n + 3) % (t * t))
+    if not residues:
+        return  # rather than walk the multiples of the modulus for nothing
+    start = isqrt(n // 2) if doubled else isqrt(n)
+    mod = t * t
+    for base in range(start - start % mod, -1, -mod):
+        for r in residues:
+            a = base + r
+            if a <= start and (doubled or (a ^ n) & 1 == 0):
+                yield a
 
 
 class TestOffsets:
@@ -124,6 +140,67 @@ class TestOffsetCandidatesMatchTheScan:
         assert list(_offset_candidates(100, 61, True)) == []
 
 
+def _offset_of(n, doubled, m):
+    # the offset A of a mixed rep's argument: m = (n - A^2)/2, or n - 2A^2
+    # when doubled
+    a = isqrt((n - m) // 2) if doubled else isqrt(n - 2 * m)
+    assert (2 * a * a == n - m) if doubled else (a * a == n - 2 * m), (n, doubled, m)
+    return a
+
+
+class TestOffsetLoopTriesTheReferencePrefix:
+    # inputs that take a later candidate (a seeded search below the size
+    # bounds found none of the square shape), inputs whose offsets run dry,
+    # and first-candidate inputs at t = 61; range(3000) adds first and dry
+    # inputs of t = 5 and 13
+    LATER = (1031, 67733, 336533, 42511868, 158528288)
+    DRY = (190253, 505438, 1000008, 245423, 1065138, 11999438, 155829293)
+    FIRST = (1252858, 1822193)
+
+    def test_every_shape_and_modulus(self, monkeypatch):
+        # represent_thm2 asks the mixed reps for exactly the reference's
+        # candidates, in its order, up to the first whose split passes
+        # (A > z), or for every one when none does
+        asked = []
+
+        def spied(rep, doubled):
+            def spy(m, t):
+                asked.append((doubled, m))
+                return rep(m, t)
+
+            return spy
+
+        monkeypatch.setattr(theorem2, "rep_ttt_mixed", spied(rep_ttt_mixed, False))
+        monkeypatch.setattr(theorem2, "rep_tt4t_mixed", spied(rep_tt4t_mixed, True))
+        kinds, kind_of = {}, {}
+        for n in (*range(3000), *self.LATER, *self.DRY, *self.FIRST):
+            t, doubled = _selects(n)
+            asked.clear()
+            assert eval_quad("thm2", represent_thm2(n)) == n
+            if t is None:
+                continue  # the descent asks on behalf of its inner input
+            assert all(shape == doubled for shape, _ in asked), n
+            tried = [_offset_of(n, doubled, m) for _, m in asked]
+            expected = []
+            for a in _offset_candidates(n, t, doubled):
+                expected.append(a)
+                rep = rep_tt4t_mixed(n - 2 * a * a, t) if doubled else rep_ttt_mixed((n - a * a) // 2, t)
+                if a > rep.z:
+                    kind = "first" if len(expected) == 1 else "later"
+                    break
+            else:
+                kind = "dry"
+            assert tried == expected, n
+            kinds.setdefault((t, doubled), set()).add(kind)
+            kind_of[n] = kind
+        assert all(kind_of[n] == "later" for n in self.LATER)
+        assert all(kind_of[n] == "dry" for n in self.DRY)
+        assert all(kind_of[n] == "first" for n in self.FIRST)
+        for t in MODULI:
+            assert kinds[t, False] == {"first", "dry"}, t
+            assert kinds[t, True] == {"first", "later", "dry"}, t
+
+
 class TestFourSquareBridge:
     def test_known_values(self):
         assert quad2_to_four_squares(0, Quad2(0, 0, 0, 0)) == FourSquareForm(1, 1, 0, 1)
@@ -190,6 +267,21 @@ class TestRepresent:
         counts = branch_counts()
         # the descent on 2973 recurses into a brute-sized input
         assert counts == {"brute": 2, "square": 1, "doubled": 1, "descent": 1}
+
+    def test_branch_counts_lists_what_ran_and_is_a_copy(self):
+        reset_branch_counts()
+        assert branch_counts() == {}
+        represent_thm2(20002)
+        counts = branch_counts()
+        assert counts == {"square": 1}
+        # the result is the caller's: changing it leaves the tally alone
+        counts["square"] = 99
+        counts["brute"] = 5
+        assert branch_counts() == {"square": 1}
+        represent_thm2(20002)
+        assert branch_counts() == {"square": 2}
+        reset_branch_counts()
+        assert branch_counts() == {}
 
     def test_dense_range_evaluates_back(self):
         for n in range(20000):
@@ -271,7 +363,7 @@ class TestExhaustedOffsetScan:
 
     @pytest.fixture(autouse=True)
     def _no_offsets(self, monkeypatch):
-        monkeypatch.setattr(theorem2, "_offset_candidates", lambda n, t, doubled: iter(()))
+        monkeypatch.setattr(theorem2, "_QR_CLASSES", {key: {} for key in _QR_CLASSES})
 
     def test_falls_back_to_brute_force_within_the_budget(self):
         # the budget is the size bound; these inputs lie at or below theirs
