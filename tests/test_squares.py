@@ -163,11 +163,10 @@ def _splits_by_scan(m):
 
 def _two_squares_scan(m):
     # the reference for two_squares: the scanned split with the smallest q
-    splits = _splits_by_scan(m)
-    if not splits:
-        raise NoRepresentation(f"{m} is not a sum of two squares")
-    q, p = splits[0]
-    return TwoSquares(p, q)
+    for q in range(math.isqrt(m // 2) + 1):
+        if (p := math.isqrt(m - q * q)) ** 2 == m - q * q:
+            return TwoSquares(p, q)
+    raise NoRepresentation(f"{m} is not a sum of two squares")
 
 
 def _scan_or_none(scan, m):

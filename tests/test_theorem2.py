@@ -448,6 +448,7 @@ class TestOnePeelPath:
 
 class TestBudgetedSearch:
     def test_size_bounds(self):
+        # a changed bound means re-running the thm2 sweep to the largest one (theorem2 docstring)
         bounds = {(5, False): 7285, (5, True): 14571, (13, False): 332931,
                   (13, True): 665862, (61, False): 161398950, (61, True): 322797900}  # fmt: skip
         assert theorem2._SIZE_BOUND == bounds

@@ -18,43 +18,7 @@ from trisum.verifier import (
     verify_range,
 )
 
-# slow but obviously-correct enumerations, used as the reference
-
-
-def _reachable(form: str, hi: int) -> set[int]:
-    def tri_odd(limit):
-        return [k * (2 * k - 1) for k in range(limit + 2) if k * (2 * k - 1) <= limit]
-
-    def tri_even(limit):
-        return [k * (2 * k + 1) for k in range(limit + 2) if k * (2 * k + 1) <= limit]
-
-    out = set()
-    if form == "thm1":
-        for a in tri_odd(hi):
-            for b in tri_odd(hi - a):
-                for c in tri_even(hi - a - b):
-                    for d in tri_even(hi - a - b - c):
-                        out.add(a + b + c + d)
-    elif form == "thm2":
-        for a in tri_odd(hi // 2):
-            for b in tri_odd(hi - 2 * a):
-                for c in tri_even((hi - 2 * a - b) // 2):
-                    for d in tri_even(hi - 2 * a - b - 2 * c):
-                        out.add(2 * a + b + 2 * c + d)
-    elif form == "conj_a":
-        for a in tri_odd(hi):
-            for b in tri_odd(hi - a):
-                for c in tri_even(hi - a - b):
-                    out.add(a + b + c)
-    elif form == "conj_b":
-        for a in tri_odd(hi):
-            for b in tri_even(hi - a):
-                for c in tri_even(hi - a - b):
-                    out.add(a + b + c)
-    else:
-        out = _reachable("conj_a", hi) | _reachable("conj_b", hi)
-    return out
-
+from oracles import unreached
 
 # each form's slot values in its documented search order, and where each
 # searched index goes in the witness (thm2 searches a, c, b, d)
@@ -122,6 +86,14 @@ def _scan_search(kinds: tuple[str, ...], n: int, i: int = 0):
         j += 1
 
 
+@pytest.mark.parametrize("form", FORMS)
+def test_oracle_agrees_with_product_enumeration(form):
+    # the shift-or oracle against the itertools.product walk, which shares
+    # no code with it (conjecture is the union of conj_a and conj_b in both)
+    first = _first_witnesses(form, 300)
+    assert unreached(form, 300) == tuple(n for n in range(301) if n not in first)
+
+
 class TestBruteQuad:
     def test_known_witnesses(self):
         assert brute_quad("thm1", 8) == (1, 1, 1, 1)
@@ -137,10 +109,10 @@ class TestBruteQuad:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_agrees_with_reference_enumeration(self, form):
-        reachable = _reachable(form, 400)
+        missing = unreached(form, 400)
         for n in range(401):
             witness = brute_quad(form, n)
-            if n in reachable:
+            if n not in missing:
                 assert witness is not None, (form, n)
                 if form in ("thm1", "thm2"):
                     assert eval_quad(form, witness) == n
@@ -328,9 +300,7 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_agrees_with_reference_enumeration(self, form):
-        hi = 400
-        expected = tuple(sorted(set(range(hi + 1)) - _reachable(form, hi)))
-        assert verify_range(form, 0, hi).exceptions == expected
+        assert verify_range(form, 0, 400).exceptions == unreached(form, 400)
 
     def test_sub_ranges(self):
         assert verify_range("conjecture", 9, 67).exceptions == ()
@@ -356,8 +326,7 @@ class TestVerifyRange:
         monkeypatch.setattr(verifier, "_LAST_SHIFTS", shifts)
         for form in FORMS:
             for lo, hi in ((0, 0), (0, 7), (0, 400), (150, 400), (400, 400)):
-                reachable = _reachable(form, hi)
-                expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+                expected = tuple(n for n in unreached(form, hi) if n >= lo)
                 assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
         assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
         assert verify_range("conj_b", 2000, 20000).exceptions == tuple(
@@ -397,8 +366,7 @@ class TestVerifyRange:
         for _ in range(6):
             hi = rng.choice((rng.randint(0, 60), rng.randint(0, 2000)))
             lo = rng.randint(0, hi)
-            reachable = _reachable(form, hi)
-            expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+            expected = tuple(n for n in unreached(form, hi) if n >= lo)
             assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
         for _ in range(4):
             lo = rng.randint(10000, 60000)
@@ -426,9 +394,9 @@ class TestVerifyRange:
         # every class holds one bit, and a class above hi holds only a value
         # that must not be reported; check every window with hi <= 40
         for hi in range(41):
-            reachable = _reachable(form, hi)
+            missing = unreached(form, hi)
             for lo in range(hi + 1):
-                expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+                expected = tuple(n for n in missing if n >= lo)
                 assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
 
     @pytest.mark.parametrize("form", FORMS)
@@ -441,8 +409,7 @@ class TestVerifyRange:
         kinds = set(verifier._SLOT_KINDS[form])
         near = {8 * round(v / 8) for kind in kinds for v in verifier._slot_values(kind, 240) if v >= 8}
         for hi in sorted(k + e for k in near for e in (-1, 0, 1)):
-            reachable = _reachable(form, hi)
-            missing = [n for n in range(hi + 1) if n not in reachable]
+            missing = unreached(form, hi)
             for lo in range(hi + 1):
                 expected = tuple(n for n in missing if n >= lo)
                 assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
@@ -455,8 +422,7 @@ class TestVerifyRange:
         m = verifier._MODULUS
         for k in (1, 7, 8, 9):
             for hi in (k * m - 1, k * m, k * m + 1):
-                reachable = _reachable(form, hi)
-                missing = [n for n in range(hi + 1) if n not in reachable]
+                missing = unreached(form, hi)
                 for lo in range(hi + 1):
                     expected = tuple(n for n in missing if n >= lo)
                     assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
@@ -468,8 +434,7 @@ class TestVerifyRange:
         monkeypatch.setattr(verifier, "_MODULUS", modulus)
         for form in FORMS:
             for lo, hi in ((0, 0), (0, 7), (0, 400), (150, 400), (400, 400)):
-                reachable = _reachable(form, hi)
-                expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+                expected = tuple(n for n in unreached(form, hi) if n >= lo)
                 assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
         assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
         assert verify_range("conj_b", 0, 20000).exceptions == CONJ_B_TO_1E6
@@ -481,8 +446,7 @@ class TestVerifyRange:
         # is a hole, resolved by a lookup of the full stage at n - v3 - v4
         monkeypatch.setattr(verifier, "_LAST_SHIFTS", shifts)
         for lo, hi in ((1, 40), (217, 600)):
-            reachable = _reachable(form, hi)
-            expected = tuple(n for n in range(lo, hi + 1) if n not in reachable)
+            expected = tuple(n for n in unreached(form, hi) if n >= lo)
             assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
         for lo, hi in ((9001, 9600), (99500, 100000)):
             missing = tuple(n for n in range(lo, hi + 1) if brute_quad(form, n) is None)
