@@ -23,10 +23,14 @@ triples, odd + odd + even and odd + even + even, share the slots odd +
 even, and their third slots together take every triangular number, so
 the union is the single triple odd + even + triangular.  Only the first
 two slots form a full stage; every later slot ORs in just its first few
-values.  Each hole left in [lo, hi] is then resolved exactly: n is
-reached when the full stage holds n - v3 (three slots) or n - v3 - v4
-(four slots) for some remaining slot values v3, v4.  The holes that stay
-open, taken from every class in ascending order, are the exceptions.
+values, and once the first of them has read the full stage nothing keeps
+it, so at most two sets of class bitmaps are alive at once.  A hole left
+in [lo, hi] below the smallest value a partial stage left out is an
+exception, since every choice of the later slots up to it was OR-ed in.
+Any other hole goes to brute_quad's search, with the two-square splits
+as its leaf so that a sweep grows no pair table, and is an exception
+exactly when that finds no witness.  The exceptions come out in
+ascending order.
 """
 
 from __future__ import annotations
@@ -93,6 +97,10 @@ _BRUTE_FORMS = {
     "conj_a": (("odd", "odd", "even"), itemgetter(0, 1, 2)),
     "conj_b": (("odd", "even", "even"), itemgetter(0, 1, 2)),
 }
+# The searched forms whose union is each form; conjecture's are conj_a's
+# and conj_b's, tried in that order.
+_PARTS = {form: (search,) for form, search in _BRUTE_FORMS.items()}
+_PARTS["conjecture"] = (_BRUTE_FORMS["conj_a"], _BRUTE_FORMS["conj_b"])
 
 # Keyed by the last two slot kinds: the table's limit, and an array with
 # one entry per sum s up to it, j << 16 | k for the first index pair (j, k)
@@ -176,8 +184,7 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
         raise ValueError(f"unknown form {form!r}")
     if budget is not None and n > budget:
         raise BudgetExceeded(f"n={n} beyond search budget {budget}")
-    for part in ("conj_a", "conj_b") if form == "conjecture" else (form,):
-        kinds, place = _BRUTE_FORMS[part]
+    for kinds, place in _PARTS[form]:
         found = _search(kinds, n, _pair_table(kinds[-2:], n) if n <= _PAIR_MAX else None)
         if found is not None:
             return place(found)
@@ -185,8 +192,9 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
 
 
 # Values of each slot after the full stage that are OR-ed in before the
-# holes are looked up.  Only speed depends on it: at 32 the conjecture
-# sweep to 10^6 leaves 271 holes instead of 2 and runs about 1.5x slower.
+# holes are settled.  Only speed depends on it: at 32 the conjecture sweep
+# to 10^6 leaves 271 holes instead of 2, searches 269 of them and runs
+# about 4x slower.
 _LAST_SHIFTS = 64
 
 
@@ -234,15 +242,6 @@ def _add_slot(stage: dict[int, int], values: list[int]) -> dict[int, int]:
     return out
 
 
-def _reached(data: list[bytes], top: int, n: int, slots: list[list[int]]) -> bool:
-    # whether some choice of one value per slot, with sum s <= n, leaves a
-    # value n - s that the full stage reached, read from its class bytes
-    if not slots:
-        q, r = divmod(n, _MODULUS)
-        return bool(data[r][(top - q) >> 3] >> ((top - q) & 7) & 1)
-    return any(_reached(data, top, n - v, slots[1:]) for v in takewhile(n.__ge__, slots[0]))
-
-
 def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tuple[str, float], ...]]:
     kinds = _SLOT_KINDS[form]
     top = hi // _MODULUS
@@ -255,11 +254,14 @@ def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tup
         stages.append((name, (now - mark) * 1000.0))
         mark = now
 
-    full = _add_slot(_class_bitmaps(_slot_values(kinds[0], hi), top), _slot_values(kinds[1], hi))
+    reached = _add_slot(_class_bitmaps(_slot_values(kinds[0], hi), top), _slot_values(kinds[1], hi))
     lap(f"full {kinds[0]}+{kinds[1]}")
-    rest = [_slot_values(kind, hi) for kind in kinds[2:]]
-    reached = full
-    for kind, values in zip(kinds[2:], rest):
+    # below `exact`, the smallest value a partial stage left out, every
+    # choice of the later slots is OR-ed in
+    exact = hi + 1
+    for kind in kinds[2:]:
+        values = list(islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS + 1))
+        exact = min([exact, *values[_LAST_SHIFTS:]])
         reached = _add_slot(reached, values[:_LAST_SHIFTS])
         lap(f"partial {kind}")
     holes = []
@@ -273,11 +275,8 @@ def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tup
             n = r + _MODULUS * (top + 1 - low.bit_length())
             if lo <= n <= hi:
                 holes.append(n)
-    del reached  # the lookup reads only the full stage
-    out = []
-    if holes:
-        data = [full.get(r, 0).to_bytes(top // 8 + 1, "little") for r in range(_MODULUS)]
-        out = [n for n in sorted(holes) if not _reached(data, top, n, rest)]
+    parts = _PARTS[form]
+    out = [n for n in sorted(holes) if n < exact or all(_search(k, n, None) is None for k, _ in parts)]
     lap("lookup")
     return tuple(out), tuple(stages)
 
@@ -294,11 +293,11 @@ class RangeReport(NamedTuple):
 def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeReport:
     """Exceptions of `form` on [lo, hi], found by a whole-interval sweep.
 
-    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds a few
-    sets of class bitmaps of hi/8 bytes in all at once (about 3.5 MB above
+    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds two sets
+    of class bitmaps of up to hi/8 bytes each at once (about 2.6 MB above
     the interpreter's own footprint at hi = 10^7), so a larger one is a
     deliberate choice, not a default.  `stages` lists (name, ms) for the
-    full stage, each partial stage and the hole lookup.
+    full stage, each partial stage and the "lookup" that settles the holes.
     """
     check_nat(lo, "lo")
     check_nat(hi, "hi")

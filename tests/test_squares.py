@@ -153,17 +153,26 @@ def _three_squares_scan(m):
     return first
 
 
+def _split_candidates(m):
+    # the q of every split q^2 + p^2 = m with q <= p: squares are 0 or 1 mod
+    # 4, so m = 3 mod 4 has none, and q is even for m = 0 mod 4, odd for
+    # m = 2 mod 4 and either for m = 1 mod 4
+    if m & 3 == 3:
+        return range(0)
+    return range(m & 3 == 2, math.isqrt(m // 2) + 1, 1 if m & 1 else 2)
+
+
 def _splits_by_scan(m):
     return tuple(
         (q, p)
-        for q in range(math.isqrt(m // 2) + 1)
+        for q in _split_candidates(m)
         if (p := math.isqrt(m - q * q)) ** 2 == m - q * q
     )
 
 
 def _two_squares_scan(m):
     # the reference for two_squares: the scanned split with the smallest q
-    for q in range(math.isqrt(m // 2) + 1):
+    for q in _split_candidates(m):
         if (p := math.isqrt(m - q * q)) ** 2 == m - q * q:
             return TwoSquares(p, q)
     raise NoRepresentation(f"{m} is not a sum of two squares")

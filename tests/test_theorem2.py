@@ -1,6 +1,7 @@
 import random
 from itertools import islice
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -455,6 +456,15 @@ class TestBudgetedSearch:
         for (t, doubled), bound in bounds.items():
             for n in range(bound - 3, bound + 4):
                 assert _big_enough(n, t, doubled) == (n > bound), (t, doubled, n)
+
+    def test_the_sweep_to_the_largest_bound_is_recorded(self):
+        # the search's side of the proof is a sweep to the largest bound, run
+        # by hand and recorded in README and the module docstring; a changed
+        # bound fails here until that sweep is re-run and its record updated
+        command = f"trisum verify --form thm2 --to {max(theorem2._SIZE_BOUND.values())} --full"
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        for text in (readme, theorem2.__doc__):
+            assert command in " ".join(text.split())
 
     # inputs whose offsets run dry: two for each t, at or below their bound
     @pytest.mark.parametrize("n", [2369, 7631, 112343, 505438, 11999438, 155829293])

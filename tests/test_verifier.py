@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from math import isqrt
@@ -286,6 +287,21 @@ def _peak_growth_kb(setup: str, calls: str) -> int:
     return int(done.stdout)
 
 
+def _top_level_searches(monkeypatch) -> list[int]:
+    # the n of every top-level verifier._search call; its recursion passes
+    # the slot index i > 0
+    searched: list[int] = []
+    search = verifier._search
+
+    def spy(kinds, n, pairs, i=0):
+        if i == 0:
+            searched.append(n)
+        return search(kinds, n, pairs, i)
+
+    monkeypatch.setattr(verifier, "_search", spy)
+    return searched
+
+
 class TestVerifyRange:
     def test_conjecture_exceptions(self):
         report = verify_range("conjecture", 0, 10000)
@@ -443,7 +459,8 @@ class TestVerifyRange:
     @pytest.mark.parametrize("form", ["thm1", "thm2"])
     def test_two_level_lookup(self, monkeypatch, form, shifts):
         # at most the value 0 per partial stage: every n off the full stage
-        # is a hole, resolved by a lookup of the full stage at n - v3 - v4
+        # is a hole, and each one from the first value a partial stage left
+        # out (0 or 3) on is settled by the search
         monkeypatch.setattr(verifier, "_LAST_SHIFTS", shifts)
         for lo, hi in ((1, 40), (217, 600)):
             expected = tuple(n for n in unreached(form, hi) if n >= lo)
@@ -451,3 +468,52 @@ class TestVerifyRange:
         for lo, hi in ((9001, 9600), (99500, 100000)):
             missing = tuple(n for n in range(lo, hi + 1) if brute_quad(form, n) is None)
             assert verify_range(form, lo, hi).exceptions == missing, (form, lo, hi)
+
+    def test_holes_below_the_exact_bound_are_not_searched(self, monkeypatch):
+        # the conjecture's holes 8 and 68 lie below T(64) = 2080, the first
+        # triangular number its partial stage leaves out
+        searched = _top_level_searches(monkeypatch)
+        assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
+        assert searched == []
+
+    def test_holes_at_or_above_the_exact_bound_are_searched(self, monkeypatch):
+        # conj_a sweeps odd + even in full and ORs in the first 64 odd values;
+        # the holes that leaves from the 65th odd value on are searched, each
+        # once, and each has a witness
+        hi = 10**6
+        odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
+        even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
+        assert odd[64] == 8128
+        odd_bits = sum(1 << v for v in odd if v <= hi)
+        full = 0
+        for v in even:
+            full |= odd_bits << v
+        reached = 0
+        for v in odd[:64]:
+            reached |= full << v
+        text = format(reached & ((1 << hi + 1) - 1), f"0{hi + 1}b")[::-1]
+        holes = [m.start() for m in re.finditer("0", text) if m.start() >= 8128]
+        searched = _top_level_searches(monkeypatch)
+        report = verify_range("conj_a", 0, hi)
+        assert holes and searched == holes
+        assert report.exceptions == CONJ_A_TO_1E6
+        assert not set(holes) & set(report.exceptions)
+
+    def test_the_sweep_never_grows_a_pair_table(self, monkeypatch):
+        # holes are searched through the two-square splits; with no partial
+        # shifts every n of thm1 up to 2000 is a searched hole
+        monkeypatch.setattr(verifier, "_pairs", {})
+        assert verify_range("conj_a", 0, 10**6).exceptions == CONJ_A_TO_1E6
+        monkeypatch.setattr(verifier, "_LAST_SHIFTS", 0)
+        searched = _top_level_searches(monkeypatch)
+        assert verify_range("thm1", 0, 2000).exceptions == ()
+        assert searched == list(range(2001))
+        assert verifier._pairs == {}
+
+    @pytest.mark.parametrize("form", ["thm1", "thm2"])
+    def test_sweep_memory_in_a_fresh_process(self, form):
+        # two sets of class bitmaps of up to hi/8 bytes each are alive at
+        # once, the stage being read and the one being built; keeping the
+        # full stage for a lookup as well took the peak to 3.3-4.1 MB
+        grown = _peak_growth_kb("from trisum.verifier import verify_range", f"verify_range({form!r}, 0, 10**7)")
+        assert grown < 3 * 1024
