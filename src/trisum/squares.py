@@ -16,24 +16,33 @@ The splits of a remainder are found by factoring it: trial division by
 the primes below 2^10, deterministic Miller-Rabin and Pollard-Brent rho.
 A prime 3 mod 4 to an odd power rules the remainder out at once
 (Fermat); otherwise its splits are the products of the Gaussian primes
-over its prime factors 1 mod 4 (Hermite-Serret).  Every input takes this
-one path; the tests hold it to a direct q-scan with an exact square
-test.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, which is below
-2^64, where this Miller-Rabin is exact.  No library path needs all of
-it: the largest value one passes is 8*MAX_INPUT + 2, the 8m+2 whose
-splits verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its
-last two slots; the ternary representations pass at most 4*MAX_INPUT + 2
+over its prime factors 1 mod 4 (Hermite-Serret).  A product and its
+conjugate give the same split, so the first of those primes contributes
+only the powers up to half its exponent.  Each Gaussian prime takes one
+modular power, of its least non-residue c: 2 for p = 5 mod 8, else the
+least odd prime with (p/c) = -1 (reciprocity), read off a table of the
+non-residues mod each odd prime below 64, or found past it by Euler's
+criterion.  For m = 3 mod 8 three_squares tries odd a only, since an even a leaves a
+remainder 3 mod 4.  Every input takes this one path; the tests hold it
+to a direct q-scan with an exact square test.  Inputs run up to
+SQUARES_MAX = 8*MAX_INPUT + 6, which is below 2^64, where this
+Miller-Rabin is exact.  No library path needs all of it: the largest
+value one passes is 8*MAX_INPUT + 2, the 8m+2 whose splits
+verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its last
+two slots; the ternary representations pass at most 4*MAX_INPUT + 2
 (rep_2t_t_t(MAX_INPUT)), since the mixed ones divide 8n+2+k^2 by t^2
 first.  The domain keeps the value it was published with.
 
 The listing of a remainder's splits is memoised for the last few
 remainders.  The mixed ternary representations call three_squares(m)
-and then two_squares(m - r^2) for a root r of the triple; when r is
-the smallest component, that remainder is the last one three_squares
-listed, so its factorisation is not done a second time.  Listings are
-tuples, so a shared one cannot be changed by a caller.  The mixed
-representations are memoised themselves, so a repeated one never
-reaches three_squares at all.
+and peel the first root r of k's parity off the triple.  When r is the
+smallest component, they call two_squares(m - r^2), which is the last
+remainder three_squares listed, so its factorisation is not done a
+second time.  Otherwise (the doubled shape with an odd smallest root)
+the least split of m - r^2 is the triple's other two roots, and no
+call is made.  Listings are tuples, so a shared one cannot be changed
+by a caller.  The mixed representations are memoised themselves, so a
+repeated one never reaches three_squares at all.
 """
 
 from __future__ import annotations
@@ -89,7 +98,9 @@ def three_squares(m: int) -> ThreeSquares:
     if m and not m & 3:
         return ThreeSquares(*(2 * v for v in three_squares(m >> 2)))
     first: ThreeSquares | None = None
-    for a in range(isqrt(m // 3) + 1):
+    # for m = 3 mod 8 an even a leaves 3 mod 4, which no two squares sum to
+    odd = m & 7 == 3
+    for a in range(odd, isqrt(m // 3) + 1, 1 + odd):
         for q, p in _two_square_splits(m - a * a):
             if q < a:
                 continue
@@ -210,17 +221,27 @@ def _factor_rough(n: int, out: dict[int, int], mult: int = 1) -> None:
 
 def _gaussian_prime(p: int) -> tuple[int, int]:
     """(a, b) with a^2 + b^2 = p, for a prime p = 1 mod 4 (Hermite-Serret)."""
-    # c^((p-1)/4) is a square root of -1 mod p for every non-residue c
-    for c in count(2):
-        x = pow(c, (p - 1) >> 2, p)
-        if x * x % p == p - 1:
-            break
-    a, b = p, x
+    # c^((p-1)/4) is a square root of -1 mod p for the least non-residue c:
+    # 2 for p = 5 mod 8, else an odd prime c with (p/c) = -1 (reciprocity)
+    if p & 7 == 5:
+        c = 2
+    else:
+        for c, non_residue in _NON_RESIDUES:
+            if non_residue[p % c]:
+                break
+        else:  # Euler's criterion past the table
+            c = next(c for c in count(c + 2, 2) if pow(c, p >> 1, p) == p - 1)
+    a, b = p, pow(c, p >> 2, p)
     while b * b > p:
         a, b = b, a % b
     return b, isqrt(p - b * b)
 
 
+# (c, flags) for the odd primes c below 64: flags[r] is 1 when r is not a
+# square mod c (Euler's criterion)
+_NON_RESIDUES = tuple(
+    (c, bytes(pow(r, c >> 1, c) == c - 1 for r in range(c))) for c in _ODD_PRIMES if c < 64
+)
 _GAUSS_SMALL = {p: _gaussian_prime(p) for p in _ODD_PRIMES if p & 3 == 1}
 
 
@@ -267,16 +288,21 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
     # Gaussian integers x + iy of norm n, one per class under units:
     # (1+i)^e2 = 2^(e2//2) (1+i)^(e2%2) up to a unit, times pi^j conj(pi)^(e-j)
     zs = [(scale, scale) if e2 & 1 else (scale, 0)]
-    for p, e in split:
+    for i, (p, e) in enumerate(split):
         a, b = _GAUSS_SMALL.get(p) or _gaussian_prime(p)
-        pows = [(1, 0)]
-        for _ in range(e):
-            x, y = pows[-1]
-            pows.append((x * a - y * b, x * b + y * a))
-        parts = []
-        for j in range(e + 1):
-            (x, y), (u, v) = pows[j], pows[e - j]  # pi^j times conj(pi^(e-j))
-            parts.append((x * u + y * v, y * u - x * v))
+        # z and its conjugate give the same split, and conjugating the
+        # product sends j to e - j at every prime: the first needs j <= e/2
+        if e == 1:
+            parts = [(a, b)] if i == 0 else [(a, b), (a, -b)]
+        else:
+            pows = [(1, 0)]
+            for _ in range(e):
+                x, y = pows[-1]
+                pows.append((x * a - y * b, x * b + y * a))
+            parts = []
+            for j in range(e // 2 + 1 if i == 0 else e + 1):
+                (x, y), (u, v) = pows[j], pows[e - j]  # pi^j times conj(pi^(e-j))
+                parts.append((x * u + y * v, y * u - x * v))
         zs = [(x * u - y * v, x * v + y * u) for x, y in zs for u, v in parts]
     splits = set()
     for x, y in zs:

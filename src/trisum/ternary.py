@@ -113,14 +113,14 @@ def rep_2t_t_t(m: int) -> TernaryRep:
     return _rep_universal(4 * m + 2, 0, False)
 
 
-def _balance_raw(s: int, t: int) -> tuple[int, int]:
-    """Represent t*t*s as two odd squares with distinct mod-4 root classes.
+def _balance_raw(p: int, q: int, t: int) -> tuple[int, int]:
+    """Represent t*t*(p^2 + q^2) as two odd squares with distinct mod-4 root classes.
 
-    s must itself be a sum of two odd squares.  Either the scaled pair
-    (tp, tq) already has distinct classes, or the rotation pair for t
-    fixes it.  Returned in construction order (not sorted).
+    (p, q) is the split two_squares gives of a sum of two odd squares;
+    _rep_mixed passes the one it holds.  Either the scaled pair (tp, tq)
+    already has distinct classes, or the rotation pair for t fixes it.
+    Returned in construction order (not sorted).
     """
-    p, q = two_squares(s)
     if (t * p) % 4 != (t * q) % 4:
         return t * p, t * q
     alpha, beta = ROTATION[t]
@@ -128,18 +128,32 @@ def _balance_raw(s: int, t: int) -> tuple[int, int]:
 
 
 def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
-    # n = T(x) + T(y) + k^2 T(z) iff 8n+2+k^2 = (2x+1)^2 + (2y+1)^2 + (k(2z+1))^2;
-    # k(2z+1) is t times the first root of k's parity of the quotient by t^2
+    """The witness of rep_ttt_mixed (k = 1) or rep_tt4t_mixed (k = 2).
+
+    n = T(x) + T(y) + k^2 T(z) iff 8n+2+k^2 = (2x+1)^2 + (2y+1)^2 + (k(2z+1))^2.
+    k(2z+1) is t times the first root r of k's parity in three_squares of
+    the quotient m by t^2, and x, y come from balancing the least split of
+    m - r^2.  When r is the smallest root, that split is two_squares'; else
+    (k = 2 with an odd smallest root) it is the triple's other two roots.
+    """
     check_nat(n, "n")
     _check_modulus(t)
     m, rest = divmod(8 * n + 2 + k * k, t * t)
     if rest:
         raise PreconditionViolated(f"{t}^2 does not divide 8n+{2 + k * k} for n={n}")
-    for r in three_squares(m):
-        if r & 1 == k & 1:
-            break
-    a, b = _balance_raw(m - r * r, t)
-    return TernaryRep((a - 1) // 2, (b - 1) // 2, (t * r - k) // (2 * k))
+    a, b, c = three_squares(m)
+    if a & 1 == k & 1:
+        r = a
+        p, q = two_squares(m - r * r)  # three_squares has just listed it
+    else:
+        # k = 2, and m = 6 mod 8 has one even root r: the remainder is a^2 + w^2
+        # for the other odd root w, and that is its least split, since one
+        # with q < a would make (q, p, r) a triple of distinct roots with a
+        # smaller first root, which three_squares would have returned
+        r, w = (b, c) if b & 1 == 0 else (c, b)
+        p, q = w, a
+    x, y = _balance_raw(p, q, t)
+    return TernaryRep((x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k))
 
 
 @lru_cache(maxsize=1 << 15)

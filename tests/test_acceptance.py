@@ -21,7 +21,7 @@ from trisum.ternary import (
     lift_even_odd_pair,
     lift_odd_pair,
 )
-from trisum.squares import NotRepresentable, three_squares
+from trisum.squares import NotRepresentable, three_squares, two_squares
 from trisum.theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from trisum.theorem2 import (
     branch_counts,
@@ -197,7 +197,7 @@ def test_balance_on_random_inputs():
         p = 2 * rng.randint(0, 149) + 1
         q = 2 * rng.randint(0, 149) + 1
         n = t * t * (p * p + q * q)
-        a, b = _balance_raw(p * p + q * q, t)
+        a, b = _balance_raw(*two_squares(p * p + q * q), t)
         if not (a * a + b * b == n and a > 0 and b > 0 and a & 1 and b & 1 and a % 4 != b % 4):
             bad.append((n, t))
     assert _report(not bad, f"balance sound on 10^4 seeded inputs (bad={bad[:3]})")

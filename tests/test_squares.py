@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -120,46 +121,45 @@ def test_two_squares_returns_largest_leading_component(m):
 
 # --- the factor path against a direct q-scan, the tests' reference ---
 
+# q is the smaller root of a split q^2 + p^2 = m only if m - q^2 is a square
+# mod 720 = 16 * 9 * 5; _WHEEL[r] lists the q mod 720 that pass for m = r
+_WHEEL_MOD = 720
+_SQUARES_MOD = {x * x % _WHEEL_MOD for x in range(_WHEEL_MOD)}
+_WHEEL = [
+    tuple(q for q in range(_WHEEL_MOD) if (r - q * q) % _WHEEL_MOD in _SQUARES_MOD)
+    for r in range(_WHEEL_MOD)
+]
+
+
+def _split_candidates(m, lo=0):
+    # the q in [lo, sqrt(m/2)] that pass the wheel, ascending: every split
+    # with lo <= q <= p has its q among them
+    qmax = math.isqrt(m // 2)
+    wheel = _WHEEL[m % _WHEEL_MOD]
+    for base in range(lo - lo % _WHEEL_MOD, qmax + 1, _WHEEL_MOD):
+        for q in wheel:
+            q += base
+            if q > qmax:
+                return
+            if q >= lo:
+                yield q
+
+
 def _three_squares_scan(m):
-    # for each a, q runs over every value of the right parity
+    # for each a, q runs over the wheel's candidates from a
     first = None
     for a in range(math.isqrt(m // 3) + 1):
         resid = m - a * a
-        r4 = resid & 3
-        if r4 == 3:
-            continue  # two squares never sum to 3 mod 4
-        q = a
-        step = 1
-        if r4 == 0:  # both remaining components even
-            if q & 1:
-                q += 1
-            step = 2
-        elif r4 == 2:  # both remaining components odd
-            if not q & 1:
-                q += 1
-            step = 2
-        qmax = math.isqrt(resid >> 1)
-        while q <= qmax:
-            rem = resid - q * q
-            p = math.isqrt(rem)
-            if p * p == rem:
+        for q in _split_candidates(resid, a):
+            p = math.isqrt(resid - q * q)
+            if p * p == resid - q * q:
                 if a < q < p:
                     return ThreeSquares(a, q, p)
                 if first is None:
                     first = ThreeSquares(a, q, p)
-            q += step
     if first is None:
         raise NotRepresentable(f"no three-square decomposition of {m}")
     return first
-
-
-def _split_candidates(m):
-    # the q of every split q^2 + p^2 = m with q <= p: squares are 0 or 1 mod
-    # 4, so m = 3 mod 4 has none, and q is even for m = 0 mod 4, odd for
-    # m = 2 mod 4 and either for m = 1 mod 4
-    if m & 3 == 3:
-        return range(0)
-    return range(m & 3 == 2, math.isqrt(m // 2) + 1, 1 if m & 1 else 2)
 
 
 def _splits_by_scan(m):
@@ -168,6 +168,15 @@ def _splits_by_scan(m):
         for q in _split_candidates(m)
         if (p := math.isqrt(m - q * q)) ** 2 == m - q * q
     )
+
+
+def test_wheel_keeps_every_split():
+    # against a scan of every q
+    for m in range(20001):
+        every = tuple(
+            (q, p) for q in range(math.isqrt(m // 2) + 1) if (p := math.isqrt(m - q * q)) ** 2 == m - q * q
+        )
+        assert _splits_by_scan(m) == every, m
 
 
 def _two_squares_scan(m):
@@ -219,6 +228,18 @@ def test_factor_path_matches_scan_on_seeded_inputs():
         5 * 13 * 17 * 29 * 37 * 41,  # 32 splits
         2 * 5 * 13 * 17 * 29 * 37 * 41,
         4 * 5**3 * 13**2 * 17 * 29,
+        # the first split prime contributes its powers up to half its exponent
+        5**2 * 13,
+        2 * 5**2 * 13,
+        5**3 * 29**2,
+        2 * 5**3 * 29**2,
+        8 * 5**3 * 13,
+        13**4 * 17,
+        2 * 13**4 * 17,
+        4 * 5**4 * 13 * 17,
+        5**2 * 13**2 * 17**2,
+        2 * 1033**3,  # the first split prime above the trial bound
+        1033**4,
     ],
 )
 def test_factor_path_matches_scan_on_edge_shapes(m):
@@ -272,6 +293,67 @@ def test_primality_and_gaussian_primes():
     for p in (*(p for p in small if p & 3 == 1), 1000000009, 536870909):
         a, b = squares._gaussian_prime(p)
         assert a * a + b * b == p
+
+
+def _gaussian_prime_by_least_non_residue(p):
+    # Hermite-Serret from the least c whose power is a square root of -1
+    for c in itertools.count(2):
+        x = pow(c, (p - 1) // 4, p)
+        if x * x % p == p - 1:
+            break
+    a, b = p, x
+    while b * b > p:
+        a, b = b, a % b
+    return b, math.isqrt(p - b * b)
+
+
+def test_non_residue_table_flags_the_non_squares():
+    assert [c for c, _ in squares._NON_RESIDUES] == [c for c in squares._ODD_PRIMES if c < 64]
+    for c, flags in squares._NON_RESIDUES:
+        squares_mod_c = {x * x % c for x in range(c)}
+        assert list(flags) == [r not in squares_mod_c for r in range(c)], c
+
+
+@pytest.mark.parametrize(
+    "p,least",
+    [
+        (1129, 11),
+        (2689, 13),
+        (8089, 17),
+        (33049, 19),
+        (53881, 23),
+        (87481, 29),
+        (483289, 31),
+        (515761, 37),
+        (1083289, 41),
+        (7921489, 43),
+        (3818929, 47),
+        (9257329, 53),
+        (22000801, 59),
+        (48473881, 67),  # past the table: Euler's criterion finds it
+    ],
+)
+def test_gaussian_prime_with_a_large_least_non_residue(p, least):
+    assert p % 8 == 1 and squares._is_prime(p)
+    assert all(pow(c, p >> 1, p) == 1 for c in range(2, least))
+    assert pow(least, p >> 1, p) == p - 1
+    past_table = all(not flags[p % c] for c, flags in squares._NON_RESIDUES)
+    assert past_table == (least > 61)
+    a, b = squares._gaussian_prime(p)
+    assert a * a + b * b == p
+    assert (a, b) == _gaussian_prime_by_least_non_residue(p)
+
+
+def test_gaussian_primes_near_2_61():
+    rng = random.Random(61)
+    found = {1: 0, 5: 0}
+    while min(found.values()) < 20:
+        p = rng.randrange((1 << 61) - (1 << 40), 1 << 61) | 1
+        if p & 3 == 1 and found[p & 7] < 20 and squares._is_prime(p):
+            found[p & 7] += 1
+            a, b = squares._gaussian_prime(p)
+            assert a * a + b * b == p, p
+            assert (a, b) == _gaussian_prime_by_least_non_residue(p), p
 
 
 def test_domain_reaches_squares_max():

@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisum import ternary
 from trisum.core_arith import MAX_INPUT
-from trisum.squares import three_squares
+from trisum.squares import three_squares, two_squares
 from trisum.ternary import (
     COMPOSITE_MODULUS,
     EVEN_LIFT_NARROW,
@@ -100,7 +102,7 @@ def test_parity_split_picks_the_same_roots_as_filtering():
     [(50, 5, (7, 1)), (338, 13, (17, 7)), (7442, 61, (71, 49))],
 )
 def test_balance_raw_known_values(n, t, expected):
-    a, b = _balance_raw(n // (t * t), t)  # in construction order
+    a, b = _balance_raw(*two_squares(n // (t * t)), t)  # in construction order
     assert (max(a, b), min(a, b)) == expected
 
 
@@ -157,6 +159,74 @@ def test_cached_mixed_rep_equals_the_uncached_one(t, k):
         n = n0 + tt * rng.randrange(10**9 // tt)
         first = rep_fn(n, t)
         assert rep_fn(n, t) == first == rep_fn.__wrapped__(n, t), (n, t)
+
+
+# --- the doubled shape with an odd first root balances the split it holds ---
+
+# t^2 | 8n+6 at these n, and three_squares((8n+6)/t^2) is (a, b, c) with odd a:
+# (1, 1, 2) for the first of each t, (3, 5, 6) for the second
+_ODD_FIRST_ROOT = {5: (18, 218), 13: (126, 1478), 61: (2790, 32558)}
+
+
+def _even_root(tri):
+    # the root r of the doubled shape, and the two others
+    a, b, c = tri
+    if not a & 1:
+        return a, b, c
+    return (b, a, c) if not b & 1 else (c, a, b)
+
+
+@moduli
+def test_doubled_rep_balances_the_least_split_of_its_remainder(t, monkeypatch):
+    balanced, listed = [], []
+    real_balance, real_two = ternary._balance_raw, ternary.two_squares
+
+    def balance(p, q, t):
+        balanced.append((p, q))
+        return real_balance(p, q, t)
+
+    def two(m):
+        listed.append(m)
+        return real_two(m)
+
+    monkeypatch.setattr(ternary, "_balance_raw", balance)
+    monkeypatch.setattr(ternary, "two_squares", two)
+    tt = t * t
+    n0 = -6 * pow(8, -1, tt) % tt
+    rng = random.Random(2 * t)
+    seeded = [n0 + tt * rng.randrange(10**12 // tt) for _ in range(300)]
+    firsts = []
+    for n in (*_ODD_FIRST_ROOT[t], *seeded):
+        m = (8 * n + 6) // tt
+        tri = three_squares(m)
+        r = _even_root(tri)[0]
+        balanced.clear()
+        listed.clear()
+        rep_tt4t_mixed.__wrapped__(n, t)
+        assert balanced == [tuple(real_two(m - r * r))], (n, t)
+        # only an even first root asks two_squares for the split
+        assert listed == ([] if tri.a & 1 else [m - r * r]), (n, t)
+        firsts.append(tri.a)
+    assert firsts[:2] == [1, 3]
+    assert sum(a & 1 for a in firsts) >= 50
+
+
+def test_no_split_of_the_doubled_remainder_lies_below_the_odd_first_root():
+    # every quotient of the doubled shape is 6 mod 8; a split q^2 + p^2 of
+    # m - r^2 with q < a would give m the distinct triple (q, p, r), whose
+    # first root is smaller than the one three_squares returned
+    rng = random.Random(8)
+    ms = [*range(6, 2 * 10**5, 8), *(8 * rng.randrange(1 << 37) + 6 for _ in range(2000))]
+    odd_first = 0
+    for m in ms:
+        tri = three_squares(m)
+        if tri.a & 1:
+            r, a, w = _even_root(tri)
+            s = m - r * r
+            assert s == a * a + w * w and a <= w, m
+            assert all(math.isqrt(s - q * q) ** 2 != s - q * q for q in range(a)), m
+            odd_first += 1
+    assert odd_first > 5000
 
 
 def test_mixed_rep_failures_are_not_cached():
