@@ -22,9 +22,14 @@ only the powers up to half its exponent.  Each Gaussian prime takes one
 modular power, of its least non-residue c: 2 for p = 5 mod 8, else the
 least odd prime with (p/c) = -1 (reciprocity), read off a table of the
 non-residues mod each odd prime below 64, or found past it by Euler's
-criterion.  For m = 3 mod 8 three_squares tries odd a only, since an even a leaves a
-remainder 3 mod 4.  Every input takes this one path; the tests hold it
-to a direct q-scan with an exact square test.  Inputs run up to
+criterion.  For m = 3 mod 8 three_squares tries odd a only, since an
+even a leaves a remainder 3 mod 4.  No remainder m - a^2 the scan reaches
+has a split with q < a, so it takes every split as listed.  Were there
+one with distinct roots q < a, p, the scan would have returned by
+a' = q, which it visits (for m = 3 mod 8 every root is odd); any other
+is (q, q, a) or (q, a, a), so m < 3a^2 and a lies past the scan's end,
+isqrt(m // 3).  Every input takes this one path; the tests hold it to a
+direct q-scan with an exact square test.  Inputs run up to
 SQUARES_MAX = 8*MAX_INPUT + 6, which is below 2^64, where this
 Miller-Rabin is exact.  No library path needs all of it: the largest
 value one passes is 8*MAX_INPUT + 2, the 8m+2 whose splits
@@ -102,8 +107,6 @@ def three_squares(m: int) -> ThreeSquares:
     odd = m & 7 == 3
     for a in range(odd, isqrt(m // 3) + 1, 1 + odd):
         for q, p in _two_square_splits(m - a * a):
-            if q < a:
-                continue
             if a < q < p:
                 return ThreeSquares(a, q, p)
             if first is None:

@@ -18,7 +18,12 @@ order, so the inner loop walks them as stored: t is an odd prime coprime
 to k, so a class v coprime to t holds exactly the two roots r and
 t^2 - r of kA^2 = v.  Only those classes are kept: t is coprime to
 4n+3, so 4n+3 never falls in a class divisible by t, and no multiple of
-t is ever an offset.
+t is ever an offset.  The class of 4n+3 mod t^2 also fixes the shape:
+every t is 5 mod 8, so 2 is no square mod t, and 4A^2 takes exactly the
+classes coprime to t whose residue mod t is a square, 8A^2 = 2*4A^2
+exactly the others.  So one table per t, keyed by that class, holds the
+shape and the two residues, and no quadratic character is computed per
+input.
 
 Above the size bound n > (6 + sqrt 32)s, s = k t^4, the first candidate
 passes.  Its class holds a residue and its negative mod t^2, of opposite
@@ -83,14 +88,15 @@ class FourSquareForm(NamedTuple):
     w: int
 
 
-# Residue classes mod t^2 from which the offset A may be drawn:
-# keyed by (t, doubled); doubled means 8*A0^2 = v instead of 4*A0^2 = v.
-# Each v maps to its residues A0 in descending order, the scan's order.
-# Built in closed form from the roots a <= t^2/2 coprime to t (module
-# docstring): half the steps of a pass over every A0 mod t^2, and paid at
-# every import.  The multiples of t are left out, since t never divides
-# the 4n+3 they would serve.
-_QR_CLASSES: dict[tuple[int, bool], dict[int, tuple[int, ...]]] = {}
+# The offset classes, one table per modulus t: each class v mod t^2
+# coprime to t maps to (doubled, residues), the shape that v fixes and the
+# residues A0 of its offsets in descending order, the scan's order; doubled
+# means 8*A0^2 = v instead of 4*A0^2 = v.  The two shapes' classes
+# partition the table (module docstring).  Built in closed form from the
+# roots a <= t^2/2 coprime to t: half the steps of a pass over every A0
+# mod t^2, and paid at every import.  The multiples of t are left out,
+# since t never divides the 4n+3 they would serve.
+_CLASSES: dict[int, dict[int, tuple[bool, tuple[int, int]]]] = {}
 # The peel's size bound per (t, doubled): with s = t^4 (2t^4 when doubled)
 # the module docstring's argument needs n > (6 + sqrt 32)s, that is n > 6s
 # and (n - 6s)^2 > 32s^2; 32s^2 is no square, so for integer n that is
@@ -101,10 +107,9 @@ _SIZE_BOUND: dict[tuple[int, bool], int] = {}
 def _build_tables() -> None:
     for t in MODULI:
         mod = t * t
+        # a and mod - a share a class; the two shapes share none
+        _CLASSES[t] = {k * a * a % mod: (k == 8, (mod - a, a)) for k in (4, 8) for a in range(1, mod // 2 + 1) if a % t}
         for doubled in (False, True):
-            k = 8 if doubled else 4
-            # a and mod - a share a class
-            _QR_CLASSES[t, doubled] = {k * a * a % mod: (mod - a, a) for a in range(1, mod // 2 + 1) if a % t}
             s = 2 * t**4 if doubled else t**4
             _SIZE_BOUND[t, doubled] = 6 * s + isqrt(32 * s * s)
 
@@ -158,15 +163,13 @@ def represent_thm2(n: int) -> Quad2:
     else:
         _branches["descent"] += 1
         return _descend(v)
-    doubled = pow(v % t, (t - 1) // 2, t) == t - 1
     mod = t * t
-    # t is coprime to v, so its class is read directly; the residues are
-    # stored in descending order, so with base descending too the offsets
-    # of [0, start] come largest first; an empty class walks nothing,
-    # rather than the multiples of the modulus
-    residues = _QR_CLASSES[t, doubled].get(v % mod)
+    # t is coprime to v, so the class of v holds the shape and the offsets'
+    # residues; these are stored in descending order, so with base
+    # descending too the offsets of [0, start] come largest first
+    doubled, residues = _CLASSES[t][v % mod]
     start = isqrt(n // 2) if doubled else isqrt(n)
-    for base in range(start - start % mod, -1, -mod) if residues else ():
+    for base in range(start - start % mod, -1, -mod):
         for r in residues:
             a_off = base + r
             if a_off > start:

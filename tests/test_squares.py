@@ -87,6 +87,21 @@ def test_three_squares_prefers_distinct_components():
     assert three_squares(2) == (0, 1, 1)
 
 
+def test_no_remainder_the_scan_reaches_splits_below_its_root():
+    # three_squares takes each split as listed: at every a up to the first
+    # root of its triple, m - a^2 has no split (q, p) with q < a (module
+    # docstring), on every m up to 2*10^5 and on seeded m below 2^40
+    rng = random.Random(2440)
+    seeded = []
+    while len(seeded) < 2000:
+        m = rng.randrange(1 << 40)
+        if _eligible_by_definition(m):
+            seeded.append(m)
+    for m in (*filter(_eligible_by_definition, range(200001)), *seeded):
+        for a in range(three_squares(m).a + 1):
+            assert all(q >= a for q, _ in squares._two_square_splits(m - a * a)), (m, a)
+
+
 @pytest.mark.parametrize(
     "m,expected",
     [(0, (0, 0)), (2, (1, 1)), (250, (15, 5)), (578, (23, 7))],

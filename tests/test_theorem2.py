@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import islice
 from math import isqrt
 from pathlib import Path
@@ -11,7 +12,7 @@ from trisum import theorem2
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
 from trisum.ternary import MODULI, rep_tt4t_mixed, rep_ttt_mixed
 from trisum.theorem2 import (
-    _QR_CLASSES,
+    _CLASSES,
     FourSquareForm,
     branch_counts,
     four_squares_to_quad2,
@@ -22,19 +23,29 @@ from trisum.theorem2 import (
 from trisum.verifier import DEFAULT_BUDGET, brute_quad
 
 
+@cache
+def _solutions(t, doubled):
+    # one scan of every A0 mod t^2, grouped by the class of k*A0^2
+    k, mod = (8 if doubled else 4), t * t
+    by_class = {}
+    for a in range(mod):
+        by_class.setdefault(k * a * a % mod, set()).add(a)
+    return by_class
+
+
 def _classes(v, t, doubled):
     # the offset congruence solved from scratch: 4*A0^2 = v (8*A0^2 when
     # doubled) mod t^2
-    k, mod = (8 if doubled else 4), t * t
-    return {a for a in range(mod) if k * a * a % mod == v % mod}
+    return set(_solutions(t, doubled).get(v % (t * t), ()))
 
 
 def _offset_candidates(n, t, doubled):
     # the offsets represent_thm2 tries, as the generator it used to call,
     # kept as the reference: every A in [0, start] in one of the classes, in
-    # descending order, read from the residues the table stores in that
-    # order; the square shape keeps n - A^2 even
-    residues = _QR_CLASSES[t, doubled].get((4 * n + 3) % (t * t))
+    # descending order; the classes come from the scan above, not from
+    # theorem2's table, so a shape that does not fit 4n+3 has none, and the
+    # square shape keeps n - A^2 even
+    residues = sorted(_classes(4 * n + 3, t, doubled), reverse=True)
     if not residues:
         return  # rather than walk the multiples of the modulus for nothing
     start = isqrt(n // 2) if doubled else isqrt(n)
@@ -49,9 +60,9 @@ def _offset_candidates(n, t, doubled):
 class TestOffsets:
     def test_congruence_classes(self):
         # residues are stored in descending order, the order the scan takes
-        assert _QR_CLASSES[5, False][11] == (22, 3)
-        assert _QR_CLASSES[5, True][7] == (23, 2)
-        assert 11 not in _QR_CLASSES[5, True]
+        assert _CLASSES[5][11] == (False, (22, 3))
+        assert _CLASSES[5][7] == (True, (23, 2))
+        assert _CLASSES[5][11][0] is False  # 11 is no doubled class
 
     def test_congruence_classes_satisfy_their_congruence(self):
         # every class sits under the residue of its own square, every A0 mod
@@ -62,7 +73,8 @@ class TestOffsets:
         for t in MODULI:
             mod = t * t
             for doubled in (False, True):
-                k, table = (8 if doubled else 4), _QR_CLASSES[t, doubled]
+                k = 8 if doubled else 4
+                table = {v: classes for v, (shape, classes) in _CLASSES[t].items() if shape == doubled}
                 for v, classes in table.items():
                     assert all(k * a0 * a0 % mod == v for a0 in classes), (v, t, doubled)
                     # the scan walks them as stored; the closed form builds
@@ -71,6 +83,20 @@ class TestOffsets:
                     assert v % t and len(classes) == 2 and sum(classes) == mod, (v, t, doubled)
                 listed = sorted(a0 for classes in table.values() for a0 in classes)
                 assert listed == [a0 for a0 in range(mod) if a0 % t], (t, doubled)
+
+    def test_the_class_fixes_the_shape(self):
+        # t is 5 mod 8, so the two shapes' classes partition those coprime
+        # to t: the table's keys are exactly these, each one's shape is
+        # Euler's criterion on v mod t, and its residues are the two roots
+        # of kA^2 = v in descending order
+        for t in MODULI:
+            mod = t * t
+            table = _CLASSES[t]
+            assert sorted(table) == [v for v in range(mod) if v % t], t
+            for v, (doubled, residues) in table.items():
+                assert doubled == (pow(v % t, (t - 1) // 2, t) == t - 1), (v, t)
+                assert list(residues) == sorted(_classes(v, t, doubled), reverse=True), (v, t)
+                assert len(residues) == 2, (v, t)
 
     def test_congruence_takes_targets_above_the_input_bound(self):
         # v = 4n+3 exceeds MAX_INPUT for every n above (2^58-3)//4
@@ -137,7 +163,8 @@ class TestOffsetCandidatesMatchTheScan:
 
     def test_start_below_the_smallest_residue(self):
         # classes 1803 and 1918 mod 61^2, but A may not exceed isqrt(50) = 7
-        assert sorted(_QR_CLASSES[61, True][403]) == [1803, 1918]
+        assert _CLASSES[61][403][0] is True
+        assert sorted(_CLASSES[61][403][1]) == [1803, 1918]
         assert list(_offset_candidates(100, 61, True)) == []
 
 
@@ -364,7 +391,8 @@ class TestExhaustedOffsetScan:
 
     @pytest.fixture(autouse=True)
     def _no_offsets(self, monkeypatch):
-        monkeypatch.setattr(theorem2, "_QR_CLASSES", {key: {} for key in _QR_CLASSES})
+        empty = {t: {v: (doubled, ()) for v, (doubled, _) in table.items()} for t, table in _CLASSES.items()}
+        monkeypatch.setattr(theorem2, "_CLASSES", empty)
 
     def test_falls_back_to_brute_force_within_the_budget(self):
         # the budget is the size bound; these inputs lie at or below theirs

@@ -310,6 +310,12 @@ class TestVerifyRange:
         assert (report.lo, report.hi) == (0, 10000)
         assert report.elapsed_ms >= 0.0
 
+    @pytest.mark.parametrize("form", FORMS)
+    def test_elapsed_time_is_the_sum_of_the_stages(self, form):
+        # one clock: the stages run back to back from the sweep's start
+        report = verify_range(form, 0, 10000)
+        assert report.elapsed_ms == sum(ms for _, ms in report.stages)
+
     def test_quadruple_forms_have_no_exceptions(self):
         assert verify_range("thm1", 0, 10000).exceptions == ()
         assert verify_range("thm2", 0, 10000).exceptions == ()
