@@ -12,8 +12,13 @@ is what makes the higher-level constructions reproducible:
   order: powers of 4 are taken out first.
 * two_squares returns the split p^2 + q^2 with the smallest q.
 
-The splits of a remainder are found by factoring it: trial division by
-the primes below 2^10, deterministic Miller-Rabin and Pollard-Brent rho.
+The splits of a remainder are found by factoring it.  Trial division
+takes out the primes below 2^10.  A cofactor below 2^26 then has at most
+two prime factors, the smaller one below 2^13, so one gcd with the product
+of the primes in [2^10, 2^13) decides it: 1 means prime, and otherwise
+the gcd is that factor, or the cofactor itself when both factors lie in
+the range, which one pass over those primes splits.  Deterministic
+Miller-Rabin and Pollard-Brent rho run only on cofactors from 2^26 up.
 A prime 3 mod 4 to an odd power rules the remainder out at once
 (Fermat); otherwise its splits are the products of the Gaussian primes
 over its prime factors 1 mod 4 (Hermite-Serret).  A product and its
@@ -23,10 +28,14 @@ modular power, of its least non-residue c: 2 for p = 5 mod 8, else the
 least odd prime with (p/c) = -1 (reciprocity), read off a table of the
 non-residues mod each odd prime below 64, or found past it by Euler's
 criterion.  For m = 3 mod 8 three_squares tries odd a only, since an
-even a leaves a remainder 3 mod 4.  No remainder m - a^2 the scan reaches
+even a leaves a remainder 3 mod 4.  For m = 6 mod 8 it skips a = 0 mod 4,
+and for m = 2 mod 8 it skips a = 2 mod 4: a^2 is 0 or 4 mod 8 there, so
+either remainder is 6 mod 8, twice an odd part 3 mod 4, which has a prime
+3 mod 4 to an odd power.  No remainder m - a^2 the scan reaches
 has a split with q < a, so it takes every split as listed.  Were there
 one with distinct roots q < a, p, the scan would have returned by
-a' = q, which it visits (for m = 3 mod 8 every root is odd); any other
+a' = q, which it visits: the rules above skip only remainders without a
+split, and m - q^2 = a^2 + p^2 has one.  Any other split with q < a
 is (q, q, a) or (q, a, a), so m < 3a^2 and a lies past the scan's end,
 isqrt(m // 3).  Every input takes this one path; the tests hold it to a
 direct q-scan with an exact square test.  Inputs run up to
@@ -53,8 +62,9 @@ repeated one never reaches three_squares at all.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt, prod
+from operator import mul
 from typing import NamedTuple
 
 from .core_arith import MAX_INPUT, check_nat
@@ -81,6 +91,10 @@ class TwoSquares(NamedTuple):
     q: int
 
 
+# both are built with tuple.__new__, which is what the NamedTuple's own
+# __new__ calls, without its keyword handling
+
+
 def _eligible(m: int) -> bool:
     # Legendre: m is not of the form 4^l(8k+7); m is already validated
     while m and m % 4 == 0:
@@ -101,16 +115,20 @@ def three_squares(m: int) -> ThreeSquares:
     if not _eligible(m):
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
     if m and not m & 3:
-        return ThreeSquares(*(2 * v for v in three_squares(m >> 2)))
+        a, b, c = three_squares(m >> 2)
+        return tuple.__new__(ThreeSquares, (2 * a, 2 * b, 2 * c))
     first: ThreeSquares | None = None
     # for m = 3 mod 8 an even a leaves 3 mod 4, which no two squares sum to
     odd = m & 7 == 3
     for a in range(odd, isqrt(m // 3) + 1, 1 + odd):
-        for q, p in _two_square_splits(m - a * a):
+        r = m - a * a
+        if r & 7 == 6:
+            continue  # twice an odd part 3 mod 4: no split
+        for q, p in _two_square_splits(r):
             if a < q < p:
-                return ThreeSquares(a, q, p)
+                return tuple.__new__(ThreeSquares, (a, q, p))
             if first is None:
-                first = ThreeSquares(a, q, p)
+                first = tuple.__new__(ThreeSquares, (a, q, p))
     if first is None:
         raise NotRepresentable(f"no three-square decomposition of {m}")
     return first
@@ -126,21 +144,30 @@ def two_squares(m: int) -> TwoSquares:
     if not splits:
         raise NoRepresentation(f"{m} is not a sum of two squares")
     q, p = splits[0]
-    return TwoSquares(p, q)
+    return tuple.__new__(TwoSquares, (p, q))
 
 
-def _primes_below(limit: int) -> list[int]:
+def _odd_sieve(limit: int) -> bytearray:
+    # entry k is 1 for the odd primes k below limit (even entries are not cleared)
     sieve = bytearray([1]) * limit
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(limit - 1) + 1):
+    sieve[1] = 0
+    for p in range(3, isqrt(limit - 1) + 1, 2):
         if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    return [p for p in range(limit) if sieve[p]]
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, limit, 2 * p)))
+    return sieve
 
 
-_TRIAL = 1 << 10  # trial division covers the primes below this
-_ODD_PRIMES = tuple(_primes_below(_TRIAL)[1:])
+# trial division takes out the primes below _TRIAL; a cofactor below
+# _MID^2 = 2^26 is then decided by one gcd with the primes in [_TRIAL, _MID)
+_TRIAL = 1 << 10
+_MID = 1 << 13
+_SIEVE = _odd_sieve(_MID)
+_ODD_PRIMES = tuple(compress(range(3, _TRIAL, 2), _SIEVE[3:_TRIAL:2]))
+_MID_PRIMES = tuple(compress(range(_TRIAL + 1, _MID, 2), _SIEVE[_TRIAL + 1 :: 2]))
 _ODD_PRIMORIAL = prod(_ODD_PRIMES)
+# multiplied in pairs: each pair is below 2^26, one 30-bit digit of a Python
+# int, so the growing product takes half the steps of a plain prod
+_MID_PRIMORIAL = prod(map(mul, _MID_PRIMES[::2], _MID_PRIMES[1::2] + (1,)))
 
 # The first k of these bases decide primality exactly below the paired
 # bound (the least strong pseudoprimes to the first k primes, OEIS A014233).
@@ -165,7 +192,9 @@ def _is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    k = next(k for bound, k in _MR_BOUNDS if n < bound)
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            break
     for b in _MR_BASES[:k]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
@@ -210,16 +239,28 @@ def _rho_factor(n: int) -> int:
 def _factor_rough(n: int, out: dict[int, int], mult: int = 1) -> None:
     # add the factorisation of n > 1, which has no prime factor below _TRIAL,
     # to out with every exponent times mult
-    if n < _TRIAL * _TRIAL or _is_prime(n):
-        out[n] = out.get(n, 0) + mult
-        return
-    r = isqrt(n)
-    if r * r == n:
-        _factor_rough(r, out, 2 * mult)
-        return
-    d = _rho_factor(n)
-    _factor_rough(d, out, mult)
-    _factor_rough(n // d, out, mult)
+    if n >= _MID * _MID:
+        if not _is_prime(n):
+            r = isqrt(n)
+            if r * r == n:
+                _factor_rough(r, out, 2 * mult)
+            else:
+                d = _rho_factor(n)
+                _factor_rough(d, out, mult)
+                _factor_rough(n // d, out, mult)
+            return
+    elif n >= _TRIAL * _TRIAL:
+        # n = p or p*q with _TRIAL < p <= q and p < _MID: the gcd is 1 for a
+        # prime, p when q is not below _MID or equals p, and n when p < q < _MID
+        p = gcd(n, _MID_PRIMORIAL)
+        if p > 1:
+            if p == n:
+                for p in _MID_PRIMES:
+                    if not n % p:
+                        break
+            out[p] = out.get(p, 0) + mult
+            n //= p
+    out[n] = out.get(n, 0) + mult
 
 
 def _gaussian_prime(p: int) -> tuple[int, int]:
@@ -257,7 +298,9 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
     n >>= e2
     if n & 3 == 3:
         return ()  # a prime 3 mod 4 divides n to an odd power
-    factors: list[tuple[int, int]] = []
+    # the input is 2^e2 * scale^2 * prod p^e over the (p, e) in `split`, p = 1 mod 4
+    scale = 1 << (e2 >> 1)
+    split = []
     g = gcd(n, _ODD_PRIMORIAL)
     for p in _ODD_PRIMES:
         if g == 1:
@@ -271,23 +314,22 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
         while not n % p:
             n //= p
             e += 1
-        if p & 3 == 3 and e & 1:
-            return ()  # before any work on the cofactor
-        factors.append((p, e))
-    if n > 1:
-        rough: dict[int, int] = {}
-        _factor_rough(n, rough)
-        factors += rough.items()
-    # the input is 2^e2 * scale^2 * prod p^e over the (p, e) in `split`, p = 1 mod 4
-    scale = 1 << (e2 >> 1)
-    split = []
-    for p, e in factors:
         if p & 3 == 1:
             split.append((p, e))
         elif e & 1:
-            return ()
+            return ()  # before any work on the cofactor
         else:
             scale *= p ** (e >> 1)
+    if n > 1:
+        rough: dict[int, int] = {}
+        _factor_rough(n, rough)
+        for p, e in rough.items():
+            if p & 3 == 1:
+                split.append((p, e))
+            elif e & 1:
+                return ()
+            else:
+                scale *= p ** (e >> 1)
     # Gaussian integers x + iy of norm n, one per class under units:
     # (1+i)^e2 = 2^(e2//2) (1+i)^(e2%2) up to a unit, times pi^j conj(pi)^(e-j)
     zs = [(scale, scale) if e2 & 1 else (scale, 0)]

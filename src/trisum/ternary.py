@@ -57,6 +57,10 @@ class TernaryRep(NamedTuple):
     z: int
 
 
+# built with tuple.__new__, which is what the NamedTuple's own __new__
+# calls, without its keyword handling
+
+
 def _check_modulus(t: int) -> int:
     if t not in MODULI:
         raise ValueError(f"modulus must be one of {MODULI}, got {t!r}")
@@ -85,7 +89,7 @@ def _rep_universal(total: int, parity: int, farther: bool) -> TernaryRep:
         a, mate = r2, r1
     else:
         a, mate = r1, r2
-    return TernaryRep(a // 2, (s + mate - 1) // 2, (abs(s - mate) - 1) // 2)
+    return tuple.__new__(TernaryRep, (a // 2, (s + mate - 1) // 2, (abs(s - mate) - 1) // 2))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -153,7 +157,7 @@ def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
         r, w = (b, c) if b & 1 == 0 else (c, b)
         p, q = w, a
     x, y = _balance_raw(p, q, t)
-    return TernaryRep((x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k))
+    return tuple.__new__(TernaryRep, ((x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k)))
 
 
 @lru_cache(maxsize=1 << 15)

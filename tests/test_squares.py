@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -100,6 +101,45 @@ def test_no_remainder_the_scan_reaches_splits_below_its_root():
     for m in (*filter(_eligible_by_definition, range(200001)), *seeded):
         for a in range(three_squares(m).a + 1):
             assert all(q >= a for q, _ in squares._two_square_splits(m - a * a)), (m, a)
+
+
+def _skipped_roots(m, stop):
+    # the a below stop that three_squares skips for m = 2 mod 4: a = 0 mod 4
+    # for m = 6 mod 8, a = 2 mod 4 for m = 2 mod 8
+    return range(0 if m & 4 else 2, stop, 4)
+
+
+def test_remainders_the_mod_8_rule_skips_have_no_split():
+    # each remainder is 6 mod 8 (module docstring); below 2*10^5 against every
+    # sum of two squares, at every a up to isqrt(m // 3), and on seeded m
+    # below 2^40 against the scan, at every a up to the triple's first root
+    limit = 200000
+    sums = bytearray(limit + 1)
+    for q in range(math.isqrt(limit) + 1):
+        for p in range(q, math.isqrt(limit - q * q) + 1):
+            sums[q * q + p * p] = 1
+    for m in range(2, limit + 1, 4):
+        assert not any(sums[m - a * a] for a in _skipped_roots(m, math.isqrt(m // 3) + 1)), m
+    rng = random.Random(2826)
+    for _ in range(2000):
+        m = rng.randrange(1 << 40) >> 2 << 2 | 2
+        for a in _skipped_roots(m, three_squares(m).a + 1):
+            assert _splits_by_scan(m - a * a) == (), (m, a)
+
+
+def test_three_squares_lists_no_remainder_6_mod_8(monkeypatch):
+    listed = []
+    real = squares._two_square_splits
+
+    def spy(r):
+        listed.append(r)
+        return real(r)
+
+    monkeypatch.setattr(squares, "_two_square_splits", spy)
+    rng = random.Random(68)
+    for m in (*range(2, 20001, 4), *(rng.randrange(1 << 40) >> 2 << 2 | 2 for _ in range(2000))):
+        three_squares(m)
+    assert listed and not [r for r in listed if r & 7 == 6]
 
 
 @pytest.mark.parametrize(
@@ -295,9 +335,96 @@ def test_large_splits_need_rho_and_square_roots():
     assert two_squares(m) == (splits[0][1], splits[0][0])
 
 
+# --- below 2^26 a rough cofactor is decided without Miller-Rabin or rho ---
+
+# listings pinned before the gcd stage decided the cofactors below 2^26;
+# the digest must not move when the factoring inside the listing changes
+LISTING_DIGEST = "c02ecb1e4662e16ed3e9526b6c11d2df22bbeb82026689d146aa64ee16cd5cd7"
+
+# cofactors on both sides of the gcd stage's limits: products of the
+# primes in [2^10, 2^13), alone, squared, times a prime above 2^13 and
+# times small factors, and the values around 2^26
+_LISTING_EDGES = (
+    1031 * 1033,
+    1031**2,
+    8179 * 8191,  # 66,994,189
+    8191**2,  # 67,092,481
+    67108837,  # the largest prime 1 mod 4 below 2^26
+    67108859,  # the largest prime 3 mod 4 below 2^26
+    *((1 << 26) + d for d in range(-15, 16, 2)),
+    1031 * 8209,
+    1033 * 8221,
+    1031 * 65089,
+    1033 * 64951,
+    4093 * 16381,
+    1033 * 1049 * 1061,  # three mid-range primes, above 2^26
+    8191 * 8209,  # above 2^26
+    8209 * 8221,  # the least product of two primes above 2^13, above 2^26
+    2 * 8179 * 8191,
+    25 * 8191**2,
+    5 * 1033 * 1049,
+)
+
+
+def _listing_inputs():
+    rng = random.Random(26)
+    for _ in range(20000):
+        yield rng.randrange(1 << 20, 1 << 27)
+    yield from _LISTING_EDGES
+
+
+def test_listing_matches_its_pinned_digest():
+    squares._two_square_splits.cache_clear()
+    h = hashlib.sha256()
+    for n in _listing_inputs():
+        h.update(f"{n} {squares._two_square_splits(n)!r}\n".encode())
+    assert h.hexdigest() == LISTING_DIGEST
+
+
+@pytest.mark.parametrize("n", _LISTING_EDGES)
+def test_listing_edges_match_the_scan(n):
+    squares._two_square_splits.cache_clear()
+    assert squares._two_square_splits(n) == _splits_by_scan(n)
+
+
+def _refuse(name):
+    def call(*args):
+        raise AssertionError(f"{name}{args} called below 2^26")
+
+    return call
+
+
+def test_listings_below_two_to_the_26_need_no_primality_test(monkeypatch):
+    monkeypatch.setattr(squares, "_is_prime", _refuse("_is_prime"))
+    monkeypatch.setattr(squares, "_rho_factor", _refuse("_rho_factor"))
+    squares._two_square_splits.cache_clear()
+    rng = random.Random(2026)
+    for n in (*(rng.randrange(1 << 20, 1 << 26) for _ in range(20000)), *_LISTING_EDGES):
+        if n < 1 << 26:
+            squares._two_square_splits(n)
+
+
+def test_listings_above_two_to_the_26_still_reach_both(monkeypatch):
+    calls = {"_is_prime": 0, "_rho_factor": 0}
+    for name in calls:
+        real = getattr(squares, name)
+
+        def counted(n, name=name, real=real):
+            calls[name] += 1
+            return real(n)
+
+        monkeypatch.setattr(squares, name, counted)
+    squares._two_square_splits.cache_clear()
+    assert len(squares._two_square_splits(8209 * 8221)) == 2
+    assert len(squares._two_square_splits(536870909 * 1000000009)) == 2
+    assert calls["_is_prime"] > 0 and calls["_rho_factor"] > 0
+
+
 def test_primality_and_gaussian_primes():
     small = {n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))}
     assert squares._ODD_PRIMES == tuple(sorted(p for p in small if 2 < p < 1 << 10))
+    assert squares._MID_PRIMES == tuple(sorted(p for p in small if 1 << 10 < p < 1 << 13))
+    assert squares._MID_PRIMORIAL == math.prod(squares._MID_PRIMES)
     for n in range(1025, 1 << 16, 2):
         assert squares._is_prime(n) == (n in small), n
     # the least strong pseudoprime to the first k prime bases sits on the
