@@ -18,26 +18,16 @@ from .squares import (
     two_squares,
 )
 from .ternary import (
-    COMPOSITE_MODULUS,
     MODULI,
     PreconditionViolated,
     TernaryRep,
-    lift_even_odd_pair,
-    lift_odd_pair,
     rep_2t_t_t,
     rep_square_two_tri,
     rep_tt4t_mixed,
     rep_ttt_mixed,
 )
 from .theorem1 import fallback_count, represent_thm1, reset_fallback_count
-from .theorem2 import (
-    FourSquareForm,
-    branch_counts,
-    four_squares_to_quad2,
-    quad2_to_four_squares,
-    represent_thm2,
-    reset_branch_counts,
-)
+from .theorem2 import branch_counts, represent_thm2, reset_branch_counts
 from .verifier import (
     FORMS,
     BudgetExceeded,
@@ -62,12 +52,9 @@ __all__ = [
     "TwoSquares",
     "three_squares",
     "two_squares",
-    "COMPOSITE_MODULUS",
     "MODULI",
     "PreconditionViolated",
     "TernaryRep",
-    "lift_even_odd_pair",
-    "lift_odd_pair",
     "rep_2t_t_t",
     "rep_square_two_tri",
     "rep_tt4t_mixed",
@@ -75,10 +62,7 @@ __all__ = [
     "fallback_count",
     "represent_thm1",
     "reset_fallback_count",
-    "FourSquareForm",
     "branch_counts",
-    "four_squares_to_quad2",
-    "quad2_to_four_squares",
     "represent_thm2",
     "reset_branch_counts",
     "FORMS",

@@ -160,7 +160,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         print(f"checked {args.random} random large inputs: {failures - before} failures")
 
     branches = branch_counts()
-    summary = " ".join(f"{k}={branches.get(k, 0)}" for k in ("brute", "square", "doubled", "descent"))
+    summary = " ".join(f"{k}={branches.get(k, 0)}" for k in ("brute", "square", "doubled"))
     print(f"theorem-2 branches: {summary}; theorem-1 fallbacks: {fallback_count()}")
     return 1 if failures else 0
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 # Inputs above this bound are rejected at the API boundary so that every
-# intermediate quantity (8n+6, squares near 8n, products with 3965 during
-# validation) stays well inside 64-bit magnitude.
+# intermediate quantity (8n+6, squares near 8n, the 8n+2 whose two-square
+# splits the search lists) stays inside the squares domain, below 2^64.
 MAX_INPUT = 1 << 58
 
 

@@ -1,18 +1,16 @@
-"""Ternary triangular representations and the 3965 lifting lemmas.
+"""Ternary triangular representations.
 
-Three families of results live here:
+Two families of results live here:
 
 * universal ternary representations (x^2+T+T, 2T+T+T), for every input:
   one body splits 4m+1 (4m+2) into three squares, gives the x^2 (2T)
   slot the even (odd) root farther from (closer to) the third root, and
   pairs the other two into the triangular indices;
 * mixed-parity representations T(x) + T(y) + k^2 T(z), k = 1 (T+T+T) or
-  k = 2 (T+T+4T), for inputs n with t^2 | 8n+2+k^2, t in {5, 13, 61}:
-  one body peels the first root of k's parity off the quotient for z and
-  balances the other two into x and y of different parity;
-* the two-square lifts that multiply a sum of two squares by
-  3965 = 5*13*61 while preserving the parity/class constraints, used by
-  the descent step of the second quadruple construction.
+  k = 2 (T+T+4T), for inputs n with t^2 | 8n+2+k^2, t in MODULI: one
+  body peels the first root of k's parity off the quotient for z and
+  balances the other two into x and y of different parity, rotating by
+  t's pair in ROTATION when they share a class mod 4.
 
 All outputs are deterministic because every two/three-square choice below
 delegates to the canonical decompositions in `squares`.  All four ternary
@@ -36,17 +34,16 @@ class PreconditionViolated(ValueError):
     """Arguments fall outside the contract of a lemma-style operation."""
 
 
-MODULI = (5, 13, 61)
-COMPOSITE_MODULUS = 3965  # 5 * 13 * 61
-
-# Rotation pairs (alpha, beta) with alpha^2 + beta^2 = t^2: composing with
-# (p, q) re-represents t^2(p^2+q^2) with swapped mod-4 classes.
-ROTATION = {5: (4, 3), 13: (12, 5), 61: (60, 11)}
-
-# 3965 = 53^2+34^2 = 59^2+22^2 = 46^2+43^2; each pair drives one lift branch.
-ODD_LIFT = (53, 34)
-EVEN_LIFT_WIDE = (59, 22)
-EVEN_LIFT_NARROW = (46, 43)
+# The moduli of the second construction: primes t = 5 mod 8, each with a
+# rotation pair (alpha, beta), alpha^2 + beta^2 = t^2, whose even leg alpha
+# is 0 mod 4 and the larger.  Composing with (p, q) re-represents
+# t^2(p^2+q^2) with swapped mod-4 classes and positive roots.  The paper
+# uses 5, 13 and 61; the other seven take the inputs all three divide.
+MODULI = (5, 13, 61, 149, 157, 181, 269, 317, 389, 421)
+ROTATION = {
+    5: (4, 3), 13: (12, 5), 61: (60, 11), 149: (140, 51), 157: (132, 85),
+    181: (180, 19), 269: (260, 69), 317: (308, 75), 389: (340, 189), 421: (420, 29),
+}  # fmt: skip
 
 
 class TernaryRep(NamedTuple):
@@ -179,52 +176,3 @@ def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
     root congruent to 2 mod 4; that root (scaled by t) feeds the 4T slot.
     """
     return _rep_mixed(n, t, 2)
-
-
-def lift_odd_pair(p: int, q: int) -> tuple[int, int]:
-    """Scale an odd two-square pair by 3965, preserving class distinctness.
-
-    Inputs must be odd with distinct residues mod 4; a component equal
-    to 1 may stand in for either class ((+/-1)^2 = 1), which is what the
-    descent base cases near zero need.  Output components are odd, in
-    distinct mod-4 classes, and square-sum to 3965(p^2+q^2).
-    """
-    check_nat(p, "p")
-    check_nat(q, "q")
-    if not (p & 1 and q & 1):
-        raise PreconditionViolated(f"({p}, {q}) must both be odd")
-    if p < q:
-        p, q = q, p
-    if p % 4 != q % 4:
-        alpha, beta = ODD_LIFT
-    elif p == 1 or q == 1:
-        # same literal class, but the wildcard 1 is reassigned to the
-        # other class; the (46, 43) composition keeps both outputs odd
-        alpha, beta = EVEN_LIFT_NARROW
-    else:
-        raise PreconditionViolated(
-            f"({p}, {q}) lie in the same class mod 4 and neither is 1"
-        )
-    return alpha * p - beta * q, beta * p + alpha * q
-
-
-def lift_even_odd_pair(p: int, q: int) -> tuple[int, int]:
-    """Scale an (even, odd) two-square pair by 3965, keeping the shape.
-
-    Returns (P even, Q odd) with P^2 + Q^2 = 3965(p^2+q^2) and P >= Q-1.
-    The composition follows the magnitude split: (59, 22) when p > 5q,
-    else (46, 43).  Near the boundary (reachable only from the descent's
-    w = 2A+1 edge) the computation is done with signed arithmetic, made
-    positive, and reassigned by parity.  The chosen pair always meets the
-    size constraint: (59, 22) needs 37p >= 81q - 1, true for p > 5q, and
-    (46, 43) needs 3p <= 89q + 1, true for p <= 5q.
-    """
-    check_nat(p, "p")
-    check_nat(q, "q")
-    if p & 1 or not q & 1:
-        raise PreconditionViolated(f"({p}, {q}) must be (even, odd)")
-    alpha, beta = EVEN_LIFT_WIDE if p > 5 * q else EVEN_LIFT_NARROW
-    big, small = abs(alpha * p - beta * q), abs(beta * p + alpha * q)
-    if big & 1:
-        big, small = small, big
-    return big, small

@@ -1,6 +1,7 @@
 """Constructive witnesses for 2a(2a-1) + b(2b-1) + 2c(2c+1) + d(2d+1).
 
-One rule serves every input.  Pick the smallest modulus t in {5, 13, 61}
+One rule serves every input.  Pick the first modulus t in MODULI, the
+paper's 5, 13 and 61 and then 149, 157, 181, 269, 317, 389 and 421,
 coprime to 4n+3.  If 4n+3 is a quadratic residue mod t, peel off A^2,
 else 2A^2 ("doubled"); write k = 1 or 2 for the two shapes.  A is drawn
 from a residue class mod t^2; the mixed ternary representations write
@@ -11,19 +12,18 @@ index pair and the ternary's (x, y) each fill one odd and one even slot.
 Offsets are tried largest first and come from class arithmetic, not a
 scan: one loop walks the multiples of t^2 down from the root's, and an
 inner loop adds each residue of the class of 4n+3, so a candidate costs
-O(1) even for t = 61; candidates above the root are skipped, and so, in
-the square shape, are those that leave n - A^2 odd.  The residues of
-each class are built once, at import, in closed form and in descending
-order, so the inner loop walks them as stored: t is an odd prime coprime
-to k, so a class v coprime to t holds exactly the two roots r and
-t^2 - r of kA^2 = v.  Only those classes are kept: t is coprime to
-4n+3, so 4n+3 never falls in a class divisible by t, and no multiple of
-t is ever an offset.  The class of 4n+3 mod t^2 also fixes the shape:
-every t is 5 mod 8, so 2 is no square mod t, and 4A^2 takes exactly the
-classes coprime to t whose residue mod t is a square, 8A^2 = 2*4A^2
-exactly the others.  So one table per t, keyed by that class, holds the
-shape and the two residues, and no quadratic character is computed per
-input.
+O(1) for every t; candidates above the root are skipped, and so, in the
+square shape, are those that leave n - A^2 odd.  t is coprime to 4n+3,
+so 4n+3 falls in a class v mod t^2 coprime to t, and that class fixes
+the shape: every t is 5 mod 8, so 2 is no square mod t, and 4A^2 takes
+exactly the classes coprime to t whose residue mod t is a square, 8A^2 =
+2*4A^2 exactly the others.  t is an odd prime coprime to k, so such a
+class holds exactly two roots r and t^2 - r of kA^2 = v, and no multiple
+of t is ever an offset.  The shape and the two roots come in closed
+form: Euler's criterion on v mod t, Atkin's square root of v/k mod t
+(t = 5 mod 8), and one Hensel step to mod t^2.  A process computes them
+the first time it meets a class and keeps them, so any later input of
+that class reads them from a dict.
 
 Above the size bound n > (6 + sqrt 32)s, s = k t^4, the first candidate
 passes.  Its class holds a residue and its negative mod t^2, of opposite
@@ -46,106 +46,85 @@ the size bound, is the construction.  Above the bound a dry scan is the
 case ruled out above: the search refuses it and the call raises
 ConstructionFailed.  The search finds a witness for every input at or
 below its size bound, so ConstructionFailed cannot happen on a valid
-input: the largest bound is 322797900, and
+input.  That is a finite check, in three parts:
 
-    trisum verify --form thm2 --to 322797900 --full
+* t in {5, 13, 61}: the largest bound is 322797900, and
 
-reports the exceptions () (53.7 s, peak RSS 144 MB; shared 2-vCPU
-host, CPython 3.11.7).
+      trisum verify --form thm2 --to 322797900 --full
 
-When all three moduli divide 4n+3 the problem is shrunk by a factor of
-3965 = 5*13*61 and solved recursively; the small witness is lifted back
-up through a four-square normal form.
+  reports the exceptions () (53.7 s, peak RSS 144 MB; shared 2-vCPU
+  host, CPython 3.11.7).
+* t in {149, 157, 181, 269}: `python3 tools/evidence.py` builds and
+  checks every input that takes t at or below its shape's bound, and
+  prints
+
+      t = 149: 2158986 inputs, bounds 5745481624 and 11490963248, 0 failures
+      t = 157: 17870 inputs, bounds 7082392249 and 14164784499, 0 failures
+      t = 181: 199 inputs, bounds 12511104909 and 25022209819, 0 failures
+      t = 269: 6 inputs, bounds 61036621473 and 122073242947, 0 failures
+      25.5 s, peak RSS 47.7 MB
+
+  (same host).
+
+* t in {317, 389, 421}: an input that takes t has 4n+3 divisible by
+  every smaller modulus, and their product exceeds 4 times t's largest
+  bound plus 3, so no input takes t at or below its bound.
+
+The paper instead stops at 5, 13 and 61: when all three divide 4n+3 it
+divides 4n+3 by 3965 = 5*13*61, solves the smaller input recursively and
+lifts that witness back through a four-square normal form.  This module
+does not follow that descent.  The peel's argument asks of t only that
+it is a prime 5 mod 8 with a rotation pair (ternary.ROTATION), and the
+ten moduli multiply past 4*2^58 + 3, so every input in the domain has a
+coprime t: the construction never recurses, and the descent's lifting
+lemmas and normal form are not needed.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import NamedTuple
 
-from .core_arith import ConstructionFailed, Quad2, _quad, check_nat, eval_quad
-from .ternary import (
-    COMPOSITE_MODULUS,
-    MODULI,
-    lift_even_odd_pair,
-    lift_odd_pair,
-    rep_tt4t_mixed,
-    rep_ttt_mixed,
-)
+from .core_arith import ConstructionFailed, Quad2, _quad, check_nat
+from .ternary import MODULI, rep_tt4t_mixed, rep_ttt_mixed
 from .verifier import BudgetExceeded, brute_quad
 
 
-class FourSquareForm(NamedTuple):
-    """Witness of 4n+3 = u1^2 + u2^2 + 4a^2 + w^2 in normal form.
-
-    u1 is 3 mod 4 (or the wildcard 1), u2 is 1 mod 4, w is odd with
-    w <= 2a + 1.  This is the shape the recursive lifting step preserves.
-    """
-
-    u1: int
-    u2: int
-    a: int
-    w: int
-
-
-# The offset classes, one table per modulus t: each class v mod t^2
-# coprime to t maps to (doubled, residues), the shape that v fixes and the
-# residues A0 of its offsets in descending order, the scan's order; doubled
-# means 8*A0^2 = v instead of 4*A0^2 = v.  The two shapes' classes
-# partition the table (module docstring).  Built in closed form from the
-# roots a <= t^2/2 coprime to t: half the steps of a pass over every A0
-# mod t^2, and paid at every import.  The multiples of t are left out,
-# since t never divides the 4n+3 they would serve.
-_CLASSES: dict[int, dict[int, tuple[bool, tuple[int, int]]]] = {}
-# The peel's size bound per (t, doubled): with s = t^4 (2t^4 when doubled)
-# the module docstring's argument needs n > (6 + sqrt 32)s, that is n > 6s
-# and (n - 6s)^2 > 32s^2; 32s^2 is no square, so for integer n that is
-# n > 6s + isqrt(32s^2).
-_SIZE_BOUND: dict[tuple[int, bool], int] = {}
+def _class(t: int, v: int) -> tuple[bool, tuple[int, int]]:
+    # the class v mod t^2, coprime to t: its shape, by Euler's criterion on
+    # v mod t, and the two roots of kA^2 = v mod t^2 in descending order.
+    # Atkin's square root (t = 5 mod 8) of v/k mod t, then one Hensel step.
+    doubled = pow(v, (t - 1) // 2, t) != 1
+    k, mod = (8 if doubled else 4), t * t
+    w = v * pow(k, -1, t) % t
+    b = pow(2 * w, (t - 5) // 8, t)
+    a = w * b * (2 * w * b * b - 1) % t
+    a = (a - (k * a * a - v) * pow(2 * k * a, -1, t)) % mod
+    return doubled, ((a, mod - a) if 2 * a > mod else (mod - a, a))
 
 
-def _build_tables() -> None:
-    for t in MODULI:
-        mod = t * t
-        # a and mod - a share a class; the two shapes share none
-        _CLASSES[t] = {k * a * a % mod: (k == 8, (mod - a, a)) for k in (4, 8) for a in range(1, mod // 2 + 1) if a % t}
-        for doubled in (False, True):
-            s = 2 * t**4 if doubled else t**4
-            _SIZE_BOUND[t, doubled] = 6 * s + isqrt(32 * s * s)
+# _class's answers, one dict per modulus t keyed by the class of 4n+3 mod
+# t^2, each filled the first time a process meets that class; a hit is a
+# plain dict read.  Multiples of t never occur, since t never divides the
+# 4n+3 it serves.
+_CLASSES: dict[int, dict[int, tuple[bool, tuple[int, int]]]] = {t: {} for t in MODULI}
 
 
-_build_tables()
+def _size_bound(s: int) -> int:
+    # the module docstring's argument needs n > (6 + sqrt 32)s, that is
+    # n > 6s and (n - 6s)^2 > 32s^2; 32s^2 is no square, so for integer n
+    # that is n > 6s + isqrt(32s^2)
+    return 6 * s + isqrt(32 * s * s)
 
 
-def quad2_to_four_squares(n: int, q: Quad2) -> FourSquareForm:
-    """Repackage a witness for n as a four-square witness of 4n+3."""
-    if eval_quad("thm2", q) != n:
-        raise ValueError(f"{tuple(q)} does not represent {n}")
-    a, b, c, d = q
-    return FourSquareForm(abs(4 * a - 1), 4 * c + 1, b + d, abs(2 * b - 2 * d - 1))
+# The peel's size bound per (t, doubled), with s = t^4 (2t^4 when doubled).
+_SIZE_BOUND = {(t, doubled): _size_bound((1 + doubled) * t**4) for t in MODULI for doubled in (False, True)}
 
 
-def four_squares_to_quad2(f: FourSquareForm) -> Quad2:
-    """Inverse of quad2_to_four_squares; rejects malformed witnesses."""
-    u1, u2, a, w = f
-    if u1 < 1 or (u1 != 1 and u1 % 4 != 3):
-        raise ValueError(f"u1={u1} must be 1 or 3 mod 4")
-    if u2 < 1 or u2 % 4 != 1:
-        raise ValueError(f"u2={u2} must be positive and 1 mod 4")
-    if a < 0 or w < 1 or w % 2 == 0 or w > 2 * a + 1:
-        raise ValueError(f"w={w} must be odd and at most 2a+1={2 * a + 1}")
-    # u1 = 2i+1 and u2 = 2j+1 give the (a, c) indices, the wildcard u1 = 1
-    # index -1; the (b, d) slots hold (4a^2 + w^2 - 1)/4 = a^2 + 2T(x),
-    # x = (w-1)/2, split as T(a+x) + T(a-x-1), and w = 2a+1 reaches index -1
-    x = (w - 1) // 2
-    return _quad(Quad2, (u1 - 1) // 2 if u1 % 4 == 3 else -1, (u2 - 1) // 2, a + x, a - x - 1)
-
-
-_branches = dict.fromkeys(("brute", "square", "doubled", "descent"), 0)
+_branches = dict.fromkeys(("brute", "square", "doubled"), 0)
 
 
 def branch_counts() -> dict[str, int]:
-    """How often each strategy (brute/square/doubled/descent) ran; only those that did."""
+    """How often each strategy (brute/square/doubled) ran; only those that did."""
     return {branch: count for branch, count in _branches.items() if count}
 
 
@@ -157,17 +136,18 @@ def represent_thm2(n: int) -> Quad2:
     """Return (a, b, c, d) with 2a(2a-1)+b(2b-1)+2c(2c+1)+d(2d+1) = n."""
     check_nat(n)
     v = 4 * n + 3
+    # the moduli multiply past 4 * MAX_INPUT + 3, so one is coprime to v
     for t in MODULI:
         if v % t:
             break
-    else:
-        _branches["descent"] += 1
-        return _descend(v)
     mod = t * t
     # t is coprime to v, so the class of v holds the shape and the offsets'
-    # residues; these are stored in descending order, so with base
-    # descending too the offsets of [0, start] come largest first
-    doubled, residues = _CLASSES[t][v % mod]
+    # residues; these are in descending order, so with base descending too
+    # the offsets of [0, start] come largest first
+    try:
+        doubled, residues = _CLASSES[t][v % mod]
+    except KeyError:  # the first input of its class in this process
+        doubled, residues = _CLASSES[t][v % mod] = _class(t, v % mod)
     start = isqrt(n // 2) if doubled else isqrt(n)
     for base in range(start - start % mod, -1, -mod):
         for r in residues:
@@ -190,16 +170,7 @@ def represent_thm2(n: int) -> Quad2:
         witness = brute_quad("thm2", n, budget=_SIZE_BOUND[t, doubled])
     except BudgetExceeded as exc:
         raise ConstructionFailed(f"offset scan exhausted for n={n} (t={t}): {exc}") from exc
+    if witness is None:
+        raise ConstructionFailed(f"no witness for n={n} at or below the size bound (t={t})")
     _branches["brute"] += 1
     return Quad2(*witness)
-
-
-def _descend(v: int) -> Quad2:
-    inner_n = (v // COMPOSITE_MODULUS - 3) // 4
-    inner = represent_thm2(inner_n)
-    f = quad2_to_four_squares(inner_n, inner)
-    l1, l2 = lift_odd_pair(f.u1, f.u2)
-    if l1 % 4 == 1:
-        l1, l2 = l2, l1
-    even, odd = lift_even_odd_pair(2 * f.a, f.w)
-    return four_squares_to_quad2(FourSquareForm(l1, l2, even // 2, odd))

@@ -11,25 +11,10 @@ import time
 import pytest
 
 from trisum.core_arith import Quad1, Quad2, eval_quad
-from trisum.ternary import (
-    COMPOSITE_MODULUS,
-    EVEN_LIFT_NARROW,
-    EVEN_LIFT_WIDE,
-    MODULI,
-    ODD_LIFT,
-    _balance_raw,
-    lift_even_odd_pair,
-    lift_odd_pair,
-)
+from trisum.ternary import MODULI, ROTATION, _balance_raw
 from trisum.squares import NotRepresentable, three_squares, two_squares
 from trisum.theorem1 import fallback_count, represent_thm1, reset_fallback_count
-from trisum.theorem2 import (
-    branch_counts,
-    four_squares_to_quad2,
-    quad2_to_four_squares,
-    represent_thm2,
-    reset_branch_counts,
-)
+from trisum.theorem2 import branch_counts, represent_thm2, reset_branch_counts
 from trisum.verifier import brute_quad, verify_range
 
 from oracles import unreached
@@ -63,8 +48,9 @@ def thm2_sweep():
     bad = [n for n in range(10**5 + 1) if eval_quad("thm2", represent_thm2(n)) != n]
     rng = random.Random(SEED)
     large = [rng.randint(10**9, 10**12) for _ in range(RANDOM_LARGE)]
-    # force the recursive branch: make 4n+3 divisible by 5*13*61
-    large += [COMPOSITE_MODULUS * rng.randint(252000, 252000000) + 2973 for _ in range(RANDOM_DESCENT)]
+    # 4n+3 divisible by 5*13*61, the inputs the paper's descent takes and
+    # the construction gives to a modulus past 61
+    large += [3965 * rng.randint(252000, 252000000) + 2973 for _ in range(RANDOM_DESCENT)]
     bad += [n for n in large if eval_quad("thm2", represent_thm2(n)) != n]
     return {"bad": bad, "branches": branch_counts(), "elapsed": time.perf_counter() - t0}
 
@@ -135,7 +121,7 @@ def test_first_form_constructive_to_one_million(thm1_sweep):
 
 def test_second_form_constructive_sweep_and_random(thm2_sweep):
     counts = thm2_sweep["branches"]
-    covered = all(counts.get(k, 0) > 0 for k in ("brute", "square", "doubled", "descent"))
+    covered = all(counts.get(k, 0) > 0 for k in ("brute", "square", "doubled"))
     ok = not thm2_sweep["bad"] and covered
     assert _report(
         ok,
@@ -204,59 +190,32 @@ def test_balance_on_random_inputs():
 
 
 def test_lift_identities_and_closure():
+    # the rotation pairs lift a two-square pair by t^2 when scaling alone
+    # leaves both roots in one class mod 4: every pair splits t^2, and on
+    # seeded same-class pairs the lift is two positive odd roots in
+    # distinct classes
     pairs_ok = all(
-        x * x + y * y == COMPOSITE_MODULUS == 5 * 13 * 61
-        for x, y in (ODD_LIFT, EVEN_LIFT_WIDE, EVEN_LIFT_NARROW)
+        x * x + y * y == t * t and x % 4 == 0 and x > y for t, (x, y) in ROTATION.items()
     )
     rng = random.Random(SEED)
     bad = []
     for _ in range(10**4):
-        if rng.random() < 0.5:
-            p = 2 * rng.randint(0, 500) + 1
-            q = 2 * rng.randint(0, 500) + 1
-            if p % 4 == q % 4 and p != 1 and q != 1:
-                q = q + 2  # move into the other class so the lift applies
-            a, b = lift_odd_pair(p, q)
-            sound = (
-                a * a + b * b == COMPOSITE_MODULUS * (p * p + q * q)
-                and a & 1
-                and b & 1
-                and a % 4 != b % 4
-            )
-        else:
-            p = 2 * rng.randint(0, 500)
-            q = 2 * rng.randint(0, 500) + 1
-            a, b = lift_even_odd_pair(p, q)
-            sound = (
-                a * a + b * b == COMPOSITE_MODULUS * (p * p + q * q)
-                and not a & 1
-                and b & 1
-                and a >= b - 1
-            )
-        if not sound:
-            bad.append((p, q))
-    ok = pairs_ok and not bad
-    assert _report(ok, f"lift constants split 3965 and lifts stay sound on 10^4 pairs (bad={bad[:3]})")
-
-
-def test_four_square_round_trip():
-    rng = random.Random(SEED)
-    bad = []
-    for _ in range(10**4):
-        q = Quad2(*(rng.randint(0, 5000) for _ in range(4)))
-        n = eval_quad("thm2", q)
-        f = quad2_to_four_squares(n, q)
-        checks = (
-            f.u1**2 + f.u2**2 + 4 * f.a**2 + f.w**2 == 4 * n + 3
-            and (f.u1 == 1 or f.u1 % 4 == 3)
-            and f.u2 % 4 == 1
-            and f.w % 2 == 1
-            and f.w <= 2 * f.a + 1
-            and four_squares_to_quad2(f) == q
+        t = rng.choice(MODULI)
+        q = 2 * rng.randint(0, 500) + 1
+        p = q + 4 * rng.randint(0, 250)  # p >= q, both in q's class mod 4
+        a, b = _balance_raw(p, q, t)
+        sound = (
+            a * a + b * b == t * t * (p * p + q * q)
+            and a > 0
+            and b > 0
+            and a & 1
+            and b & 1
+            and a % 4 != b % 4
         )
-        if not checks:
-            bad.append(tuple(q))
-    assert _report(not bad, f"four-square normal form round-trips on 10^4 quads (bad={bad[:3]})")
+        if not sound:
+            bad.append((p, q, t))
+    ok = pairs_ok and not bad
+    assert _report(ok, f"rotation pairs split t^2 and lifts stay sound on 10^4 pairs (bad={bad[:3]})")
 
 
 # ------------------------------------- sweep vs. independent enumeration

@@ -154,6 +154,9 @@ class TestSelftest:
         assert code == 0
         assert "checked 301 inputs against brute force: 0 failures" in out
         assert "theorem-2 branches:" in out
+        # one count per branch; the paper's descent is no branch of the construction
+        summary = out.split("theorem-2 branches: ", 1)[1].split(";", 1)[0]
+        assert [kv.split("=")[0] for kv in summary.split()] == ["brute", "square", "doubled"]
 
     def test_with_random_inputs(self, capsys):
         code, out, _ = run(capsys, "selftest", "--to", "20", "--random", "5", "--seed", "11")

@@ -105,8 +105,8 @@ def test_split_slots_match_the_checked_split():
 
 @pytest.mark.parametrize("a", [0, 1, 2, 7, 300])
 def test_split_slots_at_a_equal_x(a):
-    # four_squares_to_quad2 reaches a == x (w = 2a+1): the indices are
-    # (2a, -1), and index -1 puts a zero in the odd slot
+    # the edge a == x of the split: the indices are (2a, -1), and index -1
+    # puts a zero in the odd slot
     assert _split(a, a) == _split_slots(a, a) == _slots(2 * a, -1) == (0, a)
     assert _quad(Quad2, 2 * a, -1, -1, 2 * a) == Quad2(0, 0, a, a)
     assert a * (2 * a + 1) == a * a + 2 * _tri(a)

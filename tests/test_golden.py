@@ -3,10 +3,13 @@
 One sha256 over the repr of every output (as a plain tuple) or error
 (type and message) of a fixed set of calls.  A change that is meant to
 keep every witness bit for bit keeps this digest; a change that alters
-an output on purpose has to re-pin it, and say why.  Two more digests,
-built the same way, pin brute_quad's first witnesses on both sides of
-its pair table's limit, and three_squares and two_squares on every m up
-to 2^16, the range a separate q-scan once served.
+an output on purpose has to re-pin it, and say why.  GOLDEN_PEEL pins
+the same calls without the represent_thm2 inputs whose 4n+3 all of 5, 13
+and 61 divide, the ones a modulus past 61 took over from the paper's
+descent.  Two more digests, built the same way, pin brute_quad's first
+witnesses on both sides of its pair table's limit, and three_squares and
+two_squares on every m up to 2^16, the range a separate q-scan once
+served.
 """
 
 import hashlib
@@ -18,7 +21,8 @@ from trisum.theorem1 import represent_thm1
 from trisum.theorem2 import represent_thm2
 from trisum.verifier import FORMS, brute_quad
 
-GOLDEN = "a134a8b67418ebb386a62fa1e7586477bc4805bf73575e94435141f50339f071"
+GOLDEN = "34e2b6c7778fd63ebacae43aad6a6cf61fb55e42a688b34be4433614bacd0b58"
+GOLDEN_PEEL = "88530476c43176fde10ae3eb397b5858e796ca3893162c0cb05ca4c5d0ec923e"
 GOLDEN_BRUTE = "7b4de024f59969fb50bb5e9356c49cb5ce1fa3ef61feafe24dfe09f185fb3c6b"
 GOLDEN_SQUARES = "790112cf95567fa5222d56d54cd6a0ac905207e8e13f44a5dbfdaa47c0a89414"
 
@@ -73,6 +77,12 @@ def golden_digest() -> str:
 
 def test_outputs_match_the_golden_digest():
     assert golden_digest() == GOLDEN
+
+
+def test_outputs_off_the_descent_inputs_match_their_digest():
+    calls = [(fn, x) for fn, x in _calls() if fn is not represent_thm2 or (4 * x + 3) % 3965]
+    assert len(calls) == sum(1 for _ in _calls()) - 5  # 2973, 6938, 10903, 14868, 18833
+    assert _digest(calls) == GOLDEN_PEEL
 
 
 def _brute_inputs():

@@ -96,8 +96,8 @@ def test_readme_command_lines_exit_zero(capsys):
 
 
 # one input per branch, with the witness and the `decompose --json` line it
-# gives; the theorem-2 branch is read from the tally (the descent's inner
-# input takes the brute branch)
+# gives; the theorem-2 branch is read from the tally (2973, which the
+# paper's descent took, is dry at t = 149)
 @pytest.mark.parametrize(
     "theorem, n, branch, witness",
     [
@@ -107,7 +107,7 @@ def test_readme_command_lines_exit_zero(capsys):
         (2, 2369, "brute", (0, 31, 4, 14)),
         (2, 20002, "square", (18, 63, 24, 65)),
         (2, 20001, "doubled", (48, 19, 50, 6)),
-        (2, 2973, "descent", (1, 1, 22, 22)),
+        (2, 2973, "brute", (0, 13, 2, 36)),
     ],
 )
 def test_witness_type_in_every_branch(capsys, theorem, n, branch, witness):

@@ -9,18 +9,12 @@ from trisum import ternary
 from trisum.core_arith import MAX_INPUT
 from trisum.squares import three_squares, two_squares
 from trisum.ternary import (
-    COMPOSITE_MODULUS,
-    EVEN_LIFT_NARROW,
-    EVEN_LIFT_WIDE,
     MODULI,
-    ODD_LIFT,
     ROTATION,
     PreconditionViolated,
     _parity_split,
     TernaryRep,
     _balance_raw,
-    lift_even_odd_pair,
-    lift_odd_pair,
     rep_2t_t_t,
     rep_square_two_tri,
     rep_tt4t_mixed,
@@ -44,11 +38,15 @@ _SHAPES = {
 
 
 def test_constants_are_two_square_splittings():
-    assert COMPOSITE_MODULUS == 5 * 13 * 61
-    for pair in (ODD_LIFT, EVEN_LIFT_WIDE, EVEN_LIFT_NARROW):
-        assert pair[0] ** 2 + pair[1] ** 2 == COMPOSITE_MODULUS
+    # each modulus is a prime 5 mod 8 whose rotation pair splits t^2 with
+    # the even leg 0 mod 4 and the larger, and the moduli multiply past
+    # 4 * MAX_INPUT + 3, so every 4n+3 has one coprime to it
+    assert tuple(ROTATION) == MODULI
     for t, (alpha, beta) in ROTATION.items():
         assert alpha**2 + beta**2 == t * t
+        assert t % 8 == 5 and all(t % d for d in range(2, math.isqrt(t) + 1)), t
+        assert alpha % 4 == 0 and alpha > beta, t
+    assert math.prod(MODULI) > 4 * MAX_INPUT + 3
 
 
 def test_universal_rep_known_values():
@@ -126,20 +124,18 @@ def test_mixed_rep_preconditions():
 
 @moduli
 def test_mixed_reps_evaluate_back_and_mix_parity(t):
+    # the first 300 eligible n of each shape: 8n+3 (8n+6) = t^2 * q with
+    # q = 3 (6) mod 8, since t^2 = 1 mod 8
     tt = t * t
     hits = 0
-    for n in range(20000):
-        if (8 * n + 3) % tt == 0:
-            rep = rep_ttt_mixed(n, t)
-            assert _SHAPES[rep_ttt_mixed](*rep) == n
+    for rep_fn, c in ((rep_ttt_mixed, 3), (rep_tt4t_mixed, 6)):
+        for q in range(c, 2400, 8):
+            n = (tt * q - c) // 8
+            rep = rep_fn(n, t)
+            assert _SHAPES[rep_fn](*rep) == n
             assert (rep.x ^ rep.y) & 1, (n, t)
             hits += 1
-        if (8 * n + 6) % tt == 0:
-            rep = rep_tt4t_mixed(n, t)
-            assert _SHAPES[rep_tt4t_mixed](*rep) == n
-            assert (rep.x ^ rep.y) & 1, (n, t)
-            hits += 1
-    assert hits > 0
+    assert hits == 600
 
 
 @pytest.mark.parametrize("rep_fn", [rep_ttt_mixed, rep_tt4t_mixed])
@@ -164,8 +160,9 @@ def test_cached_mixed_rep_equals_the_uncached_one(t, k):
 # --- the doubled shape with an odd first root balances the split it holds ---
 
 # t^2 | 8n+6 at these n, and three_squares((8n+6)/t^2) is (a, b, c) with odd a:
-# (1, 1, 2) for the first of each t, (3, 5, 6) for the second
-_ODD_FIRST_ROOT = {5: (18, 218), 13: (126, 1478), 61: (2790, 32558)}
+# (1, 1, 2) for the first of each t, (3, 5, 6) for the second; t^2 = 1 mod 8,
+# so the quotients 6 and 70 give integer n (18 and 218 for t = 5)
+_ODD_FIRST_ROOT = {t: tuple((t * t * m - 6) // 8 for m in (6, 70)) for t in MODULI}
 
 
 def _even_root(tri):
@@ -235,81 +232,6 @@ def test_mixed_rep_failures_are_not_cached():
             rep_ttt_mixed(10, 5)
         with pytest.raises(PreconditionViolated):
             rep_tt4t_mixed(10, 5)
-
-
-def test_lift_odd_pair_known_values():
-    assert lift_odd_pair(3, 1) == (125, 155)
-    assert lift_odd_pair(5, 3) == (163, 329)
-    assert lift_odd_pair(5, 1) == (187, 261)
-    assert lift_odd_pair(1, 1) == (3, 89)
-    # argument order must not matter
-    assert lift_odd_pair(1, 3) == lift_odd_pair(3, 1)
-
-
-def test_lift_odd_pair_preconditions():
-    with pytest.raises(PreconditionViolated):
-        lift_odd_pair(3, 3)  # same class, no wildcard component
-    with pytest.raises(PreconditionViolated):
-        lift_odd_pair(2, 1)
-    with pytest.raises(PreconditionViolated):
-        lift_odd_pair(7, 11)
-
-
-@given(
-    p=st.integers(min_value=0, max_value=500).map(lambda k: 2 * k + 1),
-    q=st.integers(min_value=0, max_value=500).map(lambda k: 2 * k + 1),
-)
-@settings(max_examples=300)
-def test_lift_odd_pair_closure(p, q):
-    if p % 4 == q % 4 and p != 1 and q != 1:
-        with pytest.raises(PreconditionViolated):
-            lift_odd_pair(p, q)
-        return
-    a, b = lift_odd_pair(p, q)
-    assert a * a + b * b == COMPOSITE_MODULUS * (p * p + q * q)
-    assert a & 1 and b & 1
-    assert a % 4 != b % 4
-    assert a > 0 and b > 0
-
-
-def test_lift_even_odd_pair_known_values():
-    assert lift_even_odd_pair(6, 1) == (332, 191)
-    assert lift_even_odd_pair(4, 1) == (218, 141)
-    assert lift_even_odd_pair(2, 3) == (224, 37)
-    assert lift_even_odd_pair(0, 1) == (46, 43)
-
-
-def test_lift_even_odd_pair_takes_the_preferred_pair():
-    # (59, 22) when p > 5q, else (46, 43): that pair alone always meets
-    # P >= Q - 1, on a dense grid and on both sides of p = 5q
-    grid = [(p, q) for q in range(1, 100, 2) for p in range(0, 40 * q, 2)]
-    edge = [(p, q) for q in range(1, 4000, 2) for p in range(5 * q - 40, 5 * q + 41) if p >= 0 and not p & 1]
-    for p, q in grid + edge:
-        alpha, beta = EVEN_LIFT_WIDE if p > 5 * q else EVEN_LIFT_NARROW
-        big, small = abs(alpha * p - beta * q), abs(beta * p + alpha * q)
-        if big & 1:
-            big, small = small, big
-        assert big >= small - 1, (p, q)
-        assert lift_even_odd_pair(p, q) == (big, small), (p, q)
-
-
-def test_lift_even_odd_pair_preconditions():
-    with pytest.raises(PreconditionViolated):
-        lift_even_odd_pair(1, 2)
-    with pytest.raises(PreconditionViolated):
-        lift_even_odd_pair(2, 2)
-
-
-@given(
-    p=st.integers(min_value=0, max_value=500).map(lambda k: 2 * k),
-    q=st.integers(min_value=0, max_value=500).map(lambda k: 2 * k + 1),
-)
-@settings(max_examples=300)
-def test_lift_even_odd_pair_closure(p, q):
-    a, b = lift_even_odd_pair(p, q)
-    assert a * a + b * b == COMPOSITE_MODULUS * (p * p + q * q)
-    assert not a & 1 and b & 1
-    assert a >= b - 1
 
 
 # the universal representations shift m to 4m+1 and 4m+2, which pass 2^58

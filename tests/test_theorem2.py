@@ -1,7 +1,9 @@
+import importlib.util
 import random
+import re
 from functools import cache
 from itertools import islice
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -11,16 +13,26 @@ from hypothesis import strategies as st
 from trisum import theorem2
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
 from trisum.ternary import MODULI, rep_tt4t_mixed, rep_ttt_mixed
-from trisum.theorem2 import (
-    _CLASSES,
-    FourSquareForm,
-    branch_counts,
-    four_squares_to_quad2,
-    quad2_to_four_squares,
-    represent_thm2,
-    reset_branch_counts,
-)
+from trisum.theorem2 import _class, branch_counts, represent_thm2, reset_branch_counts
 from trisum.verifier import DEFAULT_BUDGET, brute_quad
+
+ROOT = Path(__file__).resolve().parent.parent
+PAPER_MODULI = MODULI[:3]  # the paper's 5, 13 and 61; the rest take what all three divide
+
+
+def _load_evidence():
+    spec = importlib.util.spec_from_file_location("evidence", ROOT / "tools" / "evidence.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _old_table(t):
+    # the class table theorem2 built at import for the paper's moduli, kept
+    # as the reference: each class v mod t^2 coprime to t maps to (doubled,
+    # residues), from the roots a <= t^2/2 coprime to t
+    mod = t * t
+    return {k * a * a % mod: (k == 8, (mod - a, a)) for k in (4, 8) for a in range(1, mod // 2 + 1) if a % t}
 
 
 @cache
@@ -59,10 +71,12 @@ def _offset_candidates(n, t, doubled):
 
 class TestOffsets:
     def test_congruence_classes(self):
-        # residues are stored in descending order, the order the scan takes
-        assert _CLASSES[5][11] == (False, (22, 3))
-        assert _CLASSES[5][7] == (True, (23, 2))
-        assert _CLASSES[5][11][0] is False  # 11 is no doubled class
+        # residues come in descending order, the order the scan takes
+        assert _class(5, 11) == (False, (22, 3))
+        assert _class(5, 7) == (True, (23, 2))
+        assert _class(5, 11)[0] is False  # 11 is no doubled class
+        # 4A^2 = 1 mod 149^2 has the roots (149^2 +- 1)/2
+        assert _class(149, 1) == (False, (11101, 11100))
 
     def test_congruence_classes_satisfy_their_congruence(self):
         # every class sits under the residue of its own square, every A0 mod
@@ -70,11 +84,12 @@ class TestOffsets:
         # descends: so each entry is exactly the congruence's solutions as a
         # descending scan of all A0 lists them (t never divides the 4n+3 a
         # multiple of t would serve)
-        for t in MODULI:
+        for t in PAPER_MODULI:
             mod = t * t
+            every = {v: _class(t, v) for v in range(mod) if v % t}
             for doubled in (False, True):
                 k = 8 if doubled else 4
-                table = {v: classes for v, (shape, classes) in _CLASSES[t].items() if shape == doubled}
+                table = {v: classes for v, (shape, classes) in every.items() if shape == doubled}
                 for v, classes in table.items():
                     assert all(k * a0 * a0 % mod == v for a0 in classes), (v, t, doubled)
                     # the scan walks them as stored; the closed form builds
@@ -86,22 +101,55 @@ class TestOffsets:
 
     def test_the_class_fixes_the_shape(self):
         # t is 5 mod 8, so the two shapes' classes partition those coprime
-        # to t: the table's keys are exactly these, each one's shape is
-        # Euler's criterion on v mod t, and its residues are the two roots
-        # of kA^2 = v in descending order
-        for t in MODULI:
+        # to t: the old table's keys are exactly these, the closed form
+        # gives each the old table's entry, each one's shape is Euler's
+        # criterion on v mod t, and its residues are the two roots of
+        # kA^2 = v in descending order
+        for t in PAPER_MODULI:
             mod = t * t
-            table = _CLASSES[t]
+            table = _old_table(t)
             assert sorted(table) == [v for v in range(mod) if v % t], t
+            assert table == {v: _class(t, v) for v in table}, t
             for v, (doubled, residues) in table.items():
                 assert doubled == (pow(v % t, (t - 1) // 2, t) == t - 1), (v, t)
                 assert list(residues) == sorted(_classes(v, t, doubled), reverse=True), (v, t)
                 assert len(residues) == 2, (v, t)
 
+    @pytest.mark.parametrize("t", MODULI[3:])
+    def test_closed_form_past_the_paper_moduli(self, t):
+        # seeded classes: the shape is Euler's criterion, and the two roots
+        # of kA^2 = v mod t^2 descend and sum to t^2
+        mod = t * t
+        rng = random.Random(t)
+        for _ in range(2000):
+            v = rng.randrange(1, mod)
+            if v % t == 0:
+                continue
+            doubled, (r1, r2) = _class(t, v)
+            k = 8 if doubled else 4
+            assert doubled == (pow(v, (t - 1) // 2, t) == t - 1), (v, t)
+            assert k * r1 * r1 % mod == v and k * r2 * r2 % mod == v, (v, t)
+            assert r1 > r2 and r1 + r2 == mod, (v, t)
+
+    def test_a_class_is_computed_once_per_process(self, monkeypatch):
+        # the first input of a class fills the memo; the next one reads it
+        calls = []
+
+        def spy(t, v):
+            calls.append((t, v))
+            return _class(t, v)
+
+        monkeypatch.setattr(theorem2, "_CLASSES", {t: {} for t in MODULI})
+        monkeypatch.setattr(theorem2, "_class", spy)
+        represent_thm2(20002)
+        represent_thm2(20002 + 25)  # 4n+3 moves by 100, so the class mod 25 stays
+        assert calls == [(5, (4 * 20002 + 3) % 25)]
+        assert theorem2._CLASSES[5] == {(4 * 20002 + 3) % 25: _class(5, (4 * 20002 + 3) % 25)}
+
     def test_congruence_takes_targets_above_the_input_bound(self):
         # v = 4n+3 exceeds MAX_INPUT for every n above (2^58-3)//4
         n = MAX_INPUT
-        for t in MODULI:
+        for t in PAPER_MODULI:
             doubled = not _classes(4 * n + 3, t, False)
             got = list(islice(_offset_candidates(n, t, doubled), 20))
             assert len(got) == 20
@@ -163,8 +211,7 @@ class TestOffsetCandidatesMatchTheScan:
 
     def test_start_below_the_smallest_residue(self):
         # classes 1803 and 1918 mod 61^2, but A may not exceed isqrt(50) = 7
-        assert _CLASSES[61][403][0] is True
-        assert sorted(_CLASSES[61][403][1]) == [1803, 1918]
+        assert _class(61, 403) == (True, (1918, 1803))
         assert list(_offset_candidates(100, 61, True)) == []
 
 
@@ -205,8 +252,6 @@ class TestOffsetLoopTriesTheReferencePrefix:
             t, doubled = _selects(n)
             asked.clear()
             assert eval_quad("thm2", represent_thm2(n)) == n
-            if t is None:
-                continue  # the descent asks on behalf of its inner input
             assert all(shape == doubled for shape, _ in asked), n
             tried = [_offset_of(n, doubled, m) for _, m in asked]
             expected = []
@@ -224,55 +269,9 @@ class TestOffsetLoopTriesTheReferencePrefix:
         assert all(kind_of[n] == "later" for n in self.LATER)
         assert all(kind_of[n] == "dry" for n in self.DRY)
         assert all(kind_of[n] == "first" for n in self.FIRST)
-        for t in MODULI:
+        for t in PAPER_MODULI:
             assert kinds[t, False] == {"first", "dry"}, t
             assert kinds[t, True] == {"first", "later", "dry"}, t
-
-
-class TestFourSquareBridge:
-    def test_known_values(self):
-        assert quad2_to_four_squares(0, Quad2(0, 0, 0, 0)) == FourSquareForm(1, 1, 0, 1)
-        assert quad2_to_four_squares(7, Quad2(0, 1, 1, 0)) == FourSquareForm(1, 5, 1, 1)
-        assert quad2_to_four_squares(20002, Quad2(18, 63, 24, 65)) == FourSquareForm(71, 97, 128, 5)
-        assert four_squares_to_quad2(FourSquareForm(1, 1, 0, 1)) == Quad2(0, 0, 0, 0)
-        assert four_squares_to_quad2(FourSquareForm(71, 97, 128, 5)) == Quad2(18, 63, 24, 65)
-        assert four_squares_to_quad2(FourSquareForm(1, 5, 1, 1)) == Quad2(0, 1, 1, 0)
-
-    def test_forward_rejects_wrong_n(self):
-        with pytest.raises(ValueError):
-            quad2_to_four_squares(8, Quad2(0, 1, 1, 0))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            FourSquareForm(2, 1, 0, 1),  # u1 even
-            FourSquareForm(5, 1, 0, 1),  # u1 = 1 mod 4 but not the wildcard
-            FourSquareForm(3, 3, 0, 1),  # u2 = 3 mod 4
-            FourSquareForm(3, 1, 1, 2),  # w even
-            FourSquareForm(3, 1, 1, 5),  # w > 2a+1
-            FourSquareForm(3, 1, -1, 1),
-        ],
-    )
-    def test_inverse_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            four_squares_to_quad2(bad)
-
-    @given(
-        a=st.integers(min_value=0, max_value=2000),
-        b=st.integers(min_value=0, max_value=2000),
-        c=st.integers(min_value=0, max_value=2000),
-        d=st.integers(min_value=0, max_value=2000),
-    )
-    @settings(max_examples=300)
-    def test_round_trip_is_exact(self, a, b, c, d):
-        q = Quad2(a, b, c, d)
-        n = eval_quad("thm2", q)
-        f = quad2_to_four_squares(n, q)
-        assert f.u1 * f.u1 + f.u2 * f.u2 + 4 * f.a * f.a + f.w * f.w == 4 * n + 3
-        assert f.u1 == 1 or f.u1 % 4 == 3
-        assert f.u2 % 4 == 1
-        assert f.w % 2 == 1 and f.w <= 2 * f.a + 1
-        assert four_squares_to_quad2(f) == q
 
 
 class TestRepresent:
@@ -282,9 +281,10 @@ class TestRepresent:
         assert represent_thm2(20001) == Quad2(48, 19, 50, 6)
 
     def test_known_descent_witnesses(self):
-        # 4n+3 divisible by 5, 13 and 61 forces the recursive branch
-        assert represent_thm2(2973) == Quad2(1, 1, 22, 22)
-        assert represent_thm2(6938) == Quad2(1, 21, 22, 45)
+        # 4n+3 divisible by 5, 13 and 61: the paper's descent took these,
+        # the construction takes t = 149, and here the offsets run dry
+        assert represent_thm2(2973) == Quad2(0, 13, 2, 36)
+        assert represent_thm2(6938) == Quad2(0, 25, 3, 53)
 
     def test_branch_accounting(self):
         reset_branch_counts()
@@ -293,8 +293,8 @@ class TestRepresent:
         represent_thm2(20001)
         represent_thm2(2973)
         counts = branch_counts()
-        # the descent on 2973 recurses into a brute-sized input
-        assert counts == {"brute": 2, "square": 1, "doubled": 1, "descent": 1}
+        # 2973, which the paper's descent took, is dry at t = 149
+        assert counts == {"brute": 2, "square": 1, "doubled": 1}
 
     def test_branch_counts_lists_what_ran_and_is_a_copy(self):
         reset_branch_counts()
@@ -316,7 +316,8 @@ class TestRepresent:
             assert eval_quad("thm2", represent_thm2(n)) == n
 
     def test_descent_chain_evaluates_back(self):
-        # inputs built so that 4n+3 = 3965^k * small
+        # inputs built so that 4n+3 = 3965^k * small, the paper's descent
+        # chains; the construction takes t = 149 or 157 on each
         for k in (1, 2):
             for inner in range(3, 40, 4):
                 v = inner * 3965**k
@@ -347,7 +348,8 @@ class TestRepresent:
 
     # the top of the domain, where 4n+3 passes 2^58: the first n past that
     # line and its neighbour below, the two largest inputs, and the largest
-    # descent inputs (4n+3 divisible by 3965; MAX_INPUT-1 is one of them)
+    # inputs all three paper moduli divide (4n+3 divisible by 3965;
+    # MAX_INPUT-1 is one of them)
     @pytest.mark.parametrize(
         "n",
         [
@@ -391,8 +393,8 @@ class TestExhaustedOffsetScan:
 
     @pytest.fixture(autouse=True)
     def _no_offsets(self, monkeypatch):
-        empty = {t: {v: (doubled, ()) for v, (doubled, _) in table.items()} for t, table in _CLASSES.items()}
-        monkeypatch.setattr(theorem2, "_CLASSES", empty)
+        monkeypatch.setattr(theorem2, "_CLASSES", {t: {} for t in MODULI})
+        monkeypatch.setattr(theorem2, "_class", lambda t, v: (_class(t, v)[0], ()))
 
     def test_falls_back_to_brute_force_within_the_budget(self):
         # the budget is the size bound; these inputs lie at or below theirs
@@ -413,11 +415,11 @@ class TestExhaustedOffsetScan:
 
 
 def _selects(n):
-    # the modulus t and peel shape for n, computed without theorem2: the first
-    # t in (5, 13, 61) coprime to 4n+3, doubled when 4n+3 is no square mod t
+    # the modulus t and peel shape for n, computed without theorem2: the
+    # first t in MODULI coprime to 4n+3, doubled when 4n+3 is no square mod t
     v = 4 * n + 3
-    t = next((m for m in (5, 13, 61) if v % m), None)
-    return t, t is not None and all((x * x - v) % t for x in range(t))
+    t = next(m for m in (5, 13, 61, 149, 157, 181, 269, 317, 389, 421) if v % m)
+    return t, all((x * x - v) % t for x in range(t))
 
 
 def _big_enough(n, t, doubled):
@@ -465,6 +467,20 @@ class TestOnePeelPath:
             # below the t = 61 size bounds
             (32369918, 61, True, (1850, 2181, 1514, 15)),
             (143280003, 61, False, (961, 5817, 1113, 5786)),
+            # above the bounds of the moduli past 61, which the paper's
+            # descent served
+            (145493979434163, 149, False, (92157, 6030234, 41619, 6030159)),
+            (250153272482408, 149, True, (5585152, 268770, 5585226, 476502)),
+            (336987788279723, 157, False, (6241, 9177248, 151230, 9177483)),
+            (383314316347218, 157, True, (6740709, 351013, 7094351, 39)),
+            (227519327394173, 181, False, (397069, 7519880, 420689, 7519427)),
+            (59276256860063, 181, True, (2800096, 2691, 2641630, 25060)),
+            (279588773059293, 269, False, (567254, 8333760, 353533, 8333625)),
+            (191819345419633, 269, True, (4796402, 202, 4974614, 636521)),
+            (135417528480022278, 317, False, (3043438, 183969949, 178233, 183970741)),
+            (100526427705932848, 317, True, (112081635, 3404658, 112082110, 1495856)),
+            (69790104657984018, 389, False, (2934789, 131960415, 5023324, 131961387)),
+            (283097296330591583, 389, True, (188200100, 4381599, 188003849, 486)),
         ],
     )
     def test_constructive_witnesses(self, n, t, doubled, witness):
@@ -477,25 +493,67 @@ class TestOnePeelPath:
 
 class TestBudgetedSearch:
     def test_size_bounds(self):
-        # a changed bound means re-running the thm2 sweep to the largest one (theorem2 docstring)
+        # a changed bound means re-running the evidence for it (theorem2 docstring)
         bounds = {(5, False): 7285, (5, True): 14571, (13, False): 332931,
-                  (13, True): 665862, (61, False): 161398950, (61, True): 322797900}  # fmt: skip
+                  (13, True): 665862, (61, False): 161398950, (61, True): 322797900,
+                  (149, False): 5745481624, (149, True): 11490963248,
+                  (157, False): 7082392249, (157, True): 14164784499,
+                  (181, False): 12511104909, (181, True): 25022209819,
+                  (269, False): 61036621473, (269, True): 122073242947,
+                  (317, False): 117711370239, (317, True): 235422740478,
+                  (389, False): 266919173641, (389, True): 533838347282,
+                  (421, False): 366192756687, (421, True): 732385513375}  # fmt: skip
         assert theorem2._SIZE_BOUND == bounds
         for (t, doubled), bound in bounds.items():
             for n in range(bound - 3, bound + 4):
                 assert _big_enough(n, t, doubled) == (n > bound), (t, doubled, n)
 
     def test_the_sweep_to_the_largest_bound_is_recorded(self):
-        # the search's side of the proof is a sweep to the largest bound, run
-        # by hand and recorded in README and the module docstring; a changed
-        # bound fails here until that sweep is re-run and its record updated
-        command = f"trisum verify --form thm2 --to {max(theorem2._SIZE_BOUND.values())} --full"
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        # the search's side of the proof, recorded in README and the module
+        # docstring; a changed bound fails here until the evidence for it is
+        # re-run and its record updated.  Three parts: for the paper's moduli
+        # a sweep to their largest bound, run by hand; for the moduli past
+        # them that an input reaches at or below its bound, the evidence
+        # tool's enumeration, with both bounds of each t; and for the rest,
+        # the product of the smaller moduli, which no input at or below the
+        # bound reaches
+        bound = theorem2._SIZE_BOUND
+        command = f"trisum verify --form thm2 --to {max(bound[t, d] for t in PAPER_MODULI for d in (False, True))} --full"
+        reached = [t for i, t in enumerate(MODULI) if i >= 3 and prod(MODULI[:i]) <= 4 * bound[t, True] + 3]
+        assert reached == [149, 157, 181, 269]
+        lines = [rf"t = {t}: \d+ inputs, bounds {bound[t, False]} and {bound[t, True]}, 0 failures" for t in reached]
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         for text in (readme, theorem2.__doc__):
-            assert command in " ".join(text.split())
+            flat = " ".join(text.split())
+            assert command in flat
+            assert "python3 tools/evidence.py" in flat
+            assert all(re.search(line, flat) for line in lines)
+        for i, t in enumerate(MODULI):
+            if t >= 317:
+                assert prod(MODULI[:i]) > 4 * bound[t, True] + 3, t
 
-    # inputs whose offsets run dry: two for each t, at or below their bound
-    @pytest.mark.parametrize("n", [2369, 7631, 112343, 505438, 11999438, 155829293])
+    def test_the_evidence_enumeration_past_149(self):
+        # the evidence tool's generator for every t past 149 that an input
+        # reaches at or below its bound, run in full (t = 149's 2.9 million
+        # inputs are recorded instead): every input takes t, lies at or
+        # below its shape's bound and gets a valid witness, and none is missed
+        evidence = _load_evidence()
+        assert evidence.reached() == [149, 157, 181, 269]
+        for t, expected in ((157, 17870), (181, 199), (269, 6)):
+            got = list(evidence.inputs(t))
+            assert got == sorted(set(got)), t
+            for n in got:
+                assert _selects(n)[0] == t and n <= theorem2._SIZE_BOUND[_selects(n)], (t, n)
+            assert evidence.check(t) == (expected, []), t
+        # the generator's arithmetic against a plain filter on a smaller modulus
+        top = theorem2._SIZE_BOUND[13, True]
+        plain = [n for n in range(3, top + 1, 5) if _selects(n)[0] == 13 and n <= theorem2._SIZE_BOUND[_selects(n)]]
+        assert list(evidence.inputs(13)) == plain
+
+    # inputs whose offsets run dry: two for each t up to 149, at or below
+    # their bound; each t's first is searched with the pair table and
+    # 149's second above it, through the two-square splits
+    @pytest.mark.parametrize("n", [2369, 7631, 112343, 505438, 11999438, 155829293, 2973, 1049733])
     def test_search_below_the_bound_has_a_budget(self, monkeypatch, n):
         budgets = _spy_budgets(monkeypatch)
         witness = represent_thm2(n)
@@ -503,12 +561,21 @@ class TestBudgetedSearch:
         assert budgets == [theorem2._SIZE_BOUND[_selects(n)]]
         assert budgets[0] >= n
 
+    def test_a_search_that_finds_nothing_raises(self, monkeypatch):
+        # a dry input whose budgeted search returns no witness is a typed error
+        monkeypatch.setattr(theorem2, "brute_quad", lambda form, n, budget=None: None)
+        reset_branch_counts()
+        with pytest.raises(ConstructionFailed):
+            represent_thm2(2369)
+        assert branch_counts() == {}
+
 
 class TestFirstCandidateAboveTheBound:
     # the size bound's argument: above it, every input that peels takes the
     # first offset candidate, so exactly one mixed representation is asked for
-    @pytest.mark.parametrize("t,doubled", [(t, d) for t in MODULI for d in (False, True)])
-    def test_one_mixed_rep_per_input(self, monkeypatch, t, doubled):
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
 
         def spied(rep):
@@ -520,6 +587,10 @@ class TestFirstCandidateAboveTheBound:
 
         for name in ("rep_ttt_mixed", "rep_tt4t_mixed"):
             monkeypatch.setattr(theorem2, name, spied(getattr(theorem2, name)))
+        return calls
+
+    @pytest.mark.parametrize("t,doubled", [(t, d) for t in PAPER_MODULI for d in (False, True)])
+    def test_one_mixed_rep_per_input(self, calls, t, doubled):
         bound = theorem2._SIZE_BOUND[t, doubled]
         rng = random.Random(t * 2 + doubled)
         for lo, hi in ((bound + 1, 10 * bound), (10**12, 2 * 10**12 - 1)):
@@ -532,3 +603,28 @@ class TestFirstCandidateAboveTheBound:
                 calls.clear()
                 assert eval_quad("thm2", represent_thm2(n)) == n
                 assert len(calls) == 1, n
+
+    def test_no_input_reaches_421(self):
+        # 4n+3 would be a multiple of the other nine moduli's product, which
+        # is 1 mod 4, so at least 3 times it: past 4 * MAX_INPUT + 3
+        step = prod(MODULI[:-1])
+        assert MODULI[-1] == 421 and step % 4 == 1 and 3 * step > 4 * MAX_INPUT + 3
+
+    @pytest.mark.parametrize("t", MODULI[3:-1])
+    def test_one_mixed_rep_per_input_past_the_paper_moduli(self, calls, t):
+        # seeded inputs above both bounds built as 4n+3 = step * j, with step
+        # the product of the smaller moduli
+        step = prod(MODULI[: MODULI.index(t)])
+        lo, hi = (4 * theorem2._SIZE_BOUND[t, True] + 3) // step + 1, (4 * MAX_INPUT + 3) // step
+        rng = random.Random(t)
+        shapes = {False: 0, True: 0}
+        while min(shapes.values()) < 20:
+            v = step * rng.randint(lo, hi)
+            if v % 4 != 3 or v % t == 0:
+                continue
+            n = (v - 3) // 4
+            assert _selects(n)[0] == t
+            shapes[_selects(n)[1]] += 1
+            calls.clear()
+            assert eval_quad("thm2", represent_thm2(n)) == n
+            assert len(calls) == 1, n

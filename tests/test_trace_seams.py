@@ -53,10 +53,10 @@ def test_every_seam_records(traced):
     # calls go through the module attributes, which are what the tracer wraps
     for n in (150, 10**6 + 1, 10**6):  # brute, odd and even construction
         theorem1.represent_thm1(n)
-    for n in (2369, 20002, 20001, 2973):  # brute, square, doubled, descent
+    for n in (2369, 20002, 20001, 2973):  # brute, square, doubled, brute at t = 149
         theorem2.represent_thm2(n)
     verifier.verify_range("conjecture", 0, 1000)
-    assert theorem2.branch_counts() == {"brute": 2, "square": 1, "doubled": 1, "descent": 1}
+    assert theorem2.branch_counts() == {"brute": 2, "square": 1, "doubled": 1}
 
     recorded = {recorder.names[code] for code in recorder.name}
     assert recorded == {name for _, _, name in tracing.SPANNED}
