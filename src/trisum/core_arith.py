@@ -56,8 +56,8 @@ class ConstructionFailed(ValueError):
     """
 
 
-def check_nat(n: int, name: str = "n", bound: int = MAX_INPUT) -> int:
-    """Validate that *n* is an integer with 0 <= n <= bound (MAX_INPUT by default)."""
+def check_nat(n: int, name: str = "n", bound: float = MAX_INPUT) -> int:
+    """Validate that *n* is an integer with 0 <= n <= bound (MAX_INPUT by default, math.inf for none)."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer, got {type(n).__name__}")
     if n < 0:

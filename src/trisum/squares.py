@@ -95,13 +95,6 @@ class TwoSquares(NamedTuple):
 # __new__ calls, without its keyword handling
 
 
-def _eligible(m: int) -> bool:
-    # Legendre: m is not of the form 4^l(8k+7); m is already validated
-    while m and m % 4 == 0:
-        m //= 4
-    return m % 8 != 7
-
-
 def three_squares(m: int) -> ThreeSquares:
     """Decompose m = a^2 + b^2 + c^2 with a <= b <= c, deterministically.
 
@@ -112,23 +105,26 @@ def three_squares(m: int) -> ThreeSquares:
     0 <= m <= SQUARES_MAX.
     """
     check_nat(m, "m", SQUARES_MAX)
-    if not _eligible(m):
+    # m = 4^l n with n not a multiple of 4: the scan runs on n, and m's
+    # triple is n's times 2^l (module docstring)
+    n, l = m, 0
+    while n and not n & 3:
+        n >>= 2
+        l += 1
+    if n & 7 == 7:  # Legendre
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
-    if m and not m & 3:
-        a, b, c = three_squares(m >> 2)
-        return tuple.__new__(ThreeSquares, (2 * a, 2 * b, 2 * c))
     first: ThreeSquares | None = None
-    # for m = 3 mod 8 an even a leaves 3 mod 4, which no two squares sum to
-    odd = m & 7 == 3
-    for a in range(odd, isqrt(m // 3) + 1, 1 + odd):
-        r = m - a * a
+    # for n = 3 mod 8 an even a leaves 3 mod 4, which no two squares sum to
+    odd = n & 7 == 3
+    for a in range(odd, isqrt(n // 3) + 1, 1 + odd):
+        r = n - a * a
         if r & 7 == 6:
             continue  # twice an odd part 3 mod 4: no split
         for q, p in _two_square_splits(r):
             if a < q < p:
-                return tuple.__new__(ThreeSquares, (a, q, p))
+                return tuple.__new__(ThreeSquares, (a << l, q << l, p << l))
             if first is None:
-                first = tuple.__new__(ThreeSquares, (a, q, p))
+                first = tuple.__new__(ThreeSquares, (a << l, q << l, p << l))
     if first is None:
         raise NotRepresentable(f"no three-square decomposition of {m}")
     return first
@@ -171,11 +167,11 @@ _MID_PRIMORIAL = prod(map(mul, _MID_PRIMES[::2], _MID_PRIMES[1::2] + (1,)))
 
 # The first k of these bases decide primality exactly below the paired
 # bound (the least strong pseudoprimes to the first k primes, OEIS A014233).
+# _factor_rough tests only cofactors from 2^26 up, past the bounds for one,
+# two and three bases (2047, 1373653, 25326001), so the table starts at
+# four bases, which stay exact below 2^26 too.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUNDS = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
     (3215031751, 4),
     (2152302898747, 5),
     (3474749660383, 6),

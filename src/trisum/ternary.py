@@ -18,7 +18,9 @@ representations, universal and mixed, are memoised (an lru_cache of 2^15
 entries each): a construction passes them remainders of about sqrt(n), so
 nearby inputs repeat their arguments.  The values are immutable
 TernaryRep tuples, so one cached value can be shared between callers; a
-raised PreconditionViolated is not cached.
+raised error is not cached.  The two-argument mixed caches are typed:
+an untyped key (9.0, 5) equals (9, 5), so a hit would skip the check
+that rejects 9.0.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class TernaryRep(NamedTuple):
 
 
 def _check_modulus(t: int) -> int:
-    if t not in MODULI:
+    if not isinstance(t, int) or t not in MODULI:  # 5.0 == 5 is in MODULI
         raise ValueError(f"modulus must be one of {MODULI}, got {t!r}")
     return t
 
@@ -142,22 +144,20 @@ def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     m, rest = divmod(8 * n + 2 + k * k, t * t)
     if rest:
         raise PreconditionViolated(f"{t}^2 does not divide 8n+{2 + k * k} for n={n}")
-    a, b, c = three_squares(m)
-    if a & 1 == k & 1:
-        r = a
+    tri = three_squares(m)
+    r, q, p = _parity_split(tri, k & 1)
+    if r == tri[0]:
         p, q = two_squares(m - r * r)  # three_squares has just listed it
-    else:
-        # k = 2, and m = 6 mod 8 has one even root r: the remainder is a^2 + w^2
-        # for the other odd root w, and that is its least split, since one
-        # with q < a would make (q, p, r) a triple of distinct roots with a
-        # smaller first root, which three_squares would have returned
-        r, w = (b, c) if b & 1 == 0 else (c, b)
-        p, q = w, a
+    # else k = 2 with an odd smallest root q, and r is m's one even root:
+    # m - r^2 = q^2 + p^2 for the other odd root p, and that is its least
+    # split, since one with a leg below q would make, with r, a triple of
+    # distinct roots with a smaller first root, which three_squares would
+    # have returned
     x, y = _balance_raw(p, q, t)
     return tuple.__new__(TernaryRep, ((x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k)))
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=1 << 15, typed=True)
 def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     """Write n = T(x) + T(y) + T(z) with x, y of different parity.
 
@@ -168,7 +168,7 @@ def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     return _rep_mixed(n, t, 1)
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=1 << 15, typed=True)
 def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
     """Write n = T(x) + T(y) + 4T(z) with x, y of different parity.
 

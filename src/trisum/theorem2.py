@@ -20,10 +20,12 @@ exactly the classes coprime to t whose residue mod t is a square, 8A^2 =
 2*4A^2 exactly the others.  t is an odd prime coprime to k, so such a
 class holds exactly two roots r and t^2 - r of kA^2 = v, and no multiple
 of t is ever an offset.  The shape and the two roots come in closed
-form: Euler's criterion on v mod t, Atkin's square root of v/k mod t
-(t = 5 mod 8), and one Hensel step to mod t^2.  A process computes them
-the first time it meets a class and keeps them, so any later input of
-that class reads them from a dict.
+form: Euler's criterion on v mod t, and Atkin's square root of v/k
+taken mod t^2 in one step.  Atkin's formula for a prime 5 mod 8 needs
+only a cyclic group of units whose order is 4 mod 8 and in which 2 is
+no square, and the units mod t^2 are one, of order t(t-1).  A process
+computes a class's shape and roots the first time it meets the class
+and keeps them, so any later input of that class reads them from a dict.
 
 Above the size bound n > (6 + sqrt 32)s, s = k t^4, the first candidate
 passes.  Its class holds a residue and its negative mod t^2, of opposite
@@ -92,13 +94,14 @@ from .verifier import BudgetExceeded, brute_quad
 def _class(t: int, v: int) -> tuple[bool, tuple[int, int]]:
     # the class v mod t^2, coprime to t: its shape, by Euler's criterion on
     # v mod t, and the two roots of kA^2 = v mod t^2 in descending order.
-    # Atkin's square root (t = 5 mod 8) of v/k mod t, then one Hensel step.
+    # Atkin's square root of w = v/k mod t^2: the units mod t^2 form a
+    # cyclic group of order t(t-1) = 4 mod 8 in which 2 is no square, so
+    # i = (2w)^(t(t-1)/4) = 2wb^2 has i^2 = -1, and (wb(i-1))^2 = w.
     doubled = pow(v, (t - 1) // 2, t) != 1
     k, mod = (8 if doubled else 4), t * t
-    w = v * pow(k, -1, t) % t
-    b = pow(2 * w, (t - 5) // 8, t)
-    a = w * b * (2 * w * b * b - 1) % t
-    a = (a - (k * a * a - v) * pow(2 * k * a, -1, t)) % mod
+    w = v * pow(k, -1, mod) % mod
+    b = pow(2 * w, (mod - t - 4) // 8, mod)
+    a = w * b * (2 * w * b * b - 1) % mod
     return doubled, ((a, mod - a) if 2 * a > mod else (mod - a, a))
 
 

@@ -39,6 +39,7 @@ import time
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, count, islice, takewhile
+from math import inf
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -176,13 +177,13 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
     "First" is lexicographic in the search order: (a, b, c, d) for thm1,
     (a, c, b, d) for thm2, (a, b, c) for conj_a and conj_b.  conjecture
     returns conj_a's witness when one exists, else conj_b's.  Raises
-    BudgetExceeded for n above `budget` (pass budget=None to search
-    regardless of size).
+    BudgetExceeded for n above `budget`, a non-negative integer of any
+    size (pass budget=None to search regardless of size).
     """
     check_nat(n)
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
-    if budget is not None and n > budget:
+    if budget is not None and n > check_nat(budget, "budget", inf):
         raise BudgetExceeded(f"n={n} beyond search budget {budget}")
     for kinds, place in _PARTS[form]:
         found = _search(kinds, n, _pair_table(kinds[-2:], n) if n <= _PAIR_MAX else None)

@@ -16,7 +16,9 @@ import pytest
 import trisum
 from trisum import cli, theorem2
 from trisum.core_arith import Quad1, Quad2
-from trisum.ternary import TernaryRep
+from trisum.squares import three_squares, two_squares
+from trisum.ternary import TernaryRep, rep_2t_t_t, rep_square_two_tri, rep_tt4t_mixed, rep_ttt_mixed
+from trisum.verifier import brute_quad, verify_range
 
 
 def test_every_exported_name_resolves():
@@ -127,3 +129,56 @@ def test_witness_type_in_every_branch(capsys, theorem, n, branch, witness):
     assert capsys.readouterr().out == (
         f'{{"n": {n}, "form": "thm{theorem}", "witness": [{shown}], "check": true}}\n'
     )
+
+
+def _outcome(call, x):
+    try:
+        return call(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# every public function that takes integers, one row per integer argument:
+# the call with x in that argument, the refusal it must give, and the
+# integer v whose lookalikes True, float(v) and str(v) are tried.  v = 9 fills
+# the cache of rep_ttt_mixed (25 | 8*9+3); rep_tt4t_mixed needs 18 (25 | 8*18+6)
+_INTEGER_ARGUMENTS = {
+    "three_squares": (three_squares, "m must be an integer", 9),
+    "two_squares": (two_squares, "m must be an integer", 9),
+    "rep_square_two_tri": (rep_square_two_tri, "m must be an integer", 9),
+    "rep_2t_t_t": (rep_2t_t_t, "m must be an integer", 9),
+    "rep_ttt_mixed-n": (lambda x: rep_ttt_mixed(x, 5), "n must be an integer", 9),
+    "rep_ttt_mixed-t": (lambda x: rep_ttt_mixed(9, x), "modulus must be one of", 5),
+    "rep_tt4t_mixed-n-9": (lambda x: rep_tt4t_mixed(x, 5), "n must be an integer", 9),
+    "rep_tt4t_mixed-n-18": (lambda x: rep_tt4t_mixed(x, 5), "n must be an integer", 18),
+    "rep_tt4t_mixed-t": (lambda x: rep_tt4t_mixed(18, x), "modulus must be one of", 5),
+    "represent_thm1": (trisum.represent_thm1, "n must be an integer", 9),
+    "represent_thm2": (trisum.represent_thm2, "n must be an integer", 9),
+    "brute_quad-n": (lambda x: brute_quad("thm2", x), "n must be an integer", 9),
+    "brute_quad-budget": (lambda x: brute_quad("thm2", 9, budget=x), "budget must be an integer", 9),
+    "verify_range-lo": (lambda x: verify_range("thm2", x, 20).exceptions, "lo must be an integer", 9),
+    "verify_range-hi": (lambda x: verify_range("thm2", 0, x).exceptions, "hi must be an integer", 9),
+}
+
+
+@pytest.mark.parametrize("kind", [bool, float, str])
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_a_lookalike_integer_is_refused_cold_and_warm(name, kind):
+    # a memoised function must refuse it also after the equal int's call,
+    # whose own result stays as it was
+    call, refusal, v = _INTEGER_ARGUMENTS[name]
+    bad = True if kind is bool else kind(v)
+    good = int(bad)
+    with pytest.raises(ValueError, match=refusal):
+        call(bad)
+    before = _outcome(call, good)
+    with pytest.raises(ValueError, match=refusal):
+        call(bad)
+    assert _outcome(call, good) == before
+
+
+def test_the_budget_takes_none_or_any_non_negative_integer():
+    assert brute_quad("thm2", 9, budget=None) == brute_quad("thm2", 9, budget=10**100) is not None
+    assert brute_quad("thm2", 0, budget=0) == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        brute_quad("thm2", 0, budget=-1)

@@ -427,8 +427,10 @@ def test_primality_and_gaussian_primes():
     assert squares._MID_PRIMORIAL == math.prod(squares._MID_PRIMES)
     for n in range(1025, 1 << 16, 2):
         assert squares._is_prime(n) == (n in small), n
-    # the least strong pseudoprime to the first k prime bases sits on the
-    # bound that switches to more bases, so the bases used must catch it
+    # the least strong pseudoprime to the first k prime bases (OEIS A014233)
+    # must be caught: from 3215031751 up each sits on the bound that switches
+    # to more bases, and the first three lie below the first row, where four
+    # bases run
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383):
         assert not squares._is_prime(n)
     assert squares._is_prime((1 << 61) - 1)
@@ -554,6 +556,43 @@ def test_multiples_of_four_match_the_unscaled_factor_path():
 def test_powers_of_four_without_a_distinct_triple(m, expected):
     # the walk over every a up to sqrt(m/3) is skipped by taking out 4^k first
     assert three_squares(m) == expected
+
+
+def _three_squares_by_recursion(m):
+    # Legendre's test on m itself, then m // 4's triple doubled, one level
+    # per factor of 4; the scan below 4 | m is three_squares' own
+    if not _eligible_by_definition(m):
+        raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
+    if m and m % 4 == 0:
+        return ThreeSquares(*(2 * v for v in _three_squares_by_recursion(m // 4)))
+    return three_squares(m)
+
+
+def test_one_strip_of_four_matches_the_recursion(monkeypatch):
+    # every l up to 29 with seeded m, 8k+7 shapes and the triples with no
+    # distinct roots (3 = 1+1+1, 2 = 0+1+1, 6 = 1+1+4); a self-call would
+    # show in the spy on the module's name
+    rng = random.Random(29)
+    cases = []
+    for l in range(30):
+        top = min(squares.SQUARES_MAX >> 2 * l, 1 << 40)
+        shapes = [1, 2, 3, 5, 6, 7, *(rng.randrange(1, top + 1) for _ in range(4))]
+        shapes += [8 * rng.randrange(top // 8 + 1) + 7]
+        cases += [m << 2 * l for m in shapes if m <= top]
+    assert max(cases) <= squares.SQUARES_MAX and 3 << 18 in cases
+    calls = []
+    real = squares.three_squares
+    monkeypatch.setattr(squares, "three_squares", lambda m: calls.append(m) or real(m))
+    for m in cases:
+        try:
+            expected = _three_squares_by_recursion(m)
+        except NotRepresentable as exc:
+            with pytest.raises(NotRepresentable) as got:
+                real(m)
+            assert str(got.value) == str(exc), m
+        else:
+            assert real(m) == expected, m
+    assert calls == []
 
 
 # --- the split listing is memoised: three_squares' last remainder is reused ---
