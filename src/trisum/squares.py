@@ -27,18 +27,15 @@ only the powers up to half its exponent.  Each Gaussian prime takes one
 modular power, of its least non-residue c: 2 for p = 5 mod 8, else the
 least odd prime with (p/c) = -1 (reciprocity), read off a table of the
 non-residues mod each odd prime below 64, or found past it by Euler's
-criterion.  For m = 3 mod 8 three_squares tries odd a only, since an
-even a leaves a remainder 3 mod 4.  For m = 6 mod 8 it skips a = 0 mod 4,
-and for m = 2 mod 8 it skips a = 2 mod 4: a^2 is 0 or 4 mod 8 there, so
-either remainder is 6 mod 8, twice an odd part 3 mod 4, which has a prime
-3 mod 4 to an odd power.  No remainder m - a^2 the scan reaches
-has a split with q < a, so it takes every split as listed.  Were there
-one with distinct roots q < a, p, the scan would have returned by
-a' = q, which it visits: the rules above skip only remainders without a
-split, and m - q^2 = a^2 + p^2 has one.  Any other split with q < a
-is (q, q, a) or (q, a, a), so m < 3a^2 and a lies past the scan's end,
-isqrt(m // 3).  Every input takes this one path; the tests hold it to a
-direct q-scan with an exact square test.  Inputs run up to
+criterion.  three_squares does not list a remainder whose odd part is
+3 mod 4, since it has a prime 3 mod 4 to an odd power.  No remainder
+m - a^2 the scan reaches has a split with q < a, so it takes every split
+as listed.  Were there one with distinct roots q < a, p, the scan would
+have returned by a' = q, which it visits: the rule above skips only
+remainders without a split, and m - q^2 = a^2 + p^2 has one.  Any other
+split with q < a is (q, q, a) or (q, a, a), so m < 3a^2 and a lies past
+the scan's end, isqrt(m // 3).  Every input takes this one path; the
+tests hold it to a direct q-scan with an exact square test.  Inputs run up to
 SQUARES_MAX = 8*MAX_INPUT + 6, which is below 2^64, where this
 Miller-Rabin is exact.  No library path needs all of it: the largest
 value one passes is 8*MAX_INPUT + 2, the 8m+2 whose splits
@@ -114,12 +111,10 @@ def three_squares(m: int) -> ThreeSquares:
     if n & 7 == 7:  # Legendre
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
     first: ThreeSquares | None = None
-    # for n = 3 mod 8 an even a leaves 3 mod 4, which no two squares sum to
-    odd = n & 7 == 3
-    for a in range(odd, isqrt(n // 3) + 1, 1 + odd):
+    for a in range(isqrt(n // 3) + 1):
         r = n - a * a
-        if r & 7 == 6:
-            continue  # twice an odd part 3 mod 4: no split
+        if r and r // (r & -r) & 3 == 3:
+            continue  # an odd part 3 mod 4: no split (Fermat)
         for q, p in _two_square_splits(r):
             if a < q < p:
                 return tuple.__new__(ThreeSquares, (a << l, q << l, p << l))

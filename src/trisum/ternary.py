@@ -124,7 +124,8 @@ def _balance_raw(p: int, q: int, t: int) -> tuple[int, int]:
     already has distinct classes, or the rotation pair for t fixes it.
     Returned in construction order (not sorted).
     """
-    if (t * p) % 4 != (t * q) % 4:
+    # every t in MODULI is 1 mod 4, so tp and tq keep the classes of p and q
+    if p & 3 != q & 3:
         return t * p, t * q
     alpha, beta = ROTATION[t]
     return alpha * p - beta * q, beta * p + alpha * q

@@ -103,36 +103,31 @@ _BRUTE_FORMS = {
 _PARTS = {form: (search,) for form, search in _BRUTE_FORMS.items()}
 _PARTS["conjecture"] = (_BRUTE_FORMS["conj_a"], _BRUTE_FORMS["conj_b"])
 
-# Keyed by the last two slot kinds: the table's limit, and an array with
-# one entry per sum s up to it, j << 16 | k for the first index pair (j, k)
-# in lexicographic order, or -1 if no pair reaches s; up to _PAIR_MAX both
-# indices stay below 2^10.  Grown on demand, and with them every kind's
-# list of values up to the largest limit so far.
-_pairs: dict[tuple[str, ...], tuple[int, array]] = {}
+# Keyed by the last two slot kinds: an array with one entry per sum s up
+# to its limit, len - 1, j << 16 | k for the first index pair (j, k) in
+# lexicographic order, or -1 if no pair reaches s; up to _PAIR_MAX both
+# indices stay below 2^10.  A request past the limit builds a new table
+# whole, to the largest of n, four times the old limit and 1024, but not
+# past _PAIR_MAX, so all the builds together cost about 4/3 of the last;
+# with it every kind's list of values grows up to the largest limit so far.
+_pairs: dict[tuple[str, ...], array] = {}
 _SMALL_VALUES: dict[str, list[int]] = {"odd": [], "even": [], "odd2": [], "even2": []}
-# New table entries start as copies of this block, so growth never holds a
-# second array as large as the entries it adds.
-_NO_PAIRS = array("i", [-1]) * 4096
 
 
 def _pair_table(kinds: tuple[str, ...], n: int) -> array:
-    old, table = _pairs.get(kinds) or (-1, array("i"))
-    if n > old:
-        limit = min(max(n, 2 * old, 1024), _PAIR_MAX)
+    table = _pairs.get(kinds, ())
+    if n >= len(table):
+        limit = min(max(n, 4 * (len(table) - 1), 1024), _PAIR_MAX)
         for kind, values in _SMALL_VALUES.items():
             values.extend(takewhile(limit.__ge__, islice(_values(kind), len(values), None)))
         first, last = (_SMALL_VALUES[kind] for kind in kinds)
-        # sums up to old keep their pair, so only pairs summing into
-        # (old, limit] are walked; each j goes backwards, and the last
+        # j goes backwards and writes each sum at most once, so the last
         # write to a sum is its first pair
-        for _ in range(old, limit, len(_NO_PAIRS)):
-            table.extend(_NO_PAIRS)
-        del table[limit + 1 :]
+        _pairs[kinds] = table = array("i", [-1]) * (limit + 1)
         for j in reversed(range(bisect_right(first, limit))):
             u, packed = first[j], j << 16
-            for k in reversed(range(bisect_right(last, old - u), bisect_right(last, limit - u))):
+            for k in range(bisect_right(last, limit - u)):
                 table[u + last[k]] = packed | k
-        _pairs[kinds] = limit, table
     return table
 
 

@@ -103,21 +103,34 @@ def test_no_remainder_the_scan_reaches_splits_below_its_root():
             assert all(q >= a for q, _ in squares._two_square_splits(m - a * a)), (m, a)
 
 
+def _odd_part_3_mod_4(r):
+    # r > 0 with its factors of 2 taken out is 3 mod 4: r has a prime 3 mod 4
+    # to an odd power, so no split
+    while r % 2 == 0:
+        r //= 2
+    return r % 4 == 3
+
+
 def _skipped_roots(m, stop):
-    # the a below stop that three_squares skips for m = 2 mod 4: a = 0 mod 4
-    # for m = 6 mod 8, a = 2 mod 4 for m = 2 mod 8
+    # the a below stop that leave m = 2 mod 4 a remainder 6 mod 8, twice an
+    # odd part 3 mod 4: a = 0 mod 4 for m = 6 mod 8, a = 2 mod 4 for m = 2 mod 8
     return range(0 if m & 4 else 2, stop, 4)
 
 
 def test_remainders_the_mod_8_rule_skips_have_no_split():
-    # each remainder is 6 mod 8 (module docstring); below 2*10^5 against every
-    # sum of two squares, at every a up to isqrt(m // 3), and on seeded m
-    # below 2^40 against the scan, at every a up to the triple's first root
+    # three_squares skips every remainder whose odd part is 3 mod 4 (module
+    # docstring).  Below 2*10^5, against every sum of two squares: each such
+    # r (the remainders of every m up to the limit lie in [0, limit]) and,
+    # for m = 2 mod 4, each a up to isqrt(m // 3) that leaves 6 mod 8.  On
+    # seeded m = 2 mod 4 below 2^40, against the scan, each such a up to
+    # the triple's first root.
     limit = 200000
     sums = bytearray(limit + 1)
     for q in range(math.isqrt(limit) + 1):
         for p in range(q, math.isqrt(limit - q * q) + 1):
             sums[q * q + p * p] = 1
+    skipped = [r for r in range(1, limit + 1) if _odd_part_3_mod_4(r)]
+    assert skipped and not any(sums[r] for r in skipped)
     for m in range(2, limit + 1, 4):
         assert not any(sums[m - a * a] for a in _skipped_roots(m, math.isqrt(m // 3) + 1)), m
     rng = random.Random(2826)
@@ -128,6 +141,7 @@ def test_remainders_the_mod_8_rule_skips_have_no_split():
 
 
 def test_three_squares_lists_no_remainder_6_mod_8(monkeypatch):
+    # nor any other remainder whose odd part is 3 mod 4, for m of every class
     listed = []
     real = squares._two_square_splits
 
@@ -137,9 +151,16 @@ def test_three_squares_lists_no_remainder_6_mod_8(monkeypatch):
 
     monkeypatch.setattr(squares, "_two_square_splits", spy)
     rng = random.Random(68)
-    for m in (*range(2, 20001, 4), *(rng.randrange(1 << 40) >> 2 << 2 | 2 for _ in range(2000))):
+    inputs = (
+        *range(2, 20001, 4),
+        *(rng.randrange(1 << 40) >> 2 << 2 | 2 for _ in range(2000)),
+        *range(20001),
+        *(rng.randrange(1 << 40) for _ in range(2000)),
+    )
+    for m in filter(_eligible_by_definition, inputs):
         three_squares(m)
     assert listed and not [r for r in listed if r & 7 == 6]
+    assert not [r for r in listed if r and _odd_part_3_mod_4(r)]
 
 
 @pytest.mark.parametrize(

@@ -229,26 +229,27 @@ class TestBruteQuad:
 
     @pytest.mark.parametrize("kinds", [("odd", "even"), ("even", "even")])
     def test_table_grown_in_steps_equals_one_build(self, monkeypatch, kinds):
+        # every growth builds the whole table to its new limit: the largest of
+        # n, four times the old limit and 1024; each table the steps leave,
+        # and one built directly, holds the first pair of every sum
         monkeypatch.setattr(verifier, "_pairs", {})
         monkeypatch.setattr(verifier, "_SMALL_VALUES", {kind: [] for kind in verifier._SMALL_VALUES})
-        for n in (5, 2000, 40000, 1 << 17):
-            stepped = verifier._pair_table(kinds, n)
-            limit = verifier._pairs[kinds][0]
-            assert len(stepped) == limit + 1
-            assert stepped.itemsize <= 4
+        tables = [verifier._pair_table(kinds, n) for n in (5, 1024, 1025, 2000, 40000, 1 << 17)]
+        assert [len(table) - 1 for table in tables] == [1024, 1024, 4096, 4096, 40000, 160000]
         monkeypatch.setattr(verifier, "_pairs", {})
         once = verifier._pair_table(kinds, 1 << 17)
-        assert verifier._pairs[kinds][0] == limit == 1 << 17
-        assert len(once) == limit + 1
-        assert once == stepped
-        # every entry against the first pair met in lexicographic order
+        assert verifier._pairs[kinds] is once and len(once) == (1 << 17) + 1
         value = {"odd": lambda k: k * (2 * k - 1), "even": lambda k: k * (2 * k + 1)}
-        first, last = ([value[kind](k) for k in range(isqrt(limit) + 1)] for kind in kinds)
-        expected = [-1] * (limit + 1)
-        for (j, u), (k, v) in itertools.product(enumerate(first), enumerate(last)):
-            if u + v <= limit and expected[u + v] < 0:
-                expected[u + v] = j << 16 | k
-        assert once.tolist() == expected
+        for table in (*tables, once):
+            limit = len(table) - 1
+            assert table.itemsize <= 4
+            # every entry against the first pair met in lexicographic order
+            first, last = ([value[kind](k) for k in range(isqrt(limit) + 1)] for kind in kinds)
+            expected = [-1] * (limit + 1)
+            for (j, u), (k, v) in itertools.product(enumerate(first), enumerate(last)):
+                if u + v <= limit and expected[u + v] < 0:
+                    expected[u + v] = j << 16 | k
+            assert table.tolist() == expected, limit
 
     def test_first_table_use_memory_in_a_fresh_process(self):
         # one brute-branch call that builds the odd + even table to 1000008
@@ -256,8 +257,8 @@ class TestBruteQuad:
         assert grown < 16 * 1024
 
     def test_both_tables_memory_in_a_fresh_process(self):
-        # 8 MB of tables to 2^20; growing each from a small block of empty
-        # entries, not from one the size of the fill, keeps the peak near them
+        # 8 MB of tables to 2^20, each built whole in one step from a cold
+        # start, so the peak stays near them
         calls = "_pair_table(('odd', 'even'), 1 << 20); _pair_table(('even', 'even'), 1 << 20)"
         assert _peak_growth_kb("from trisum.verifier import _pair_table", calls) < 10 * 1024
 

@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from trisum.core_arith import eval_quad  # noqa: E402
 from trisum.ternary import MODULI  # noqa: E402
-from trisum.theorem2 import _SIZE_BOUND, represent_thm2  # noqa: E402
+from trisum.theorem2 import _SIZE_BOUND, _class, represent_thm2  # noqa: E402
 
 
 def reached() -> list[int]:
@@ -42,7 +42,7 @@ def inputs(t: int) -> Iterator[int]:
     for v in range(step * (3 * step % 4), 4 * _SIZE_BOUND[t, True] + 4, 4 * step):
         if v % t:
             n = (v - 3) // 4
-            if n <= _SIZE_BOUND[t, pow(v, (t - 1) // 2, t) != 1]:
+            if n <= _SIZE_BOUND[t, _class(t, v % t**2)[0]]:
                 yield n
 
 
