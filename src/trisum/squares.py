@@ -61,7 +61,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from operator import mul
 from typing import NamedTuple
 
 from .core_arith import MAX_INPUT, check_nat
@@ -156,9 +155,7 @@ _SIEVE = _odd_sieve(_MID)
 _ODD_PRIMES = tuple(compress(range(3, _TRIAL, 2), _SIEVE[3:_TRIAL:2]))
 _MID_PRIMES = tuple(compress(range(_TRIAL + 1, _MID, 2), _SIEVE[_TRIAL + 1 :: 2]))
 _ODD_PRIMORIAL = prod(_ODD_PRIMES)
-# multiplied in pairs: each pair is below 2^26, one 30-bit digit of a Python
-# int, so the growing product takes half the steps of a plain prod
-_MID_PRIMORIAL = prod(map(mul, _MID_PRIMES[::2], _MID_PRIMES[1::2] + (1,)))
+_MID_PRIMORIAL = prod(_MID_PRIMES)
 
 # The first k of these bases decide primality exactly below the paired
 # bound (the least strong pseudoprimes to the first k primes, OEIS A014233).
@@ -289,9 +286,7 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
     n >>= e2
     if n & 3 == 3:
         return ()  # a prime 3 mod 4 divides n to an odd power
-    # the input is 2^e2 * scale^2 * prod p^e over the (p, e) in `split`, p = 1 mod 4
-    scale = 1 << (e2 >> 1)
-    split = []
+    factors: dict[int, int] = {}
     g = gcd(n, _ODD_PRIMORIAL)
     for p in _ODD_PRIMES:
         if g == 1:
@@ -305,22 +300,21 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
         while not n % p:
             n //= p
             e += 1
+        if p & 3 == 3 and e & 1:
+            return ()  # before any work on the cofactor
+        factors[p] = e
+    if n > 1:
+        _factor_rough(n, factors)
+    # the input is 2^e2 * scale^2 * prod p^e over the (p, e) in `split`, p = 1 mod 4
+    scale = 1 << (e2 >> 1)
+    split = []
+    for p, e in factors.items():
         if p & 3 == 1:
             split.append((p, e))
         elif e & 1:
-            return ()  # before any work on the cofactor
+            return ()
         else:
             scale *= p ** (e >> 1)
-    if n > 1:
-        rough: dict[int, int] = {}
-        _factor_rough(n, rough)
-        for p, e in rough.items():
-            if p & 3 == 1:
-                split.append((p, e))
-            elif e & 1:
-                return ()
-            else:
-                scale *= p ** (e >> 1)
     # Gaussian integers x + iy of norm n, one per class under units:
     # (1+i)^e2 = 2^(e2//2) (1+i)^(e2%2) up to a unit, times pi^j conj(pi)^(e-j)
     zs = [(scale, scale) if e2 & 1 else (scale, 0)]

@@ -24,10 +24,8 @@ even, and their third slots together take every triangular number, so
 the union is the single triple odd + even + triangular.  Only the first
 two slots form a full stage; every later slot ORs in just its first few
 values, and once the first of them has read the full stage nothing keeps
-it, so at most two sets of class bitmaps are alive at once.  A hole left
-in [lo, hi] below the smallest value a partial stage left out is an
-exception, since every choice of the later slots up to it was OR-ed in.
-Any other hole goes to brute_quad's search, with the two-square splits
+it, so at most two sets of class bitmaps are alive at once.  Every hole
+left in [lo, hi] goes to brute_quad's search, with the two-square splits
 as its leaf so that a sweep grows no pair table, and is an exception
 exactly when that finds no witness.  The exceptions come out in
 ascending order.
@@ -108,18 +106,15 @@ _PARTS["conjecture"] = (_BRUTE_FORMS["conj_a"], _BRUTE_FORMS["conj_b"])
 # lexicographic order, or -1 if no pair reaches s; up to _PAIR_MAX both
 # indices stay below 2^10.  A request past the limit builds a new table
 # whole, to the largest of n, four times the old limit and 1024, but not
-# past _PAIR_MAX, so all the builds together cost about 4/3 of the last;
-# with it every kind's list of values grows up to the largest limit so far.
+# past _PAIR_MAX, so all the builds together cost about 4/3 of the last.
 _pairs: dict[tuple[str, ...], array] = {}
-_SMALL_VALUES: dict[str, list[int]] = {"odd": [], "even": [], "odd2": [], "even2": []}
+_SMALL_VALUES = {kind: _slot_values(kind, _PAIR_MAX) for kind in ("odd", "even", "odd2", "even2")}
 
 
 def _pair_table(kinds: tuple[str, ...], n: int) -> array:
     table = _pairs.get(kinds, ())
     if n >= len(table):
         limit = min(max(n, 4 * (len(table) - 1), 1024), _PAIR_MAX)
-        for kind, values in _SMALL_VALUES.items():
-            values.extend(takewhile(limit.__ge__, islice(_values(kind), len(values), None)))
         first, last = (_SMALL_VALUES[kind] for kind in kinds)
         # j goes backwards and writes each sum at most once, so the last
         # write to a sum is its first pair
@@ -189,8 +184,8 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
 
 # Values of each slot after the full stage that are OR-ed in before the
 # holes are settled.  Only speed depends on it: at 32 the conjecture sweep
-# to 10^6 leaves 271 holes instead of 2, searches 269 of them and runs
-# about 4x slower.
+# to 10^6 leaves 271 holes instead of 2, searches all 271 and runs about
+# 4x slower.
 _LAST_SHIFTS = 64
 
 
@@ -252,13 +247,8 @@ def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tup
 
     reached = _add_slot(_class_bitmaps(_slot_values(kinds[0], hi), top), _slot_values(kinds[1], hi))
     lap(f"full {kinds[0]}+{kinds[1]}")
-    # below `exact`, the smallest value a partial stage left out, every
-    # choice of the later slots is OR-ed in
-    exact = hi + 1
     for kind in kinds[2:]:
-        values = list(islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS + 1))
-        exact = min([exact, *values[_LAST_SHIFTS:]])
-        reached = _add_slot(reached, values[:_LAST_SHIFTS])
+        reached = _add_slot(reached, list(islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS)))
         lap(f"partial {kind}")
     holes = []
     for r in range(_MODULUS):
@@ -272,7 +262,7 @@ def _exceptions(form: str, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[tup
             if lo <= n <= hi:
                 holes.append(n)
     parts = _PARTS[form]
-    out = [n for n in sorted(holes) if n < exact or all(_search(k, n, None) is None for k, _ in parts)]
+    out = [n for n in sorted(holes) if all(_search(k, n, None) is None for k, _ in parts)]
     lap("lookup")
     return tuple(out), tuple(stages)
 

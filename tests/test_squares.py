@@ -441,6 +441,20 @@ def test_listings_above_two_to_the_26_still_reach_both(monkeypatch):
     assert calls["_is_prime"] > 0 and calls["_rho_factor"] > 0
 
 
+def test_a_small_prime_3_mod_4_to_an_odd_power_returns_before_the_cofactor(monkeypatch):
+    # 21 * P with P a prime 1 mod 4 above 2^26: the trial loop meets 3 to
+    # the first power, so the listing is empty and P is never factored
+    p = 1000000009
+    assert p >= 1 << 26 and p & 3 == 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    def refuse(*args):
+        raise AssertionError(f"_factor_rough{args} called")
+
+    monkeypatch.setattr(squares, "_factor_rough", refuse)
+    squares._two_square_splits.cache_clear()
+    assert squares._two_square_splits(21 * p) == ()
+
+
 def test_primality_and_gaussian_primes():
     small = {n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))}
     assert squares._ODD_PRIMES == tuple(sorted(p for p in small if 2 < p < 1 << 10))

@@ -233,7 +233,6 @@ class TestBruteQuad:
         # n, four times the old limit and 1024; each table the steps leave,
         # and one built directly, holds the first pair of every sum
         monkeypatch.setattr(verifier, "_pairs", {})
-        monkeypatch.setattr(verifier, "_SMALL_VALUES", {kind: [] for kind in verifier._SMALL_VALUES})
         tables = [verifier._pair_table(kinds, n) for n in (5, 1024, 1025, 2000, 40000, 1 << 17)]
         assert [len(table) - 1 for table in tables] == [1024, 1024, 4096, 4096, 40000, 160000]
         monkeypatch.setattr(verifier, "_pairs", {})
@@ -250,6 +249,19 @@ class TestBruteQuad:
                 if u + v <= limit and expected[u + v] < 0:
                     expected[u + v] = j << 16 | k
             assert table.tolist() == expected, limit
+
+    def test_slot_values_are_built_once_to_the_table_bound(self, monkeypatch):
+        # every kind's values up to _PAIR_MAX exist from import on, and
+        # building both pair tables to that bound leaves them as they are
+        kinds = ("odd", "even", "odd2", "even2")
+        assert sorted(verifier._SMALL_VALUES) == sorted(kinds)
+        for kind in kinds:
+            assert verifier._SMALL_VALUES[kind] == verifier._slot_values(kind, verifier._PAIR_MAX), kind
+        before = {kind: list(values) for kind, values in verifier._SMALL_VALUES.items()}
+        monkeypatch.setattr(verifier, "_pairs", {})
+        for pair in (("odd", "even"), ("even", "even")):
+            assert len(verifier._pair_table(pair, verifier._PAIR_MAX)) == verifier._PAIR_MAX + 1
+        assert verifier._SMALL_VALUES == before
 
     def test_first_table_use_memory_in_a_fresh_process(self):
         # one brute-branch call that builds the odd + even table to 1000008
@@ -466,8 +478,7 @@ class TestVerifyRange:
     @pytest.mark.parametrize("form", ["thm1", "thm2"])
     def test_two_level_lookup(self, monkeypatch, form, shifts):
         # at most the value 0 per partial stage: every n off the full stage
-        # is a hole, and each one from the first value a partial stage left
-        # out (0 or 3) on is settled by the search
+        # is a hole, and each one is settled by the search
         monkeypatch.setattr(verifier, "_LAST_SHIFTS", shifts)
         for lo, hi in ((1, 40), (217, 600)):
             expected = tuple(n for n in unreached(form, hi) if n >= lo)
@@ -476,17 +487,17 @@ class TestVerifyRange:
             missing = tuple(n for n in range(lo, hi + 1) if brute_quad(form, n) is None)
             assert verify_range(form, lo, hi).exceptions == missing, (form, lo, hi)
 
-    def test_holes_below_the_exact_bound_are_not_searched(self, monkeypatch):
-        # the conjecture's holes 8 and 68 lie below T(64) = 2080, the first
-        # triangular number its partial stage leaves out
+    def test_the_conjecture_sweep_searches_exactly_its_holes(self, monkeypatch):
+        # the bitmap leaves only 8 and 68 to 10^6; each goes to the search of
+        # conj_a and then of conj_b, and neither finds a witness
         searched = _top_level_searches(monkeypatch)
         assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
-        assert searched == []
+        assert searched == [8, 8, 68, 68]
 
-    def test_holes_at_or_above_the_exact_bound_are_searched(self, monkeypatch):
-        # conj_a sweeps odd + even in full and ORs in the first 64 odd values;
-        # the holes that leaves from the 65th odd value on are searched, each
-        # once, and each has a witness
+    def test_every_hole_is_searched_once(self, monkeypatch):
+        # conj_a sweeps odd + even in full and ORs in the first 64 odd values,
+        # all below odd[64] = 8128; every hole that leaves is searched once,
+        # and is an exception exactly when brute_quad finds no witness for it
         hi = 10**6
         odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
         even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
@@ -499,12 +510,12 @@ class TestVerifyRange:
         for v in odd[:64]:
             reached |= full << v
         text = format(reached & ((1 << hi + 1) - 1), f"0{hi + 1}b")[::-1]
-        holes = [m.start() for m in re.finditer("0", text) if m.start() >= 8128]
+        holes = [m.start() for m in re.finditer("0", text)]
         searched = _top_level_searches(monkeypatch)
         report = verify_range("conj_a", 0, hi)
         assert holes and searched == holes
         assert report.exceptions == CONJ_A_TO_1E6
-        assert not set(holes) & set(report.exceptions)
+        assert report.exceptions == tuple(n for n in holes if brute_quad("conj_a", n) is None)
 
     def test_the_sweep_never_grows_a_pair_table(self, monkeypatch):
         # holes are searched through the two-square splits; with no partial
