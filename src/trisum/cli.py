@@ -15,8 +15,6 @@ was not the expected one, 2 = usage error (any other ValueError).
 selftest counts a typed error on one of its inputs as a failed input.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import random

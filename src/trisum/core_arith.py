@@ -19,8 +19,6 @@ witness from them without validating, for indices the constructions
 derived themselves.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 # Inputs above this bound are rejected at the API boundary so that every
@@ -58,6 +56,8 @@ class ConstructionFailed(ValueError):
 
 def check_nat(n: int, name: str = "n", bound: float = MAX_INPUT) -> int:
     """Validate that *n* is an integer with 0 <= n <= bound (MAX_INPUT by default, math.inf for none)."""
+    if type(n) is int and 0 <= n <= bound:
+        return n
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer, got {type(n).__name__}")
     if n < 0:

@@ -56,8 +56,6 @@ by a caller.  The mixed representations are memoised themselves, so a
 repeated one never reaches three_squares at all.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod

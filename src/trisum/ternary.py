@@ -18,12 +18,12 @@ representations, universal and mixed, are memoised (an lru_cache of 2^15
 entries each): a construction passes them remainders of about sqrt(n), so
 nearby inputs repeat their arguments.  The values are immutable
 TernaryRep tuples, so one cached value can be shared between callers; a
-raised error is not cached.  The two-argument mixed caches are typed:
-an untyped key (9.0, 5) equals (9, 5), so a hit would skip the check
-that rejects 9.0.
+raised error is not cached.  The two mixed reps validate their arguments
+and then call an untyped cache, _ttt_mixed or _tt4t_mixed, which theorem
+2 calls directly with the integers it derived.  The cache sits behind
+the checks because an untyped key (9.0, 5) equals (9, 5), so a hit would
+otherwise skip the check that rejects 9.0.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 from typing import NamedTuple
@@ -140,8 +140,6 @@ def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     m - r^2.  When r is the smallest root, that split is two_squares'; else
     (k = 2 with an odd smallest root) it is the triple's other two roots.
     """
-    check_nat(n, "n")
-    _check_modulus(t)
     m, rest = divmod(8 * n + 2 + k * k, t * t)
     if rest:
         raise PreconditionViolated(f"{t}^2 does not divide 8n+{2 + k * k} for n={n}")
@@ -158,7 +156,17 @@ def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     return tuple.__new__(TernaryRep, ((x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k)))
 
 
-@lru_cache(maxsize=1 << 15, typed=True)
+# the mixed caches, for arguments already validated
+@lru_cache(maxsize=1 << 15)
+def _ttt_mixed(n: int, t: int) -> TernaryRep:
+    return _rep_mixed(n, t, 1)
+
+
+@lru_cache(maxsize=1 << 15)
+def _tt4t_mixed(n: int, t: int) -> TernaryRep:
+    return _rep_mixed(n, t, 2)
+
+
 def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     """Write n = T(x) + T(y) + T(z) with x, y of different parity.
 
@@ -166,14 +174,13 @@ def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
     smallest root is scaled back up by t to give z, and the remaining two
     are balanced into distinct mod-4 classes to give x and y.
     """
-    return _rep_mixed(n, t, 1)
+    return _ttt_mixed(check_nat(n, "n"), _check_modulus(t))
 
 
-@lru_cache(maxsize=1 << 15, typed=True)
 def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
     """Write n = T(x) + T(y) + 4T(z) with x, y of different parity.
 
     Requires t^2 | 8n+6.  The quotient splits into two odd squares plus a
     root congruent to 2 mod 4; that root (scaled by t) feeds the 4T slot.
     """
-    return _rep_mixed(n, t, 2)
+    return _tt4t_mixed(check_nat(n, "n"), _check_modulus(t))

@@ -82,12 +82,15 @@ coprime t: the construction never recurses, and the descent's lifting
 lemmas and normal form are not needed.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 from .core_arith import ConstructionFailed, Quad2, _quad, check_nat
-from .ternary import MODULI, rep_tt4t_mixed, rep_ttt_mixed
+from .ternary import MODULI
+
+# the untyped caches behind ternary's rep_tt4t_mixed and rep_ttt_mixed,
+# whose checks the integers derived below cannot fail
+from .ternary import _tt4t_mixed as rep_tt4t_mixed
+from .ternary import _ttt_mixed as rep_ttt_mixed
 from .verifier import BudgetExceeded, brute_quad
 
 
@@ -176,4 +179,4 @@ def represent_thm2(n: int) -> Quad2:
     if witness is None:
         raise ConstructionFailed(f"no witness for n={n} at or below the size bound (t={t})")
     _branches["brute"] += 1
-    return Quad2(*witness)
+    return tuple.__new__(Quad2, witness)

@@ -34,8 +34,6 @@ is an exception exactly when that finds no witness.  The exceptions come
 out in ascending order.
 """
 
-from __future__ import annotations
-
 import time
 from array import array
 from bisect import bisect_right
@@ -139,13 +137,18 @@ def _slot_index(kind: str, root: int) -> Optional[int]:
 
 def _search(kinds: tuple[str, ...], n: int, pairs, i: int = 0) -> Optional[tuple[int, ...]]:
     # the first indices in lexicographic order for slots i.. summing to n;
-    # the last two come from `pairs` if there is a table, else from the
-    # two-square splits of 8n+2: T(m) + T(l) = n exactly when
-    # (2m+1)^2 + (2l+1)^2 = 8n+2
+    # the last two come from `pairs` if there is a table, read by the loop
+    # over the slot before them, else from the two-square splits of 8n+2:
+    # T(m) + T(l) = n exactly when (2m+1)^2 + (2l+1)^2 = 8n+2
+    if pairs is not None and i == len(kinds) - 3:
+        for j, v in enumerate(_SMALL_VALUES[kinds[i]]):
+            if v > n:
+                break
+            packed = pairs[n - v]
+            if packed >= 0:
+                return j, packed >> 16, packed & 0xFFFF
+        return None
     if i == len(kinds) - 2:
-        if pairs is not None:
-            packed = pairs[n]
-            return (packed >> 16, packed & 0xFFFF) if packed >= 0 else None
         first, last = kinds[i:]
         options = []
         for q, p in _two_square_splits(8 * n + 2):

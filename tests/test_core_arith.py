@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,47 @@ def test_check_nat_accepts_bounds():
 def test_check_nat_rejects(bad):
     with pytest.raises((ValueError, TypeError)):
         check_nat(bad)
+
+
+# the slow path's refusals, past the fast path for plain ints in bounds:
+# (value, message) under each bound; math.inf + 1 is a float
+_REFUSALS = {
+    "default": (MAX_INPUT, "2**58"),
+    "custom": (100, "100"),
+    "none": (math.inf, None),
+}
+
+
+@pytest.mark.parametrize("bound_name", list(_REFUSALS))
+def test_check_nat_refusals_keep_their_messages(bound_name):
+    bound, shown = _REFUSALS[bound_name]
+    over = (
+        f"x={bound + 1} exceeds the supported bound {shown}" if shown else "x must be an integer, got float"
+    )
+    cases = [
+        (True, "x must be an integer, got bool"),
+        (False, "x must be an integer, got bool"),
+        (1.0, "x must be an integer, got float"),
+        ("9", "x must be an integer, got str"),
+        (-1, "x must be non-negative, got -1"),
+        (bound + 1, over),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as got:
+            check_nat(bad, "x", bound)
+        assert str(got.value) == message, (bad, bound)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("bound", [MAX_INPUT, 100, math.inf])
+def test_check_nat_passes_an_int_subclass_through(bound):
+    n = _Int(7)
+    assert check_nat(n, "x", bound) is n
+    with pytest.raises(ValueError, match="x must be non-negative, got -1"):
+        check_nat(_Int(-1), "x", bound)
 
 
 def test_eval_quad_known_values():

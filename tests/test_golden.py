@@ -9,11 +9,15 @@ and 61 divide, the ones a modulus past 61 took over from the paper's
 descent.  Two more digests, built the same way, pin brute_quad's first
 witnesses on both sides of its pair table's limit, and three_squares and
 two_squares on every m up to 2^16, the range a separate q-scan once
-served.
+served.  SMALL_WINDOWS pins, one digest each, the witnesses of
+represent_thm1 on [0, 100000) and represent_thm2 on [0, 60000), the
+windows the benchmark's small_thm1 and small_thm2 workloads time.
 """
 
 import hashlib
 import random
+
+import pytest
 
 from trisum.core_arith import MAX_INPUT
 from trisum.squares import three_squares, two_squares
@@ -113,3 +117,18 @@ def squares_digest() -> str:
 
 def test_squares_match_their_golden_digest():
     assert squares_digest() == GOLDEN_SQUARES
+
+
+# a window's size and the sha256 of the repr of its witnesses, as a list of
+# plain tuples
+SMALL_WINDOWS = {
+    "thm1": (represent_thm1, 100000, "d5326c4553d191cf711e717f024ccfa4be1d19d123980a0fe5d538708d1be327"),
+    "thm2": (represent_thm2, 60000, "04b76b8c88531dceee659a5debd39a1a2c2ccea08a39b0bee8731826b12a4db0"),
+}
+
+
+@pytest.mark.parametrize("form", list(SMALL_WINDOWS))
+def test_small_windows_match_their_digests(form):
+    represent, size, digest = SMALL_WINDOWS[form]
+    witnesses = [tuple(represent(n)) for n in range(size)]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest

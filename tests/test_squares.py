@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum import squares
+from trisum import squares, ternary
 from trisum.core_arith import MAX_INPUT
 from trisum.ternary import rep_ttt_mixed
 from trisum.squares import (
@@ -635,7 +635,7 @@ def test_one_strip_of_four_matches_the_recursion(monkeypatch):
 def test_mixed_rep_reuses_the_last_listed_remainder():
     # 25 | 8n+3 for both; the quotients are 320000000003 and 323
     for n in (10**12 + 9, 1009):
-        rep_ttt_mixed.cache_clear()  # an earlier call must not answer this one
+        ternary._ttt_mixed.cache_clear()  # an earlier call must not answer this one
         squares._two_square_splits.cache_clear()
         rep_ttt_mixed(n, 5)
         assert squares._two_square_splits.cache_info().hits >= 1, n

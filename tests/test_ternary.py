@@ -15,6 +15,9 @@ from trisum.ternary import (
     _parity_split,
     TernaryRep,
     _balance_raw,
+    _rep_mixed,
+    _tt4t_mixed,
+    _ttt_mixed,
     rep_2t_t_t,
     rep_square_two_tri,
     rep_tt4t_mixed,
@@ -138,9 +141,9 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     assert hits == 600
 
 
-@pytest.mark.parametrize("rep_fn", [rep_ttt_mixed, rep_tt4t_mixed])
-def test_mixed_reps_have_a_bounded_cache(rep_fn):
-    assert rep_fn.cache_info().maxsize is not None
+@pytest.mark.parametrize("cached", [_ttt_mixed, _tt4t_mixed])
+def test_mixed_reps_have_a_bounded_cache(cached):
+    assert cached.cache_info().maxsize is not None
 
 
 @moduli
@@ -154,7 +157,7 @@ def test_cached_mixed_rep_equals_the_uncached_one(t, k):
     for _ in range(200):
         n = n0 + tt * rng.randrange(10**9 // tt)
         first = rep_fn(n, t)
-        assert rep_fn(n, t) == first == rep_fn.__wrapped__(n, t), (n, t)
+        assert rep_fn(n, t) == first == _rep_mixed(n, t, k), (n, t)
 
 
 # --- the doubled shape with an odd first root balances the split it holds ---
@@ -199,7 +202,7 @@ def test_doubled_rep_balances_the_least_split_of_its_remainder(t, monkeypatch):
         r = _even_root(tri)[0]
         balanced.clear()
         listed.clear()
-        rep_tt4t_mixed.__wrapped__(n, t)
+        _rep_mixed(n, t, 2)
         assert balanced == [tuple(real_two(m - r * r))], (n, t)
         # only an even first root asks two_squares for the split
         assert listed == ([] if tri.a & 1 else [m - r * r]), (n, t)
