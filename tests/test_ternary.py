@@ -141,7 +141,9 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     assert hits == 600
 
 
-@pytest.mark.parametrize("cached", [_ttt_mixed, _tt4t_mixed])
+@pytest.mark.parametrize(
+    "cached", [_ttt_mixed, _tt4t_mixed], ids=["rep_ttt_mixed", "rep_tt4t_mixed"]
+)
 def test_mixed_reps_have_a_bounded_cache(cached):
     assert cached.cache_info().maxsize is not None
 
