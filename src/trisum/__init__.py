@@ -19,12 +19,9 @@ from .squares import (
 )
 from .ternary import (
     MODULI,
-    PreconditionViolated,
     TernaryRep,
     rep_2t_t_t,
     rep_square_two_tri,
-    rep_tt4t_mixed,
-    rep_ttt_mixed,
 )
 from .theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from .theorem2 import branch_counts, represent_thm2, reset_branch_counts
@@ -53,12 +50,9 @@ __all__ = [
     "three_squares",
     "two_squares",
     "MODULI",
-    "PreconditionViolated",
     "TernaryRep",
     "rep_2t_t_t",
     "rep_square_two_tri",
-    "rep_tt4t_mixed",
-    "rep_ttt_mixed",
     "fallback_count",
     "represent_thm1",
     "reset_fallback_count",

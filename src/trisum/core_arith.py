@@ -50,7 +50,8 @@ class ConstructionFailed(ValueError):
 
     For theorem 1 that is a failed bound check above 200; for theorem 2 a
     dry offset scan above the size bound of the modulus and shape the
-    input picks.  Neither case is searched.
+    input picks, or a mixed ternary representation handed an n and a t
+    with t^2 not dividing 8n+2+k^2.  None of these cases is searched.
     """
 
 

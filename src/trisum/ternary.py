@@ -14,26 +14,23 @@ Two families of results live here:
 
 All outputs are deterministic because every two/three-square choice below
 delegates to the canonical decompositions in `squares`.  All four ternary
-representations, universal and mixed, are memoised (an lru_cache of 2^15
-entries each): a construction passes them remainders of about sqrt(n), so
-nearby inputs repeat their arguments.  The values are immutable
-TernaryRep tuples, so one cached value can be shared between callers; a
-raised error is not cached.  The two mixed reps validate their arguments
-and then call an untyped cache, _ttt_mixed or _tt4t_mixed, which theorem
-2 calls directly with the integers it derived.  The cache sits behind
-the checks because an untyped key (9.0, 5) equals (9, 5), so a hit would
-otherwise skip the check that rejects 9.0.
+representations are memoised (an lru_cache of 2^15 entries each): a
+construction passes them remainders of about sqrt(n), so nearby inputs
+repeat their arguments.  The values are immutable TernaryRep tuples, so
+one cached value can be shared between callers; a raised error is not
+cached.  The mixed pair is theorem 2's own and validates nothing:
+theorem 2 calls its caches, _ttt_mixed (k = 1) and _tt4t_mixed (k = 2),
+with the integers n >= 0 and t in MODULI that its class arithmetic
+derived.  _rep_mixed still checks t^2 | 8n+2+k^2 as a safety net; a
+failure there is the construction failing where its proof says it
+cannot, so it raises ConstructionFailed.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core_arith import check_nat
+from .core_arith import ConstructionFailed, check_nat
 from .squares import three_squares, two_squares
-
-
-class PreconditionViolated(ValueError):
-    """Arguments fall outside the contract of a lemma-style operation."""
 
 
 # The moduli of the second construction: primes t = 5 mod 8, each with a
@@ -41,11 +38,11 @@ class PreconditionViolated(ValueError):
 # is 0 mod 4 and the larger.  Composing with (p, q) re-represents
 # t^2(p^2+q^2) with swapped mod-4 classes and positive roots.  The paper
 # uses 5, 13 and 61; the other seven take the inputs all three divide.
-MODULI = (5, 13, 61, 149, 157, 181, 269, 317, 389, 421)
 ROTATION = {
     5: (4, 3), 13: (12, 5), 61: (60, 11), 149: (140, 51), 157: (132, 85),
     181: (180, 19), 269: (260, 69), 317: (308, 75), 389: (340, 189), 421: (420, 29),
 }  # fmt: skip
+MODULI = tuple(ROTATION)
 
 
 class TernaryRep(NamedTuple):
@@ -54,16 +51,6 @@ class TernaryRep(NamedTuple):
     x: int
     y: int
     z: int
-
-
-# built with tuple.__new__, which is what the NamedTuple's own __new__
-# calls, without its keyword handling
-
-
-def _check_modulus(t: int) -> int:
-    if not isinstance(t, int) or t not in MODULI:  # 5.0 == 5 is in MODULI
-        raise ValueError(f"modulus must be one of {MODULI}, got {t!r}")
-    return t
 
 
 def _parity_split(tri: tuple[int, int, int], parity: int) -> tuple[int, int, int]:
@@ -132,17 +119,21 @@ def _balance_raw(p: int, q: int, t: int) -> tuple[int, int]:
 
 
 def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
-    """The witness of rep_ttt_mixed (k = 1) or rep_tt4t_mixed (k = 2).
+    """Write n = T(x) + T(y) + k^2 T(z), k = 1 or 2, with x, y of different parity.
 
-    n = T(x) + T(y) + k^2 T(z) iff 8n+2+k^2 = (2x+1)^2 + (2y+1)^2 + (k(2z+1))^2.
+    Requires t in MODULI and t^2 | 8n+2+k^2, that is 8n+3 (T+T+T) or 8n+6
+    (T+T+4T).  n = T(x) + T(y) + k^2 T(z) iff 8n+2+k^2 = (2x+1)^2 +
+    (2y+1)^2 + (k(2z+1))^2.  The quotient m by t^2 is 3 (6) mod 8, so it
+    splits into three odd squares (two odd squares and a root 2 mod 4).
     k(2z+1) is t times the first root r of k's parity in three_squares of
-    the quotient m by t^2, and x, y come from balancing the least split of
-    m - r^2.  When r is the smallest root, that split is two_squares'; else
-    (k = 2 with an odd smallest root) it is the triple's other two roots.
+    m: the smallest root for k = 1, the root 2 mod 4 for k = 2.  x, y come
+    from balancing the least split of m - r^2 into distinct mod-4 classes.
+    When r is the smallest root, that split is two_squares'; else (k = 2
+    with an odd smallest root) it is the triple's other two roots.
     """
     m, rest = divmod(8 * n + 2 + k * k, t * t)
     if rest:
-        raise PreconditionViolated(f"{t}^2 does not divide 8n+{2 + k * k} for n={n}")
+        raise ConstructionFailed(f"{t}^2 does not divide 8n+{2 + k * k} for n={n}")
     tri = three_squares(m)
     r, q, p = _parity_split(tri, k & 1)
     if r == tri[0]:
@@ -156,7 +147,7 @@ def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     return tuple.__new__(TernaryRep, ((x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k)))
 
 
-# the mixed caches, for arguments already validated
+# the mixed caches, which theorem 2 calls with the integers it derived
 @lru_cache(maxsize=1 << 15)
 def _ttt_mixed(n: int, t: int) -> TernaryRep:
     return _rep_mixed(n, t, 1)
@@ -165,22 +156,3 @@ def _ttt_mixed(n: int, t: int) -> TernaryRep:
 @lru_cache(maxsize=1 << 15)
 def _tt4t_mixed(n: int, t: int) -> TernaryRep:
     return _rep_mixed(n, t, 2)
-
-
-def rep_ttt_mixed(n: int, t: int) -> TernaryRep:
-    """Write n = T(x) + T(y) + T(z) with x, y of different parity.
-
-    Requires t^2 | 8n+3.  The quotient splits into three odd squares; the
-    smallest root is scaled back up by t to give z, and the remaining two
-    are balanced into distinct mod-4 classes to give x and y.
-    """
-    return _ttt_mixed(check_nat(n, "n"), _check_modulus(t))
-
-
-def rep_tt4t_mixed(n: int, t: int) -> TernaryRep:
-    """Write n = T(x) + T(y) + 4T(z) with x, y of different parity.
-
-    Requires t^2 | 8n+6.  The quotient splits into two odd squares plus a
-    root congruent to 2 mod 4; that root (scaled by t) feeds the 4T slot.
-    """
-    return _tt4t_mixed(check_nat(n, "n"), _check_modulus(t))

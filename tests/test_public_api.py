@@ -17,7 +17,7 @@ import trisum
 from trisum import cli, theorem2
 from trisum.core_arith import Quad1, Quad2
 from trisum.squares import three_squares, two_squares
-from trisum.ternary import TernaryRep, rep_2t_t_t, rep_square_two_tri, rep_tt4t_mixed, rep_ttt_mixed
+from trisum.ternary import TernaryRep, rep_2t_t_t, rep_square_two_tri
 from trisum.verifier import brute_quad, verify_range
 
 
@@ -38,6 +38,10 @@ def test_every_exported_name_resolves():
         ("squares", "eligible_three_squares"),
         ("ternary", "rep_4t_t_t"),
         ("ternary", "balance_odd_pair"),
+        ("ternary", "rep_ttt_mixed"),
+        ("ternary", "rep_tt4t_mixed"),
+        ("ternary", "_check_modulus"),
+        ("ternary", "PreconditionViolated"),
         ("theorem2", "solve_offset_congruence"),
         ("theorem2", "NotCoprime"),
     ],
@@ -140,18 +144,12 @@ def _outcome(call, x):
 
 # every public function that takes integers, one row per integer argument:
 # the call with x in that argument, the refusal it must give, and the
-# integer v whose lookalikes True, float(v) and str(v) are tried.  v = 9 fills
-# the cache of rep_ttt_mixed (25 | 8*9+3); rep_tt4t_mixed needs 18 (25 | 8*18+6)
+# integer v whose lookalikes True, float(v) and str(v) are tried
 _INTEGER_ARGUMENTS = {
     "three_squares": (three_squares, "m must be an integer", 9),
     "two_squares": (two_squares, "m must be an integer", 9),
     "rep_square_two_tri": (rep_square_two_tri, "m must be an integer", 9),
     "rep_2t_t_t": (rep_2t_t_t, "m must be an integer", 9),
-    "rep_ttt_mixed-n": (lambda x: rep_ttt_mixed(x, 5), "n must be an integer", 9),
-    "rep_ttt_mixed-t": (lambda x: rep_ttt_mixed(9, x), "modulus must be one of", 5),
-    "rep_tt4t_mixed-n-9": (lambda x: rep_tt4t_mixed(x, 5), "n must be an integer", 9),
-    "rep_tt4t_mixed-n-18": (lambda x: rep_tt4t_mixed(x, 5), "n must be an integer", 18),
-    "rep_tt4t_mixed-t": (lambda x: rep_tt4t_mixed(18, x), "modulus must be one of", 5),
     "represent_thm1": (trisum.represent_thm1, "n must be an integer", 9),
     "represent_thm2": (trisum.represent_thm2, "n must be an integer", 9),
     "brute_quad-n": (lambda x: brute_quad("thm2", x), "n must be an integer", 9),

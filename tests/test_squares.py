@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from trisum import squares, ternary
 from trisum.core_arith import MAX_INPUT
-from trisum.ternary import rep_ttt_mixed
 from trisum.squares import (
     NoRepresentation,
     NotRepresentable,
@@ -630,6 +629,15 @@ def test_one_strip_of_four_matches_the_recursion(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("m", [0, 5, 20, 3 << 18, 10**12 + 9])
+def test_no_listed_split_is_a_typed_error(m, monkeypatch):
+    # the scan's last resort: an eligible m whose remainders list no split
+    # is refused with NotRepresentable, never answered with None
+    monkeypatch.setattr(squares, "_two_square_splits", lambda r: ())
+    with pytest.raises(NotRepresentable, match=f"^no three-square decomposition of {m}$"):
+        three_squares(m)
+
+
 # --- the split listing is memoised: three_squares' last remainder is reused ---
 
 def test_mixed_rep_reuses_the_last_listed_remainder():
@@ -637,7 +645,7 @@ def test_mixed_rep_reuses_the_last_listed_remainder():
     for n in (10**12 + 9, 1009):
         ternary._ttt_mixed.cache_clear()  # an earlier call must not answer this one
         squares._two_square_splits.cache_clear()
-        rep_ttt_mixed(n, 5)
+        ternary._ttt_mixed(n, 5)
         assert squares._two_square_splits.cache_info().hits >= 1, n
 
 

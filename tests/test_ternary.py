@@ -1,17 +1,19 @@
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trisum
 from trisum import ternary
-from trisum.core_arith import MAX_INPUT
+from trisum.core_arith import MAX_INPUT, ConstructionFailed
 from trisum.squares import three_squares, two_squares
 from trisum.ternary import (
     MODULI,
     ROTATION,
-    PreconditionViolated,
     _parity_split,
     TernaryRep,
     _balance_raw,
@@ -20,8 +22,6 @@ from trisum.ternary import (
     _ttt_mixed,
     rep_2t_t_t,
     rep_square_two_tri,
-    rep_tt4t_mixed,
-    rep_ttt_mixed,
 )
 
 moduli = pytest.mark.parametrize("t", MODULI)
@@ -35,16 +35,17 @@ def _tri(k):
 _SHAPES = {
     rep_square_two_tri: lambda x, y, z: x * x + _tri(y) + _tri(z),
     rep_2t_t_t: lambda x, y, z: 2 * _tri(x) + _tri(y) + _tri(z),
-    rep_ttt_mixed: lambda x, y, z: _tri(x) + _tri(y) + _tri(z),
-    rep_tt4t_mixed: lambda x, y, z: _tri(x) + _tri(y) + 4 * _tri(z),
+    _ttt_mixed: lambda x, y, z: _tri(x) + _tri(y) + _tri(z),
+    _tt4t_mixed: lambda x, y, z: _tri(x) + _tri(y) + 4 * _tri(z),
 }
 
 
 def test_constants_are_two_square_splittings():
     # each modulus is a prime 5 mod 8 whose rotation pair splits t^2 with
     # the even leg 0 mod 4 and the larger, and the moduli multiply past
-    # 4 * MAX_INPUT + 3, so every 4n+3 has one coprime to it
-    assert tuple(ROTATION) == MODULI
+    # 4 * MAX_INPUT + 3, so every 4n+3 has one coprime to it; theorem 2
+    # tries them in this order
+    assert MODULI == (5, 13, 61, 149, 157, 181, 269, 317, 389, 421)
     for t, (alpha, beta) in ROTATION.items():
         assert alpha**2 + beta**2 == t * t
         assert t % 8 == 5 and all(t % d for d in range(2, math.isqrt(t) + 1)), t
@@ -108,21 +109,21 @@ def test_balance_raw_known_values(n, t, expected):
 
 
 def test_mixed_rep_known_values():
-    assert rep_ttt_mixed(9, 5) == TernaryRep(0, 3, 2)
-    assert rep_ttt_mixed(63, 13) == TernaryRep(3, 8, 6)
-    assert rep_ttt_mixed(1809, 5) == TernaryRep(35, 48, 2)
-    assert rep_tt4t_mixed(18, 5) == TernaryRep(0, 3, 2)
-    assert rep_tt4t_mixed(126, 13) == TernaryRep(3, 8, 6)
-    assert rep_tt4t_mixed(793, 5) == TernaryRep(37, 12, 2)
+    assert _ttt_mixed(9, 5) == TernaryRep(0, 3, 2)
+    assert _ttt_mixed(63, 13) == TernaryRep(3, 8, 6)
+    assert _ttt_mixed(1809, 5) == TernaryRep(35, 48, 2)
+    assert _tt4t_mixed(18, 5) == TernaryRep(0, 3, 2)
+    assert _tt4t_mixed(126, 13) == TernaryRep(3, 8, 6)
+    assert _tt4t_mixed(793, 5) == TernaryRep(37, 12, 2)
 
 
 def test_mixed_rep_preconditions():
-    with pytest.raises(PreconditionViolated):
-        rep_ttt_mixed(10, 5)  # 83 is not divisible by 25
-    with pytest.raises(PreconditionViolated):
-        rep_tt4t_mixed(10, 5)
-    with pytest.raises(ValueError):
-        rep_ttt_mixed(9, 6)
+    # theorem 2's class arithmetic never asks for these; if it did, the
+    # construction failed where its proof says it cannot
+    with pytest.raises(ConstructionFailed, match=r"5\^2 does not divide 8n"):
+        _ttt_mixed(10, 5)  # 83 is not divisible by 25
+    with pytest.raises(ConstructionFailed, match=r"5\^2 does not divide 8n"):
+        _tt4t_mixed(10, 5)
 
 
 @moduli
@@ -131,7 +132,7 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     # q = 3 (6) mod 8, since t^2 = 1 mod 8
     tt = t * t
     hits = 0
-    for rep_fn, c in ((rep_ttt_mixed, 3), (rep_tt4t_mixed, 6)):
+    for rep_fn, c in ((_ttt_mixed, 3), (_tt4t_mixed, 6)):
         for q in range(c, 2400, 8):
             n = (tt * q - c) // 8
             rep = rep_fn(n, t)
@@ -141,9 +142,30 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     assert hits == 600
 
 
-@pytest.mark.parametrize(
-    "cached", [_ttt_mixed, _tt4t_mixed], ids=["rep_ttt_mixed", "rep_tt4t_mixed"]
-)
+def _package_caches():
+    # every lru_cache the package binds, found by its cache_clear as the
+    # trace-seam test finds them, once each: a cache bound under several
+    # names is named by its public one (theorem 2's seam names for the mixed
+    # caches), else by its private one
+    names = {}
+    for info in pkgutil.iter_modules(trisum.__path__):
+        for name, value in vars(importlib.import_module(f"trisum.{info.name}")).items():
+            if callable(getattr(value, "cache_clear", None)):
+                names.setdefault(value, set()).add(name)
+    return {min(bound, key=lambda name: (name.startswith("_"), name)): cache for cache, bound in names.items()}
+
+
+_CACHES = _package_caches()
+
+
+def test_every_package_cache_is_found():
+    expected = {"rep_ttt_mixed", "rep_tt4t_mixed", "rep_square_two_tri", "rep_2t_t_t", "_two_square_splits"}
+    assert expected <= set(_CACHES)
+
+
+# the name predates the other caches; every cache the package defines must
+# have a bound, so that a long run cannot grow one without limit
+@pytest.mark.parametrize("cached", list(_CACHES.values()), ids=list(_CACHES))
 def test_mixed_reps_have_a_bounded_cache(cached):
     assert cached.cache_info().maxsize is not None
 
@@ -151,7 +173,7 @@ def test_mixed_reps_have_a_bounded_cache(cached):
 @moduli
 @pytest.mark.parametrize("k", [1, 2])
 def test_cached_mixed_rep_equals_the_uncached_one(t, k):
-    rep_fn = rep_ttt_mixed if k == 1 else rep_tt4t_mixed
+    rep_fn = _ttt_mixed if k == 1 else _tt4t_mixed
     tt = t * t
     # the n with t^2 | 8n+2+k^2 form one class mod t^2
     n0 = -(2 + k * k) * pow(8, -1, tt) % tt
@@ -232,11 +254,12 @@ def test_no_split_of_the_doubled_remainder_lies_below_the_odd_first_root():
 
 
 def test_mixed_rep_failures_are_not_cached():
-    for _ in range(2):
-        with pytest.raises(PreconditionViolated):
-            rep_ttt_mixed(10, 5)
-        with pytest.raises(PreconditionViolated):
-            rep_tt4t_mixed(10, 5)
+    for cached in (_ttt_mixed, _tt4t_mixed):
+        cached.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ConstructionFailed):
+                cached(10, 5)
+        assert cached.cache_info().currsize == 0
 
 
 # the universal representations shift m to 4m+1 and 4m+2, which pass 2^58

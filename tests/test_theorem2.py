@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from trisum import theorem2
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
-from trisum.ternary import MODULI, rep_tt4t_mixed, rep_ttt_mixed
+from trisum.ternary import MODULI, _tt4t_mixed, _ttt_mixed
 from trisum.theorem2 import _class, branch_counts, represent_thm2, reset_branch_counts
 from trisum.verifier import DEFAULT_BUDGET, brute_quad
 
@@ -245,8 +245,8 @@ class TestOffsetLoopTriesTheReferencePrefix:
 
             return spy
 
-        monkeypatch.setattr(theorem2, "rep_ttt_mixed", spied(rep_ttt_mixed, False))
-        monkeypatch.setattr(theorem2, "rep_tt4t_mixed", spied(rep_tt4t_mixed, True))
+        monkeypatch.setattr(theorem2, "rep_ttt_mixed", spied(_ttt_mixed, False))
+        monkeypatch.setattr(theorem2, "rep_tt4t_mixed", spied(_tt4t_mixed, True))
         kinds, kind_of = {}, {}
         for n in (*range(3000), *self.LATER, *self.DRY, *self.FIRST):
             t, doubled = _selects(n)
@@ -257,7 +257,7 @@ class TestOffsetLoopTriesTheReferencePrefix:
             expected = []
             for a in _offset_candidates(n, t, doubled):
                 expected.append(a)
-                rep = rep_tt4t_mixed(n - 2 * a * a, t) if doubled else rep_ttt_mixed((n - a * a) // 2, t)
+                rep = _tt4t_mixed(n - 2 * a * a, t) if doubled else _ttt_mixed((n - a * a) // 2, t)
                 if a > rep.z:
                     kind = "first" if len(expected) == 1 else "later"
                     break
@@ -272,6 +272,32 @@ class TestOffsetLoopTriesTheReferencePrefix:
         for t in PAPER_MODULI:
             assert kinds[t, False] == {"first", "dry"}, t
             assert kinds[t, True] == {"first", "later", "dry"}, t
+
+    def test_every_mixed_call_meets_the_lemma(self, monkeypatch):
+        # the mixed caches check nothing but divisibility, so the class
+        # arithmetic must hand each one a modulus of MODULI and an m >= 0
+        # with t^2 | 8m+2+k^2 (k = 1 for T+T+T, 2 for T+T+4T)
+        asked = []
+
+        def spied(rep, k):
+            def spy(m, t):
+                asked.append((m, t, k))
+                return rep(m, t)
+
+            return spy
+
+        monkeypatch.setattr(theorem2, "rep_ttt_mixed", spied(_ttt_mixed, 1))
+        monkeypatch.setattr(theorem2, "rep_tt4t_mixed", spied(_tt4t_mixed, 2))
+        rng = random.Random(58)
+        large = [rng.randint(10**6, MAX_INPUT) for _ in range(400)]
+        # and 100 with 3965 | 4n+3, which pass the paper's moduli for 149 on
+        large += [(3965 * (4 * rng.randint(252, MAX_INPUT // 3965) + 3) - 3) // 4 for _ in range(100)]
+        for n in (*range(20001), *large):
+            represent_thm2(n)
+        for m, t, k in asked:
+            assert t in MODULI and m >= 0 and (8 * m + 2 + k * k) % (t * t) == 0, (m, t, k)
+        assert {k for _, _, k in asked} == {1, 2}
+        assert {*PAPER_MODULI, 149} <= {t for _, t, _ in asked}
 
 
 class TestRepresent:
