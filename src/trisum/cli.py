@@ -103,7 +103,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "hi": report.hi,
             "exceptions": list(report.exceptions),
             "elapsed_ms": round(report.elapsed_ms, 3),
-            # a list of pairs, not an object: thm1 has two "partial even" stages
+            # a list of [name, ms] pairs, not an object: the order of the
+            # stages is part of the output
             "stages": [[name, round(ms, 3)] for name, ms in report.stages],
         }
         print(json.dumps(payload))

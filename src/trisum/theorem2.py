@@ -54,8 +54,8 @@ input.  That is a finite check, in three parts:
 
       trisum verify --form thm2 --to 322797900 --full
 
-  reports the exceptions () (53.7 s, peak RSS 144 MB; shared 2-vCPU
-  host, CPython 3.11.7).
+  reports the exceptions (), with 930 holes searched (34.9 s, peak RSS
+  69.1 MB; shared 2-vCPU host, CPython 3.11.7).
 * t in {149, 157, 181, 269}: `python3 tools/evidence.py` builds and
   checks every input that takes t at or below its shape's bound, and
   prints

@@ -23,15 +23,14 @@ shifts about a quarter of the bits one bitmap of [0, hi] would take.
 The conjecture's two triples, odd + odd + even and odd + even + even,
 share the slots odd + even, and their third slots together take every
 triangular number, so the union is the single triple odd + even +
-triangular.  Only the first two slots form a full stage; every later
-slot ORs in just its first few values.  The last stage is never held
-whole: each of its classes is scanned for holes as it is built and then
-dropped.  So a sweep of three slots holds one set of class bitmaps at a
-time, and one of four slots two, while its middle stage reads the full
-one.  Every hole left in [lo, hi] goes to brute_quad's search, with the
-two-square splits as its leaf so that a sweep grows no pair table, and
-is an exception exactly when that finds no witness.  The exceptions come
-out in ascending order.
+triangular.  Only the first two slots form a full stage; the later slots
+together form one partial stage, which ORs in just the smallest few sums
+of their values.  That stage is never held whole: each of its classes is
+scanned for holes as it is built and then dropped.  So a sweep of any
+form holds one set of class bitmaps at a time.  Every hole left in
+[lo, hi] goes to brute_quad's search, with the two-square splits as its
+leaf so that a sweep grows no pair table, and is an exception exactly
+when that finds no witness.  The exceptions come out in ascending order.
 """
 
 import time
@@ -188,10 +187,10 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
     return None
 
 
-# Values of each slot after the full stage that are OR-ed in before the
-# holes are settled.  Only speed depends on it: at 32 the conjecture sweep
-# to 10^6 leaves 271 holes instead of 2, searches all 271 and runs about
-# 4x slower.
+# The smallest sums of the slots after the full stage that are OR-ed in
+# before the holes are settled.  Only speed depends on it: at 32 the
+# conjecture sweep to 10^6 leaves 271 holes instead of 2, searches all 271
+# and runs about 4x slower.
 _LAST_SHIFTS = 64
 
 
@@ -254,14 +253,14 @@ class RangeReport(NamedTuple):
 def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeReport:
     """Exceptions of `form` on [lo, hi], found by a whole-interval sweep.
 
-    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep holds up to
-    two sets of class bitmaps of up to hi/8 bytes each at once, one for
-    the three-slot forms (at hi = 10^7 about 2.3 MB above the interpreter's
-    own footprint for thm1 and thm2, 1.0 MB for the conjecture), so a
-    larger one is a deliberate choice, not a default.  `stages` lists
-    (name, ms) for the full stage, each partial stage (the last one also
-    scans its classes for holes) and the "lookup" that searches the holes;
-    they run back to back on one clock, and `elapsed_ms` is their sum.
+    Refuses hi beyond DEFAULT_CAP unless full=True; a sweep of any form
+    holds one set of class bitmaps of up to hi/8 bytes (at hi = 10^7
+    about 1.0 MB above the interpreter's own footprint for thm1 and the
+    conjecture, 1.2 MB for thm2), so a larger one is a deliberate choice,
+    not a default.  `stages` lists (name, ms) for the full stage, the
+    partial stage, which also scans its classes for holes, and the
+    "lookup" that searches the holes; they run back to back on one clock,
+    and `elapsed_ms` is their sum.
     """
     check_nat(lo, "lo")
     check_nat(hi, "hi")
@@ -284,10 +283,12 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
 
     reached = dict(_add_slot(_class_bitmaps(_slot_values(kinds[0], hi), top), _slot_values(kinds[1], hi)))
     lap(f"full {kinds[0]}+{kinds[1]}")
-    *middle, last = (list(islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS)) for kind in kinds[2:])
-    for kind, values in zip(kinds[2:], middle):
-        reached = dict(_add_slot(reached, values))
-        lap(f"partial {kind}")
+    # every slot starts at 0, so the smallest sums lie among the first
+    # _LAST_SHIFTS values of each slot
+    last = [0]
+    for kind in kinds[2:]:
+        sums = {u + v for v in islice(_values(kind), _LAST_SHIFTS) for u in last if u + v <= hi}
+        last = sorted(sums)[:_LAST_SHIFTS]
     holes = []
     for r, bits in _add_slot(reached, last):
         # every class is swept up to M*top + r, which can pass hi; only the
@@ -299,7 +300,7 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
             n = r + _MODULUS * (top + 1 - low.bit_length())
             if lo <= n <= hi:
                 holes.append(n)
-    lap(f"partial {kinds[-1]}")
+    lap(f"partial {'+'.join(kinds[2:])}")
     exceptions = tuple(n for n in sorted(holes) if all(_search(k, n, None) is None for k, _ in _PARTS[form]))
     lap("lookup")
     return RangeReport(form, lo, hi, exceptions, sum(ms for _, ms in stages), tuple(stages))

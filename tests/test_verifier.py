@@ -416,11 +416,12 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_one_full_stage_per_form(self, form):
-        # slots 0 + 1 form the only full stage, every later slot a partial one
+        # slots 0 + 1 form the only full stage, the later slots together one
+        # partial stage
         kinds = verifier._SLOT_KINDS[form]
         stages = verify_range(form, 0, 5000).stages
         names = [name for name, _ in stages]
-        assert names == [f"full {kinds[0]}+{kinds[1]}", *(f"partial {k}" for k in kinds[2:]), "lookup"]
+        assert names == [f"full {kinds[0]}+{kinds[1]}", f"partial {'+'.join(kinds[2:])}", "lookup"]
         assert all(isinstance(ms, float) and ms >= 0.0 for _, ms in stages)
 
     @pytest.mark.parametrize("form", FORMS)
@@ -517,6 +518,31 @@ class TestVerifyRange:
         assert report.exceptions == CONJ_A_TO_1E6
         assert report.exceptions == tuple(n for n in holes if brute_quad("conj_a", n) is None)
 
+    def test_every_thm1_hole_is_searched_once(self, monkeypatch):
+        # thm1 sweeps odd + odd in full and ORs in the 64 smallest sums of
+        # even + even, taken here from the whole even + even sumset; the
+        # holes that leaves are each searched once, and none is an exception
+        hi = 10**6
+        odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
+        even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
+        odd_bits = sum(1 << v for v in odd if v <= hi)
+        even_bits = sum(1 << v for v in even if v <= hi)
+        full = pairs = 0
+        for v in odd:
+            full |= odd_bits << v
+        for v in even:
+            pairs |= even_bits << v
+        smallest = [m.start() for m in itertools.islice(re.finditer("1", format(pairs, "b")[::-1]), 64)]
+        reached = 0
+        for v in smallest:
+            reached |= full << v
+        text = format(reached & ((1 << hi + 1) - 1), f"0{hi + 1}b")[::-1]
+        holes = [m.start() for m in re.finditer("0", text)]
+        searched = _top_level_searches(monkeypatch)
+        report = verify_range("thm1", 0, hi)
+        assert holes and searched == holes
+        assert report.exceptions == ()
+
     def test_the_sweep_never_grows_a_pair_table(self, monkeypatch):
         # holes are searched through the two-square splits; with no partial
         # shifts every n of thm1 up to 2000 is a searched hole
@@ -530,11 +556,9 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("form", ["thm1", "thm2", "conjecture"])
     def test_sweep_memory_in_a_fresh_process(self, form):
-        # thm1 and thm2 hold two sets of class bitmaps of up to hi/8 bytes
-        # each at once, the full stage and the middle one built from it;
-        # keeping the full stage for a lookup as well took the peak to
-        # 3.3-4.1 MB.  The conjecture's last stage is scanned class by class
-        # as it is built, so it holds one set (+0.9 MB; holding its last
-        # stage whole took +1.9 MB)
+        # every form holds one set of class bitmaps of up to hi/8 bytes, the
+        # full stage, since its partial stage is scanned class by class as it
+        # is built (+0.9-1.3 MB); a second set held whole beside it, a middle
+        # stage or the partial stage, takes +1.9-2.3 MB, which the bounds catch
         grown = _peak_growth_kb("from trisum.verifier import verify_range", f"verify_range({form!r}, 0, 10**7)")
-        assert grown < {"thm1": 3, "thm2": 3, "conjecture": 1.5}[form] * 1024
+        assert grown < {"thm1": 1.6, "thm2": 1.6, "conjecture": 1.5}[form] * 1024
