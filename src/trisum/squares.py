@@ -17,28 +17,33 @@ takes out the primes below 2^10.  A cofactor below 2^26 then has at most
 two prime factors, the smaller one below 2^13, so one gcd with the product
 of the primes in [2^10, 2^13) decides it: 1 means prime, and otherwise
 the gcd is that factor, or the cofactor itself when both factors lie in
-the range, which one pass over those primes splits.  Deterministic
-Miller-Rabin and Pollard-Brent rho run only on cofactors from 2^26 up.
-A prime 3 mod 4 to an odd power rules the remainder out at once
-(Fermat); otherwise its splits are the products of the Gaussian primes
-over its prime factors 1 mod 4 (Hermite-Serret).  A product and its
-conjugate give the same split, so the first of those primes contributes
-only the powers up to half its exponent.  Each Gaussian prime takes one
-modular power, of its least non-residue c: 2 for p = 5 mod 8, else the
-least odd prime with (p/c) = -1 (reciprocity), read off a table of the
+the range, which one pass over those primes splits.  Below 2^23 the
+smaller factor is at most isqrt(2^23) = 2896, so the gcd takes only the
+primes up to there.  Deterministic Miller-Rabin and Pollard-Brent rho
+run only on cofactors from 2^26 up.  A prime 3 mod 4 to an odd power
+rules the remainder out at once (Fermat); otherwise its splits are the
+products of the Gaussian primes over its prime factors 1 mod 4
+(Hermite-Serret).  A product and its conjugate give the same split, so
+the first of those primes contributes only the powers up to half its
+exponent; with one such prime, to the first power, the one split is
+read off its Gaussian prime.  Each Gaussian prime takes one modular
+power, of its least non-residue c: 2 for p = 5 mod 8, else the least
+odd prime with (p/c) = -1 (reciprocity), read off a table of the
 non-residues mod each odd prime below 64, or found past it by Euler's
-criterion.  three_squares does not list a remainder whose odd part is
-3 mod 4, since it has a prime 3 mod 4 to an odd power.  No remainder
-m - a^2 the scan reaches has a split with q < a, so it takes every split
-as listed.  Were there one with distinct roots q < a, p, the scan would
-have returned by a' = q, which it visits: the rule above skips only
-remainders without a split, and m - q^2 = a^2 + p^2 has one.  Any other
-split with q < a is (q, q, a) or (q, a, a), so m < 3a^2 and a lies past
-the scan's end, isqrt(m // 3).  Every input takes this one path; the
-tests hold it to a direct q-scan with an exact square test.  Inputs run up to
-SQUARES_MAX = 8*MAX_INPUT + 6, which is below 2^64, where this
-Miller-Rabin is exact.  No library path needs all of it: the largest
-value one passes is 8*MAX_INPUT + 2, the 8m+2 whose splits
+criterion.  three_squares does not list a remainder r that has a prime
+3 mod 4 to an odd power by either of two tests: its odd part is 3 mod 4,
+or g = gcd(r, the product of the primes 3 mod 4 below 100) is above 1
+and prime to r // g, so that each of those primes dividing r divides it
+once.  No remainder m - a^2 the scan reaches has a split with q < a, so
+it takes every split as listed.  Were there one with distinct roots
+q < a, p, the scan would have returned by a' = q, which it visits: the
+tests above skip only remainders without a split, and m - q^2 = a^2 + p^2
+has one.  Any other split with q < a is (q, q, a) or (q, a, a), so
+m < 3a^2 and a lies past the scan's end, isqrt(m // 3).  Every input
+takes this one path; the tests hold it to a direct q-scan with an exact
+square test.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, which is
+below 2^64, where this Miller-Rabin is exact.  No library path needs all
+of it: the largest value one passes is 8*MAX_INPUT + 2, the 8m+2 whose splits
 verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its last
 two slots; the ternary representations pass at most 4*MAX_INPUT + 2
 (rep_2t_t_t(MAX_INPUT)), since the mixed ones divide 8n+2+k^2 by t^2
@@ -110,8 +115,8 @@ def three_squares(m: int) -> ThreeSquares:
     first: ThreeSquares | None = None
     for a in range(isqrt(n // 3) + 1):
         r = n - a * a
-        if r and r // (r & -r) & 3 == 3:
-            continue  # an odd part 3 mod 4: no split (Fermat)
+        if r and (r // (r & -r) & 3 == 3 or (g := gcd(r, _FERMAT)) > 1 and gcd(r // g, g) == 1):
+            continue  # a prime 3 mod 4 to an odd power: no split (Fermat)
         for q, p in _two_square_splits(r):
             if a < q < p:
                 return tuple.__new__(ThreeSquares, (a << l, q << l, p << l))
@@ -146,14 +151,20 @@ def _odd_sieve(limit: int) -> bytearray:
 
 
 # trial division takes out the primes below _TRIAL; a cofactor below
-# _MID^2 = 2^26 is then decided by one gcd with the primes in [_TRIAL, _MID)
+# _MID^2 = 2^26 is then decided by one gcd with the primes in [_TRIAL, _MID),
+# and one below _LOW = 2^23 by the gcd with those whose square is below _LOW
 _TRIAL = 1 << 10
 _MID = 1 << 13
+_LOW = 1 << 23
 _SIEVE = _odd_sieve(_MID)
 _ODD_PRIMES = tuple(compress(range(3, _TRIAL, 2), _SIEVE[3:_TRIAL:2]))
 _MID_PRIMES = tuple(compress(range(_TRIAL + 1, _MID, 2), _SIEVE[_TRIAL + 1 :: 2]))
 _ODD_PRIMORIAL = prod(_ODD_PRIMES)
 _MID_PRIMORIAL = prod(_MID_PRIMES)
+_LOW_PRIMORIAL = prod(p for p in _MID_PRIMES if p * p < _LOW)
+# the primes 3 mod 4 below 100 (64 bits): a remainder that one of them
+# divides exactly once has no split, which one gcd with r // g shows
+_FERMAT = prod(p for p in _ODD_PRIMES if p < 100 and p & 3 == 3)
 
 # The first k of these bases decide primality exactly below the paired
 # bound (the least strong pseudoprimes to the first k primes, OEIS A014233).
@@ -236,9 +247,10 @@ def _factor_rough(n: int, out: dict[int, int], mult: int = 1) -> None:
                 _factor_rough(n // d, out, mult)
             return
     elif n >= _TRIAL * _TRIAL:
-        # n = p or p*q with _TRIAL < p <= q and p < _MID: the gcd is 1 for a
-        # prime, p when q is not below _MID or equals p, and n when p < q < _MID
-        p = gcd(n, _MID_PRIMORIAL)
+        # n = p or p*q with _TRIAL < p <= q, so p*p <= n, which puts p in the
+        # product: the gcd is 1 for a prime, p when q is not in the product
+        # or equals p, and n otherwise
+        p = gcd(n, _LOW_PRIMORIAL if n < _LOW else _MID_PRIMORIAL)
         if p > 1:
             if p == n:
                 for p in _MID_PRIMES:
@@ -250,7 +262,7 @@ def _factor_rough(n: int, out: dict[int, int], mult: int = 1) -> None:
 
 
 def _gaussian_prime(p: int) -> tuple[int, int]:
-    """(a, b) with a^2 + b^2 = p, for a prime p = 1 mod 4 (Hermite-Serret)."""
+    """(a, b) with a^2 + b^2 = p and a > b, for a prime p = 1 mod 4 (Hermite-Serret)."""
     # c^((p-1)/4) is a square root of -1 mod p for the least non-residue c:
     # 2 for p = 5 mod 8, else an odd prime c with (p/c) = -1 (reciprocity)
     if p & 7 == 5:
@@ -261,8 +273,8 @@ def _gaussian_prime(p: int) -> tuple[int, int]:
                 break
         else:  # Euler's criterion past the table
             c = next(c for c in count(c + 2, 2) if pow(c, p >> 1, p) == p - 1)
-    a, b = p, pow(c, p >> 2, p)
-    while b * b > p:
+    a, b, s = p, pow(c, p >> 2, p), isqrt(p)
+    while b > s:
         a, b = b, a % b
     return b, isqrt(p - b * b)
 
@@ -313,6 +325,11 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
             return ()
         else:
             scale *= p ** (e >> 1)
+    if len(split) == 1 and split[0][1] == 1:
+        # one prime to the first power: its Gaussian prime a + bi, a > b,
+        # times 1 + i for an odd e2, is the only split
+        a, b = _GAUSS_SMALL.get(split[0][0]) or _gaussian_prime(split[0][0])
+        return ((scale * (a - b), scale * (a + b)) if e2 & 1 else (scale * b, scale * a),)
     # Gaussian integers x + iy of norm n, one per class under units:
     # (1+i)^e2 = 2^(e2//2) (1+i)^(e2%2) up to a unit, times pi^j conj(pi)^(e-j)
     zs = [(scale, scale) if e2 & 1 else (scale, 0)]

@@ -202,6 +202,10 @@ _LAST_SHIFTS = 64
 _MODULUS = 45
 
 
+# a translate table flagging the non-zero byte values
+_NONZERO = b"\0" + b"\1" * 255
+
+
 def _by_class(values: list[int]) -> dict[int, list[int]]:
     # v = r + M*q, listed as r -> [q, ...] in ascending order
     classes: dict[int, list[int]] = {}
@@ -290,16 +294,23 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
         sums = {u + v for v in islice(_values(kind), _LAST_SHIFTS) for u in last if u + v <= hi}
         last = sorted(sums)[:_LAST_SHIFTS]
     holes = []
+    mask = (1 << (top + 1)) - 1
     for r, bits in _add_slot(reached, last):
-        # every class is swept up to M*top + r, which can pass hi; only the
-        # holes in [lo, hi] are reported
-        gaps = ~bits & ((1 << (top + 1)) - 1)
-        while gaps:
-            low = gaps & -gaps
-            gaps ^= low
-            n = r + _MODULUS * (top + 1 - low.bit_length())
-            if lo <= n <= hi:
-                holes.append(n)
+        # one pass flags the non-zero bytes of the gaps; bit i of byte j
+        # stands for n = r + M*(top - 8j - i).  Every class is swept up to
+        # M*top + r, which can pass hi; only the holes in [lo, hi] are
+        # reported
+        if gaps := ~bits & mask:
+            data = gaps.to_bytes(top // 8 + 1, "little")
+            flags = data.translate(_NONZERO)
+            j = flags.find(1)
+            while j >= 0:
+                byte = data[j]
+                for i in range(8):
+                    n = r + _MODULUS * (top - 8 * j - i)
+                    if byte >> i & 1 and lo <= n <= hi:
+                        holes.append(n)
+                j = flags.find(1, j + 1)
     lap(f"partial {'+'.join(kinds[2:])}")
     exceptions = tuple(n for n in sorted(holes) if all(_search(k, n, None) is None for k, _ in _PARTS[form]))
     lap("lookup")

@@ -1,13 +1,16 @@
 import hashlib
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum import squares, ternary
+import trisum
+from trisum import squares, ternary, theorem1, theorem2
 from trisum.core_arith import MAX_INPUT
 from trisum.squares import (
     NoRepresentation,
@@ -110,6 +113,16 @@ def _odd_part_3_mod_4(r):
     return r % 4 == 3
 
 
+_PRIMES_3_MOD_4_BELOW_100 = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
+
+
+def _gcd_rule_rejects(r):
+    # three_squares' second skip: r is divisible by a prime 3 mod 4 below
+    # 100, and by the square of none, so some such prime divides it once
+    divisors = [p for p in _PRIMES_3_MOD_4_BELOW_100 if r % p == 0]
+    return bool(divisors) and all(r % (p * p) for p in divisors)
+
+
 def _skipped_roots(m, stop):
     # the a below stop that leave m = 2 mod 4 a remainder 6 mod 8, twice an
     # odd part 3 mod 4: a = 0 mod 4 for m = 6 mod 8, a = 2 mod 4 for m = 2 mod 8
@@ -117,18 +130,23 @@ def _skipped_roots(m, stop):
 
 
 def test_remainders_the_mod_8_rule_skips_have_no_split():
-    # three_squares skips every remainder whose odd part is 3 mod 4 (module
-    # docstring).  Below 2*10^5, against every sum of two squares: each such
-    # r (the remainders of every m up to the limit lie in [0, limit]) and,
-    # for m = 2 mod 4, each a up to isqrt(m // 3) that leaves 6 mod 8.  On
-    # seeded m = 2 mod 4 below 2^40, against the scan, each such a up to
-    # the triple's first root.
+    # three_squares skips every remainder whose odd part is 3 mod 4, and
+    # every one the gcd rule finds a prime 3 mod 4 below 100 dividing
+    # exactly once (module docstring).  Below 2*10^5, against every sum of
+    # two squares: each such r (the remainders of every m up to the limit
+    # lie in [0, limit]) and, for m = 2 mod 4, each a up to isqrt(m // 3)
+    # that leaves 6 mod 8.  On seeded m = 2 mod 4 below 2^40, against the
+    # scan, each such a up to the triple's first root.
     limit = 200000
     sums = bytearray(limit + 1)
     for q in range(math.isqrt(limit) + 1):
         for p in range(q, math.isqrt(limit - q * q) + 1):
             sums[q * q + p * p] = 1
     skipped = [r for r in range(1, limit + 1) if _odd_part_3_mod_4(r)]
+    assert skipped and not any(sums[r] for r in skipped)
+    # the gcd skip, which takes one product of the primes 3 mod 4 below 100
+    assert squares._FERMAT == math.prod(_PRIMES_3_MOD_4_BELOW_100)
+    skipped = [r for r in range(1, limit + 1) if _gcd_rule_rejects(r)]
     assert skipped and not any(sums[r] for r in skipped)
     for m in range(2, limit + 1, 4):
         assert not any(sums[m - a * a] for a in _skipped_roots(m, math.isqrt(m // 3) + 1)), m
@@ -160,6 +178,7 @@ def test_three_squares_lists_no_remainder_6_mod_8(monkeypatch):
         three_squares(m)
     assert listed and not [r for r in listed if r & 7 == 6]
     assert not [r for r in listed if r and _odd_part_3_mod_4(r)]
+    assert not [r for r in listed if r and _gcd_rule_rejects(r)]
 
 
 @pytest.mark.parametrize(
@@ -454,6 +473,60 @@ def test_a_small_prime_3_mod_4_to_an_odd_power_returns_before_the_cofactor(monke
     assert squares._two_square_splits(21 * p) == ()
 
 
+def _is_prime_by_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("lo,hi", [(5, 1 << 10), (1 << 10, 1 << 13), (1 << 20, 1 << 26)])
+def test_one_prime_listings_match_the_scan(lo, hi):
+    # p, 2p, p*s^2 and 2p*s^2 for primes p = 1 mod 4 below the trial bound,
+    # among the mid primes and in the cofactor band, with squares of 2 and
+    # of primes 3 mod 4 (1031 from the cofactor): one split, read off p's
+    # Gaussian prime, times 1 + i for the odd powers of 2
+    rng = random.Random(lo)
+    candidates = (lo, hi - 1, *(rng.randrange(lo, hi) for _ in range(4)))
+    primes = []
+    for start in candidates:
+        p = start | 1
+        while not (p & 3 == 1 and _is_prime_by_division(p)):
+            p += -2 if start == hi - 1 else 2
+        primes.append(p)
+    assert primes[0] >= lo and primes[1] < hi
+    for p in primes:
+        for s in (1, 3, 14, 1031):
+            for m in (p * s * s, 2 * p * s * s):
+                if m < 1 << 36:
+                    splits = squares._two_square_splits(m)
+                    assert len(splits) == 1 and splits == _splits_by_scan(m), m
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        # below 2^23: the smaller factor is at most isqrt(2^23) = 2896
+        (2887, 2897),
+        (2887, 2887),
+        (2879, 2887),
+        (1031, 8123),
+        (8388593,),  # the largest prime below 2^23
+        # from 2^23 on: every prime in [2^10, 2^13)
+        (2897, 2897),
+        (2897, 2903),
+        (2887, 2909),
+        (2897, 2909),
+        (1031, 8161),
+        (8388617,),  # the least prime above 2^23
+    ],
+)
+def test_cofactors_on_both_sides_of_two_to_the_23(factors):
+    n = math.prod(factors)
+    out = {}
+    squares._factor_rough(n, out)
+    assert out == {p: factors.count(p) for p in factors}
+    assert squares._two_square_splits(n) == _splits_by_scan(n)
+    assert squares._two_square_splits(4 * 9 * n) == _splits_by_scan(4 * 9 * n)
+
+
 def test_primality_and_gaussian_primes():
     small = {n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))}
     assert squares._ODD_PRIMES == tuple(sorted(p for p in small if 2 < p < 1 << 10))
@@ -647,6 +720,21 @@ def test_mixed_rep_reuses_the_last_listed_remainder():
         squares._two_square_splits.cache_clear()
         ternary._ttt_mixed(n, 5)
         assert squares._two_square_splits.cache_info().hits >= 1, n
+
+
+@pytest.mark.parametrize("represent", [theorem2.represent_thm2, theorem1.represent_thm1])
+def test_large_witnesses_list_few_remainders(represent):
+    # the 2,000 seed-1 inputs of [10^12, 2*10^12) from cold caches:
+    # three_squares' gcd skip cut the listings from 4,981 (thm2) and 5,036
+    # (thm1) to 2,790 and 2,791
+    for info in pkgutil.iter_modules(trisum.__path__):
+        for value in vars(importlib.import_module(f"trisum.{info.name}")).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    rng = random.Random(1)
+    for _ in range(2000):
+        represent(rng.randint(10**12, 2 * 10**12 - 1))
+    assert squares._two_square_splits.cache_info().misses <= 3000
 
 
 def test_split_listing_is_immutable():

@@ -395,8 +395,11 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_seeded_windows_match_reference_enumeration(self, form):
-        # hi below 2000 keeps every last slot shorter than the stage's shift
-        # count (the shortest, triangular, reaches value 2080 at index 64)
+        # the partial stage ORs in the 64 smallest sums of the later slots:
+        # up to 2016 for the conjecture's triangular slot and past 2000 for
+        # conj_a's and conj_b's, so below 2000 their holes are exactly the
+        # exceptions; thm1's and thm2's two slots reach only 289 and 246,
+        # so their windows also leave holes that the search settles
         rng = random.Random(form)
         for _ in range(6):
             hi = rng.choice((rng.randint(0, 60), rng.randint(0, 2000)))
