@@ -1,15 +1,12 @@
 import hashlib
-import importlib
 import itertools
 import math
-import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trisum
 from trisum import squares, ternary, theorem1, theorem2
 from trisum.core_arith import MAX_INPUT
 from trisum.squares import (
@@ -20,6 +17,8 @@ from trisum.squares import (
     three_squares,
     two_squares,
 )
+
+from caches import clear_package_caches
 
 
 def _eligible_by_definition(m: int) -> bool:
@@ -543,7 +542,7 @@ def test_primality_and_gaussian_primes():
     assert squares._is_prime((1 << 61) - 1)
     for p in (*(p for p in small if p & 3 == 1), 1000000009, 536870909):
         a, b = squares._gaussian_prime(p)
-        assert a * a + b * b == p
+        assert a * a + b * b == p and a > b, p  # the one-prime listing relies on a > b
 
 
 def _gaussian_prime_by_least_non_residue(p):
@@ -603,7 +602,7 @@ def test_gaussian_primes_near_2_61():
         if p & 3 == 1 and found[p & 7] < 20 and squares._is_prime(p):
             found[p & 7] += 1
             a, b = squares._gaussian_prime(p)
-            assert a * a + b * b == p, p
+            assert a * a + b * b == p and a > b, p
             assert (a, b) == _gaussian_prime_by_least_non_residue(p), p
 
 
@@ -727,10 +726,7 @@ def test_large_witnesses_list_few_remainders(represent):
     # the 2,000 seed-1 inputs of [10^12, 2*10^12) from cold caches:
     # three_squares' gcd skip cut the listings from 4,981 (thm2) and 5,036
     # (thm1) to 2,790 and 2,791
-    for info in pkgutil.iter_modules(trisum.__path__):
-        for value in vars(importlib.import_module(f"trisum.{info.name}")).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    clear_package_caches()
     rng = random.Random(1)
     for _ in range(2000):
         represent(rng.randint(10**12, 2 * 10**12 - 1))

@@ -1,13 +1,10 @@
-import importlib
 import math
-import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trisum
 from trisum import ternary
 from trisum.core_arith import MAX_INPUT, ConstructionFailed
 from trisum.squares import three_squares, two_squares
@@ -23,6 +20,8 @@ from trisum.ternary import (
     rep_2t_t_t,
     rep_square_two_tri,
 )
+
+from caches import package_caches
 
 moduli = pytest.mark.parametrize("t", MODULI)
 
@@ -142,20 +141,7 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     assert hits == 600
 
 
-def _package_caches():
-    # every lru_cache the package binds, found by its cache_clear as the
-    # trace-seam test finds them, once each: a cache bound under several
-    # names is named by its public one (theorem 2's seam names for the mixed
-    # caches), else by its private one
-    names = {}
-    for info in pkgutil.iter_modules(trisum.__path__):
-        for name, value in vars(importlib.import_module(f"trisum.{info.name}")).items():
-            if callable(getattr(value, "cache_clear", None)):
-                names.setdefault(value, set()).add(name)
-    return {min(bound, key=lambda name: (name.startswith("_"), name)): cache for cache, bound in names.items()}
-
-
-_CACHES = _package_caches()
+_CACHES = package_caches()
 
 
 def test_every_package_cache_is_found():
