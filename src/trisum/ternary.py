@@ -16,19 +16,20 @@ All outputs are deterministic because every two/three-square choice below
 delegates to the canonical decompositions in `squares`.  All four ternary
 representations are memoised (an lru_cache of 2^15 entries each): a
 construction passes them remainders of about sqrt(n), so nearby inputs
-repeat their arguments.  The values are immutable TernaryRep tuples, so
-one cached value can be shared between callers; a raised error is not
-cached.  The mixed pair is theorem 2's own and validates nothing:
-theorem 2 calls its caches, _ttt_mixed (k = 1) and _tt4t_mixed (k = 2),
-with the integers n >= 0 and t in MODULI that its class arithmetic
-derived.  _rep_mixed still checks t^2 | 8n+2+k^2 as a safety net; a
-failure there is the construction failing where its proof says it
-cannot, so it raises ConstructionFailed.
+repeat their arguments.  The values are (x, y, z) tuples, so one cached
+value can be shared between callers; a raised error is not cached.
+Nothing here checks its input: theorem 1 passes the universal pair the
+integers m >= 0 its peel derived, and theorem 2 calls the mixed pair's
+caches, _ttt_mixed (k = 1) and _tt4t_mixed (k = 2), with the integers
+n >= 0 and t in MODULI that its class arithmetic derived.  _rep_mixed
+still checks t^2 | 8n+2+k^2 as a safety net; a failure there is the
+construction failing where its proof says it cannot, so it raises
+ConstructionFailed.
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
+# check_nat is unused here: perfbench's tracer wraps this binding by name
 from .core_arith import ConstructionFailed, check_nat
 from .squares import three_squares, two_squares
 
@@ -45,14 +46,6 @@ ROTATION = {
 MODULI = tuple(ROTATION)
 
 
-class TernaryRep(NamedTuple):
-    """A three-index witness (x, y, z); the function that built it names its shape."""
-
-    x: int
-    y: int
-    z: int
-
-
 def _parity_split(tri: tuple[int, int, int], parity: int) -> tuple[int, int, int]:
     # (u, v, w) with u the one component of the given parity and v <= w the
     # other two; three_squares lists its components in ascending order
@@ -64,7 +57,7 @@ def _parity_split(tri: tuple[int, int, int], parity: int) -> tuple[int, int, int
     return c, a, b
 
 
-def _rep_universal(total: int, parity: int, farther: bool) -> TernaryRep:
+def _rep_universal(total: int, parity: int, farther: bool) -> tuple[int, int, int]:
     # total = s^2 + r1^2 + r2^2 with s the one root of the given parity and
     # r1 <= r2; the slot takes the root farther from s (closer unless
     # farther), the larger on ties, and its mate pairs with s as
@@ -75,11 +68,11 @@ def _rep_universal(total: int, parity: int, farther: bool) -> TernaryRep:
         a, mate = r2, r1
     else:
         a, mate = r1, r2
-    return tuple.__new__(TernaryRep, (a // 2, (s + mate - 1) // 2, (abs(s - mate) - 1) // 2))
+    return a // 2, (s + mate - 1) // 2, (abs(s - mate) - 1) // 2
 
 
 @lru_cache(maxsize=1 << 15)
-def rep_square_two_tri(m: int) -> TernaryRep:
+def rep_square_two_tri(m: int) -> tuple[int, int, int]:
     """Write m = x^2 + T(y) + T(z).
 
     4m+1 is always a sum of three squares, with exactly one odd component.
@@ -87,19 +80,17 @@ def rep_square_two_tri(m: int) -> TernaryRep:
     the smaller gap |odd - other even| (larger slot value on ties), so the
     triangular indices stay as balanced as the decomposition allows.
     """
-    check_nat(m, "m")
     return _rep_universal(4 * m + 1, 1, True)
 
 
 @lru_cache(maxsize=1 << 15)
-def rep_2t_t_t(m: int) -> TernaryRep:
+def rep_2t_t_t(m: int) -> tuple[int, int, int]:
     """Write m = 2T(x) + T(y) + T(z).
 
     4m+2 is a sum of two odd squares and one even square.  The 2T slot
     takes the odd component that leaves the wider gap |other odd - even|
     (larger slot value on ties), mirroring rep_square_two_tri.
     """
-    check_nat(m, "m")
     return _rep_universal(4 * m + 2, 0, False)
 
 
@@ -118,7 +109,7 @@ def _balance_raw(p: int, q: int, t: int) -> tuple[int, int]:
     return alpha * p - beta * q, beta * p + alpha * q
 
 
-def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
+def _rep_mixed(n: int, t: int, k: int) -> tuple[int, int, int]:
     """Write n = T(x) + T(y) + k^2 T(z), k = 1 or 2, with x, y of different parity.
 
     Requires t in MODULI and t^2 | 8n+2+k^2, that is 8n+3 (T+T+T) or 8n+6
@@ -144,15 +135,15 @@ def _rep_mixed(n: int, t: int, k: int) -> TernaryRep:
     # distinct roots with a smaller first root, which three_squares would
     # have returned
     x, y = _balance_raw(p, q, t)
-    return tuple.__new__(TernaryRep, ((x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k)))
+    return (x - 1) // 2, (y - 1) // 2, (t * r - k) // (2 * k)
 
 
 # the mixed caches, which theorem 2 calls with the integers it derived
 @lru_cache(maxsize=1 << 15)
-def _ttt_mixed(n: int, t: int) -> TernaryRep:
+def _ttt_mixed(n: int, t: int) -> tuple[int, int, int]:
     return _rep_mixed(n, t, 1)
 
 
 @lru_cache(maxsize=1 << 15)
-def _tt4t_mixed(n: int, t: int) -> TernaryRep:
+def _tt4t_mixed(n: int, t: int) -> tuple[int, int, int]:
     return _rep_mixed(n, t, 2)

@@ -6,8 +6,8 @@ witness.  Every form ends in an odd or even slot pair, whose values
 T(m) + T(l) sum to n exactly when (2m+1)^2 + (2l+1)^2 = 8n+2, so those
 two slots are resolved together: up to 2^20 from a table with one packed
 first index pair per sum, above that from the two-square splits of 8n+2
-that squares lists.  Up to n = 2^58 that is at most 8*2^58 + 2, inside
-the squares domain.
+that squares lists.  Up to n = 2^58 that is at most 8*2^58 + 2, below
+2^64, where squares' primality test is exact.
 
 verify_range covers a whole interval at once.  Every form is a sumset of
 slot kinds; each slot contributes the bit masks of its attainable values

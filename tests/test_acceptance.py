@@ -161,8 +161,8 @@ def test_three_square_eligibility_agreement():
         while r and r % 4 == 0:
             r //= 4
         if r % 8 != 7:  # Legendre: m is not of the form 4^l(8k+7)
-            t = three_squares(m)
-            if t.a**2 + t.b**2 + t.c**2 != m:
+            a, b, c = three_squares(m)
+            if a**2 + b**2 + c**2 != m:
                 bad.append(m)
         else:
             try:

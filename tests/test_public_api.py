@@ -1,5 +1,5 @@
-"""The package exports what it defines, once each, and none of the helpers it dropped;
-README's examples run as written."""
+"""The package exports its witness and sweep doors, once each, and none of the
+helpers it dropped or keeps internal; README's examples run as written."""
 
 import doctest
 import importlib
@@ -16,8 +16,6 @@ import pytest
 import trisum
 from trisum import cli, theorem2
 from trisum.core_arith import Quad1, Quad2
-from trisum.squares import three_squares, two_squares
-from trisum.ternary import TernaryRep, rep_2t_t_t, rep_square_two_tri
 from trisum.verifier import brute_quad, verify_range
 
 
@@ -25,6 +23,29 @@ def test_every_exported_name_resolves():
     assert len(trisum.__all__) == len(set(trisum.__all__))
     for name in trisum.__all__:
         assert hasattr(trisum, name), name
+
+
+def test_exports_are_the_witness_and_sweep_doors():
+    assert trisum.__all__ == [
+        "MAX_INPUT",
+        "ConstructionFailed",
+        "Quad1",
+        "Quad2",
+        "check_nat",
+        "eval_quad",
+        "fallback_count",
+        "represent_thm1",
+        "reset_fallback_count",
+        "branch_counts",
+        "represent_thm2",
+        "reset_branch_counts",
+        "FORMS",
+        "BudgetExceeded",
+        "RangeReport",
+        "brute_quad",
+        "verify_range",
+        "__version__",
+    ]
 
 
 # helpers that only tests called, by the module that defined them
@@ -36,6 +57,10 @@ def test_every_exported_name_resolves():
         ("core_arith", "triangular"),
         ("squares", "is_square"),
         ("squares", "eligible_three_squares"),
+        ("squares", "SQUARES_MAX"),
+        ("squares", "ThreeSquares"),
+        ("squares", "TwoSquares"),
+        ("ternary", "TernaryRep"),
         ("ternary", "rep_4t_t_t"),
         ("ternary", "balance_odd_pair"),
         ("ternary", "rep_ttt_mixed"),
@@ -50,6 +75,25 @@ def test_dropped_helpers_are_unreachable(module, name):
     assert name not in trisum.__all__
     assert not hasattr(trisum, name)
     assert not hasattr(importlib.import_module(f"trisum.{module}"), name)
+
+
+# the supporting layers' doors: internals that only the library calls
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("squares", "three_squares"),
+        ("squares", "two_squares"),
+        ("squares", "NotRepresentable"),
+        ("squares", "NoRepresentation"),
+        ("ternary", "rep_square_two_tri"),
+        ("ternary", "rep_2t_t_t"),
+        ("ternary", "MODULI"),
+    ],
+)
+def test_layer_internals_are_not_exported(module, name):
+    assert name not in trisum.__all__
+    assert not hasattr(trisum, name)
+    assert hasattr(importlib.import_module(f"trisum.{module}"), name)
 
 
 def test_import_loads_no_logging():
@@ -68,14 +112,6 @@ def test_import_loads_no_logging():
     added = done.stdout.split()
     assert "trisum.theorem1" in added
     assert "logging" not in added
-
-
-def test_ternary_rep_is_three_indices():
-    rep = TernaryRep(3, 2, 1)
-    assert TernaryRep._fields == ("x", "y", "z")
-    assert rep == (3, 2, 1)
-    assert not hasattr(rep, "kind")
-    assert not hasattr(rep, "value")
 
 
 def test_readme_examples_run_as_written():
@@ -146,10 +182,6 @@ def _outcome(call, x):
 # the call with x in that argument, the refusal it must give, and the
 # integer v whose lookalikes True, float(v) and str(v) are tried
 _INTEGER_ARGUMENTS = {
-    "three_squares": (three_squares, "m must be an integer", 9),
-    "two_squares": (two_squares, "m must be an integer", 9),
-    "rep_square_two_tri": (rep_square_two_tri, "m must be an integer", 9),
-    "rep_2t_t_t": (rep_2t_t_t, "m must be an integer", 9),
     "represent_thm1": (trisum.represent_thm1, "n must be an integer", 9),
     "represent_thm2": (trisum.represent_thm2, "n must be an integer", 9),
     "brute_quad-n": (lambda x: brute_quad("thm2", x), "n must be an integer", 9),

