@@ -12,40 +12,48 @@ is what makes the higher-level constructions reproducible:
   order: powers of 4 are taken out first.
 * two_squares returns the split p^2 + q^2 with the smallest q.
 
-The splits of a remainder are found by factoring it.  Trial division
-takes out the primes below 2^10.  A cofactor below 2^26 then has at most
-two prime factors, the smaller one below 2^13, so one gcd with the product
-of the primes in [2^10, 2^13) decides it: 1 means prime, and otherwise
-the gcd is that factor, or the cofactor itself when both factors lie in
-the range, which one pass over those primes splits.  Below 2^23 the
-smaller factor is at most isqrt(2^23) = 2896, so the gcd takes only the
-primes up to there.  Deterministic Miller-Rabin and Pollard-Brent rho
-run only on cofactors from 2^26 up.  A prime 3 mod 4 to an odd power
-rules the remainder out at once (Fermat); otherwise its splits are the
-products of the Gaussian primes over its prime factors 1 mod 4
-(Hermite-Serret).  A product and its conjugate give the same split, so
-the first of those primes contributes only the powers up to half its
-exponent; with one such prime, to the first power, the one split is
-read off its Gaussian prime.  Each Gaussian prime takes one modular
-power, of its least non-residue c: 2 for p = 5 mod 8, else the least
-odd prime with (p/c) = -1 (reciprocity), read off a table of the
-non-residues mod each odd prime below 64, or found past it by Euler's
-criterion.  three_squares does not list a remainder r that has a prime
-3 mod 4 to an odd power by either of two tests: its odd part is 3 mod 4,
-or g = gcd(r, the product of the primes 3 mod 4 below 100) is above 1
-and prime to r // g, so that each of those primes dividing r divides it
-once.  No remainder m - a^2 the scan reaches has a split with q < a, so
-it takes every split as listed.  Were there one with distinct roots
-q < a, p, the scan would have returned by a' = q, which it visits: the
-tests above skip only remainders without a split, and m - q^2 = a^2 + p^2
-has one.  Any other split with q < a is (q, q, a) or (q, a, a), so
-m < 3a^2 and a lies past the scan's end, isqrt(m // 3).  Every input
-takes this one path; the tests hold it to a direct q-scan with an exact
-square test.  Nothing here checks its input: the callers pass ints from
-0 up to 8*MAX_INPUT + 2, below 2^64, where this Miller-Rabin is exact.
-That largest value is the 8m+2 whose splits
-verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its last
-two slots; the ternary representations pass at most 4*MAX_INPUT + 2
+The splits of a remainder are found by factoring it.  Trial division takes
+out the primes below 2^10 and sorts each one as it goes: a prime 3 mod 4
+to an odd power rules the remainder out at once (Fermat), one to an even
+power joins the scale factor, and a prime 1 mod 4 is kept with its
+exponent.  A cofactor below 2^20 is then one prime, and 1 mod 4: what
+trial division took out is, like the remainder's odd part.  A cofactor of
+k bits, 20 < k <= 26, has at most two prime factors, and the smaller one's
+square is below 2^k, so one gcd with the product of the primes in
+[2^10, 2^13) whose square is below 2^k decides it: 1 means prime, and
+otherwise the gcd holds the smaller factor, or both when both are in the
+product, which one pass over those primes takes out.  From 2^26 up that
+gcd, with every prime in [2^10, 2^13), comes first too, and what it finds
+is taken out the same way.  Deterministic Miller-Rabin (Jaeschke's bases
+2, 7 and 61 below 4759123141) and Pollard-Brent rho run only on what is
+left there, which has no prime factor below 2^13.  The splits are the
+products of the Gaussian primes over the primes 1 mod 4 (Hermite-Serret).
+A product and its conjugate give the same split, so the first of those
+primes contributes only the powers up to half its exponent; with one such
+prime, to the first power, the one split is read off its Gaussian prime.
+Each later prime to the first power multiplies every product by its
+Gaussian prime and by that prime's conjugate, with no table of its powers.
+Two products give one split only when the first prime's exponent is even
+(325 = 5^2 * 13 meets (10, 15) twice), and only then does the listing drop
+repeats.  Each Gaussian prime takes one modular power, of its least
+non-residue c: 2 for p = 5 mod 8, else the least odd prime with (p/c) = -1
+(reciprocity), read off a table of the non-residues mod each odd prime
+below 64, or found past it by Euler's criterion.  three_squares does not
+list a remainder r that has a prime 3 mod 4 to an odd power by either of
+two tests: its odd part is 3 mod 4, or g = gcd(r, the product of the
+primes 3 mod 4 below 100) is above 1 and prime to r // g, so that each of
+those primes dividing r divides it once.  No remainder m - a^2 the scan
+reaches has a split with q < a, so it takes every split as listed.  Were
+there one with distinct roots q < a, p, the scan would have returned by
+a' = q, which it visits: the tests above skip only remainders without a
+split, and m - q^2 = a^2 + p^2 has one.  Any other split with q < a is
+(q, q, a) or (q, a, a), so m < 3a^2 and a lies past the scan's end,
+isqrt(m // 3).  Every input takes this one path; the tests hold it to a
+direct q-scan with an exact square test.  Nothing here checks its input:
+the callers pass ints from 0 up to 8*MAX_INPUT + 2, below 2^64, where this
+Miller-Rabin is exact.  That largest value is the 8m+2 whose splits
+verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its last two
+slots; the ternary representations pass at most 4*MAX_INPUT + 2
 (rep_2t_t_t(MAX_INPUT)), since the mixed ones divide 8n+2+k^2 by t^2
 first.
 
@@ -61,6 +69,7 @@ by a caller.  The mixed representations are memoised themselves, so a
 repeated one never reaches three_squares at all.
 """
 
+from bisect import bisect
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
@@ -131,49 +140,47 @@ def _odd_sieve(limit: int) -> bytearray:
     return sieve
 
 
-# trial division takes out the primes below _TRIAL; a cofactor below
-# _MID^2 = 2^26 is then decided by one gcd with the primes in [_TRIAL, _MID),
-# and one below _LOW = 2^23 by the gcd with those whose square is below _LOW
+# trial division takes out the primes below _TRIAL; a cofactor of k bits,
+# 20 < k <= 26, so below _MID^2, is then decided by one gcd with _MID_GCD[k],
+# the product of the primes in [_TRIAL, _MID) whose square is below 2^k
 _TRIAL = 1 << 10
 _MID = 1 << 13
-_LOW = 1 << 23
 _SIEVE = _odd_sieve(_MID)
 _ODD_PRIMES = tuple(compress(range(3, _TRIAL, 2), _SIEVE[3:_TRIAL:2]))
 _MID_PRIMES = tuple(compress(range(_TRIAL + 1, _MID, 2), _SIEVE[_TRIAL + 1 :: 2]))
 _ODD_PRIMORIAL = prod(_ODD_PRIMES)
-_MID_PRIMORIAL = prod(_MID_PRIMES)
-_LOW_PRIMORIAL = prod(p for p in _MID_PRIMES if p * p < _LOW)
+_MID_GCD = {k: prod(_MID_PRIMES[: bisect(_MID_PRIMES, isqrt(1 << k))]) for k in range(21, 27)}
+_MID_PRIMORIAL = _MID_GCD[26]
 # the primes 3 mod 4 below 100 (64 bits): a remainder that one of them
 # divides exactly once has no split, which one gcd with r // g shows
 _FERMAT = prod(p for p in _ODD_PRIMES if p < 100 and p & 3 == 3)
 
-# The first k of these bases decide primality exactly below the paired
-# bound (the least strong pseudoprimes to the first k primes, OEIS A014233).
-# _factor_rough tests only cofactors from 2^26 up, past the bounds for one,
-# two and three bases (2047, 1373653, 25326001), so the table starts at
-# four bases, which stay exact below 2^26 too.
+# Each row's bases decide primality exactly below its bound: Jaeschke's
+# 2, 7 and 61 below 4759123141, then the first k primes below the least
+# strong pseudoprime to all of them (OEIS A014233).  _factor_rough tests
+# only cofactors from 2^26 up with no prime factor below 2^13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUNDS = (
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (1 << 64, 12),
+    (4759123141, (2, 7, 61)),
+    (2152302898747, _MR_BASES[:5]),
+    (3474749660383, _MR_BASES[:6]),
+    (341550071728321, _MR_BASES[:7]),
+    (3825123056546413051, _MR_BASES[:9]),
+    (1 << 64, _MR_BASES),
 )
 
 _RHO_BATCH = 64  # rho steps between gcds
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n > 37 below 2^64."""
+    """Deterministic Miller-Rabin for odd n > 61 below 2^64."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for bound, k in _MR_BOUNDS:
+    for bound, bases in _MR_BOUNDS:
         if n < bound:
             break
-    for b in _MR_BASES[:k]:
+    for b in bases:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -217,8 +224,25 @@ def _rho_factor(n: int) -> int:
 def _factor_rough(n: int, out: dict[int, int], mult: int = 1) -> None:
     # add the factorisation of n > 1, which has no prime factor below _TRIAL,
     # to out with every exponent times mult
-    if n >= _MID * _MID:
-        if not _is_prime(n):
+    if n >= _TRIAL * _TRIAL:
+        # below _MID^2, n = p or p*q with _TRIAL < p <= q, so p*p <= n puts p
+        # in the product: the gcd is 1 for a prime, else it holds p.  From
+        # _MID^2 up it takes out the factors below _MID before Miller-Rabin.
+        g = gcd(n, _MID_GCD.get(n.bit_length(), _MID_PRIMORIAL))
+        for p in _MID_PRIMES:  # each prime of g, to its full power in n
+            if g == 1:
+                break
+            if p * p > g:
+                p = g  # no factor of g below p is left, so g is prime
+            elif g % p:
+                continue
+            g //= p
+            e = 0
+            while not n % p:
+                n //= p
+                e += 1
+            out[p] = out.get(p, 0) + e * mult
+        if n >= _MID * _MID and not _is_prime(n):
             r = isqrt(n)
             if r * r == n:
                 _factor_rough(r, out, 2 * mult)
@@ -227,19 +251,8 @@ def _factor_rough(n: int, out: dict[int, int], mult: int = 1) -> None:
                 _factor_rough(d, out, mult)
                 _factor_rough(n // d, out, mult)
             return
-    elif n >= _TRIAL * _TRIAL:
-        # n = p or p*q with _TRIAL < p <= q, so p*p <= n, which puts p in the
-        # product: the gcd is 1 for a prime, p when q is not in the product
-        # or equals p, and n otherwise
-        p = gcd(n, _LOW_PRIMORIAL if n < _LOW else _MID_PRIMORIAL)
-        if p > 1:
-            if p == n:
-                for p in _MID_PRIMES:
-                    if not n % p:
-                        break
-            out[p] = out.get(p, 0) + mult
-            n //= p
-    out[n] = out.get(n, 0) + mult
+    if n > 1:
+        out[n] = out.get(n, 0) + mult
 
 
 def _gaussian_prime(p: int) -> tuple[int, int]:
@@ -277,7 +290,9 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
     n >>= e2
     if n & 3 == 3:
         return ()  # a prime 3 mod 4 divides n to an odd power
-    factors: dict[int, int] = {}
+    # n = 2^e2 * scale^2 * prod p^e over the (p, e) in split, p = 1 mod 4
+    scale = 1 << (e2 >> 1)
+    split = []
     g = gcd(n, _ODD_PRIMORIAL)
     for p in _ODD_PRIMES:
         if g == 1:
@@ -287,25 +302,29 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
         elif g % p:
             continue
         g //= p
-        e = 0
+        n //= p
+        e = 1
         while not n % p:
             n //= p
             e += 1
-        if p & 3 == 3 and e & 1:
-            return ()  # before any work on the cofactor
-        factors[p] = e
-    if n > 1:
-        _factor_rough(n, factors)
-    # the input is 2^e2 * scale^2 * prod p^e over the (p, e) in `split`, p = 1 mod 4
-    scale = 1 << (e2 >> 1)
-    split = []
-    for p, e in factors.items():
         if p & 3 == 1:
             split.append((p, e))
         elif e & 1:
-            return ()
+            return ()  # before any work on the cofactor
         else:
             scale *= p ** (e >> 1)
+    if 1 < n < _TRIAL * _TRIAL:  # one prime, 1 mod 4 like the odd part (module docstring)
+        split.append((n, 1))
+    elif n > 1:
+        rough: dict[int, int] = {}
+        _factor_rough(n, rough)
+        for p, e in rough.items():
+            if p & 3 == 1:
+                split.append((p, e))
+            elif e & 1:
+                return ()
+            else:
+                scale *= p ** (e >> 1)
     if len(split) == 1 and split[0][1] == 1:
         # one prime to the first power: its Gaussian prime a + bi, a > b,
         # times 1 + i for an odd e2, is the only split
@@ -318,20 +337,27 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
         a, b = _GAUSS_SMALL.get(p) or _gaussian_prime(p)
         # z and its conjugate give the same split, and conjugating the
         # product sends j to e - j at every prime: the first needs j <= e/2
-        if e == 1:
-            parts = [(a, b)] if i == 0 else [(a, b), (a, -b)]
-        else:
-            pows = [(1, 0)]
-            for _ in range(e):
-                x, y = pows[-1]
-                pows.append((x * a - y * b, x * b + y * a))
-            parts = []
-            for j in range(e // 2 + 1 if i == 0 else e + 1):
-                (x, y), (u, v) = pows[j], pows[e - j]  # pi^j times conj(pi^(e-j))
-                parts.append((x * u + y * v, y * u - x * v))
+        if e == 1:  # times pi and, past the first prime, times conj(pi)
+            new = []
+            for x, y in zs:
+                new.append((x * a - y * b, x * b + y * a))
+                if i:
+                    new.append((x * a + y * b, y * a - x * b))
+            zs = new
+            continue
+        pows = [(1, 0)]
+        for _ in range(e):
+            x, y = pows[-1]
+            pows.append((x * a - y * b, x * b + y * a))
+        parts = []
+        for j in range(e // 2 + 1 if i == 0 else e + 1):
+            (x, y), (u, v) = pows[j], pows[e - j]  # pi^j times conj(pi^(e-j))
+            parts.append((x * u + y * v, y * u - x * v))
         zs = [(x * u - y * v, x * v + y * u) for x, y in zs for u, v in parts]
-    splits = set()
+    splits = []
     for x, y in zs:
         x, y = abs(x), abs(y)
-        splits.add((x, y) if x <= y else (y, x))
-    return tuple(sorted(splits))
+        splits.append((x, y) if x <= y else (y, x))
+    # two products give one split only when one is the other's conjugate up
+    # to a unit, which the first prime allows only at j = e/2, for an even e
+    return tuple(sorted(splits if split and split[0][1] & 1 else set(splits)))

@@ -58,9 +58,9 @@ class BudgetExceeded(ValueError):
 # forms; the orders below are the faster ones (CPython 3.11, 2-vCPU host).
 # The full stage shifts each class bitmap of the first slot by each value
 # of the second, so the sparser kind goes second: thm2 to 10^7 as odd +
-# odd2 takes about 0.23 s, as odd2 + odd 0.28 s.  conj_a as odd + even +
-# odd takes about 0.015 s to 10^6, as odd + odd + even 0.030 s, most of
-# it in looking up the many more holes an odd + odd full stage leaves.
+# odd2 takes about 0.11 s, as odd2 + odd 0.15 s.  conj_a as odd + even +
+# odd takes about 10 ms to 10^6, as odd + odd + even 16 ms, most of it
+# in looking up the many more holes an odd + odd full stage leaves.
 _SLOT_KINDS = {
     "thm1": ("odd", "odd", "even", "even"),
     "thm2": ("odd", "odd2", "even2", "even"),
@@ -190,15 +190,15 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
 # The smallest sums of the slots after the full stage that are OR-ed in
 # before the holes are settled.  Only speed depends on it: at 32 the
 # conjecture sweep to 10^6 leaves 271 holes instead of 2, searches all 271
-# and runs about 4x slower.
+# and runs about 3x slower.
 _LAST_SHIFTS = 64
 
 
 # Residue classes of the sweep bitmaps; 1 is a single bitmap of [0, hi].
 # Only speed depends on it.  T(i) takes 4 classes mod 9 and 3 mod 5, so
 # every slot kind fills 12 of these 45.  The conjecture sweep to 10^6 took
-# about 18 ms at 9, 17 at 45, 18 at 63 and 22 at 105 or 315 (thm1 to 10^7
-# is faster at 315, 0.25 s against 0.34 s).
+# about 9.0 ms at 9, 8.0 at 45, 9.2 at 63, 10.6 at 105 and 11.8 at 315
+# (thm1 to 10^7 is faster at 315, 0.12 s against 0.15 s).
 _MODULUS = 45
 
 

@@ -413,6 +413,40 @@ def test_listing_matches_its_pinned_digest():
     assert h.hexdigest() == LISTING_DIGEST
 
 
+# pinned before the listing's body and the top band's factoring were
+# rewritten: the listings of seeded r in [2^26, 2^44), whose cofactors reach
+# Miller-Rabin, rho and the mid-prime gcd, and the witnesses of both
+# theorems on the same seeded n in [2^56, 2^58]
+WIDE_LISTING_DIGEST = "c8117021d14a791a1a9f9c727d4cd7352878067a03afa09c838d1081c1d33347"
+TOP_BAND_DIGEST = "2881905b615586f2716ead799291dbd59c13a7722f49043163c0ed23cc9fb762"
+
+
+def _wide_listing_digest():
+    squares._two_square_splits.cache_clear()
+    rng = random.Random(44)
+    h = hashlib.sha256()
+    for _ in range(5000):
+        n = rng.randrange(1 << 26, 1 << 44)
+        h.update(f"{n} {squares._two_square_splits(n)!r}\n".encode())
+    return h.hexdigest()
+
+
+def _top_band_digest():
+    clear_package_caches()
+    rng = random.Random(58)
+    h = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randint(1 << 56, 1 << 58)
+        for represent in (theorem1.represent_thm1, theorem2.represent_thm2):
+            h.update(f"{represent.__name__}({n}) = {tuple(represent(n))!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_wide_listings_and_top_band_witnesses_match_their_pinned_digests():
+    assert _wide_listing_digest() == WIDE_LISTING_DIGEST
+    assert _top_band_digest() == TOP_BAND_DIGEST
+
+
 @pytest.mark.parametrize("n", _LISTING_EDGES)
 def test_listing_edges_match_the_scan(n):
     squares._two_square_splits.cache_clear()
@@ -493,6 +527,51 @@ def test_one_prime_listings_match_the_scan(lo, hi):
                     assert len(splits) == 1 and splits == _splits_by_scan(m), m
 
 
+# odd and even powers of 2, and squares of primes 3 mod 4, one from trial
+# division (3, 7) and one from the cofactor (1031)
+_SPLIT_FREE = (1, 2, 4, 8, 9, 18, 4 * 49, 8 * 9 * 49, 1031**2, 2 * 1031**2)
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [
+        (5, 13),
+        (5, 1033),
+        (13, 8209),
+        (1013, 1033),  # the largest trial prime 1 mod 4, the least mid one
+        (5, 13, 17),
+        (5, 17, 1033),
+        (13, 1033, 8209),
+    ],
+)
+def test_multi_prime_listings_match_the_scan(primes):
+    # primes 1 mod 4 from the Gaussian table and above the trial bound, each
+    # to the power 1 to 3, times squares and powers of 2, below 2^36
+    squares._two_square_splits.cache_clear()
+    checked = 0
+    for exps in itertools.product((1, 2, 3), repeat=len(primes)):
+        core = math.prod(p**e for p, e in zip(primes, exps))
+        for m in (core * s for s in _SPLIT_FREE if core * s < 1 << 36):
+            splits = squares._two_square_splits(m)
+            assert splits == _splits_by_scan(m), m
+            checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        # 5^2 * 13: the first prime's middle power 5 times pi and conj(pi)
+        # of 13 gives (10, 15) twice, which the listing keeps once
+        (325, ((1, 18), (6, 17), (10, 15))),
+        (2 * 5 * 13 * 17, ((1, 47), (19, 43), (23, 41), (29, 37))),
+    ],
+)
+def test_multi_prime_listings_list_each_split_once(m, expected):
+    squares._two_square_splits.cache_clear()
+    assert squares._two_square_splits(m) == _splits_by_scan(m) == expected
+
+
 @pytest.mark.parametrize(
     "factors",
     [
@@ -502,7 +581,7 @@ def test_one_prime_listings_match_the_scan(lo, hi):
         (2879, 2887),
         (1031, 8123),
         (8388593,),  # the largest prime below 2^23
-        # from 2^23 on: every prime in [2^10, 2^13)
+        # from 2^23 on: the mid primes whose square is below 2^24
         (2897, 2897),
         (2897, 2903),
         (2887, 2909),
@@ -520,6 +599,101 @@ def test_cofactors_on_both_sides_of_two_to_the_23(factors):
     assert squares._two_square_splits(4 * 9 * n) == _splits_by_scan(4 * 9 * n)
 
 
+@pytest.mark.parametrize("k", range(21, 27))
+def test_cofactors_at_each_bit_length(k):
+    # a cofactor of k bits takes its gcd with the mid primes whose square is
+    # below 2^k: the largest such prime as the smaller factor, and the least
+    # prime past it one bit length up, where the next product takes it in
+    inside = [p for p in squares._MID_PRIMES if p * p < 1 << k]
+    assert squares._MID_GCD[k] == math.prod(inside)
+    p = inside[-1]
+    q = next(q for q in range(p, 1 << 26, 2) if _is_prime_by_division(q) and (p * q).bit_length() == k)
+    past = squares._MID_PRIMES[len(inside)] if k < 26 else None
+    for factors in ((p, q), (p, p), *([(past, past)] if past else ())):
+        n = math.prod(factors)
+        assert n.bit_length() <= 26
+        out = {}
+        squares._factor_rough(n, out)
+        assert out == {f: factors.count(f) for f in factors}, factors
+        squares._two_square_splits.cache_clear()
+        assert squares._two_square_splits(n) == _splits_by_scan(n), factors
+
+
+def _strong_probable_prime(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << i, n) == n - 1 for i in range(1, s))
+
+
+def test_jaeschke_bases_below_their_bound():
+    # below 4759123141 Miller-Rabin runs the bases 2, 7 and 61 (Jaeschke);
+    # the bound itself, 48781 * 97561, passes all three, so from it on the
+    # next row's five bases run
+    bound = 4759123141
+    assert squares._MR_BOUNDS[0] == (bound, (2, 7, 61))
+    assert bound == 48781 * 97561 and all(_strong_probable_prime(bound, b) for b in (2, 7, 61))
+    assert not squares._is_prime(bound)
+    limit = math.isqrt(bound + 200)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
+    divisors = [d for d in range(3, limit + 1, 2) if sieve[d]]
+    # odd n on both sides of the bound, and the least strong pseudoprime to
+    # the bases 2, 3, 5 and 7 below it
+    for n in (*range(bound - 200, bound + 200, 2), 3215031751):
+        assert squares._is_prime(n) == all(n % d for d in divisors if d * d <= n), n
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (1031, 1031),  # p^2, below 2^26
+        (8191, 8191),
+        (1031, 1031, 1031),  # p^3, above 2^26
+        (1031, 1033, 1039),  # p*q*r
+        (4093, 4093, 8191),  # p^2*q
+        (1033, 1033, 1049, 1049),  # p^2*q^2
+        (1031, 1033, 1039, 8191),
+    ],
+)
+def test_cofactors_made_of_mid_primes_need_no_primality_test(factors, monkeypatch):
+    # one gcd with the mid primes finds them all, and one pass over the mid
+    # primes takes each out to its full power: no Miller-Rabin, no rho
+    monkeypatch.setattr(squares, "_is_prime", _refuse("_is_prime"))
+    monkeypatch.setattr(squares, "_rho_factor", _refuse("_rho_factor"))
+    n = math.prod(factors)
+    out = {}
+    squares._factor_rough(n, out)
+    assert out == {p: factors.count(p) for p in factors}
+    squares._two_square_splits.cache_clear()
+    for m in (n, 2 * n, 9 * n):
+        if m < 1 << 36:
+            assert squares._two_square_splits(m) == _splits_by_scan(m), m
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (1031 * 8209 * 8221, {1031: 1, 8209: 1, 8221: 1}),  # a mid prime times a rho cofactor
+        (1033**2 * 65537, {1033: 2, 65537: 1}),
+        (4093 * 8209**2, {4093: 1, 8209: 2}),
+        (1049 * 1000000009, {1049: 1, 1000000009: 1}),
+    ],
+)
+def test_mid_primes_come_out_before_the_primality_test(n, expected, monkeypatch):
+    tested = []
+    real = squares._is_prime
+    monkeypatch.setattr(squares, "_is_prime", lambda m: tested.append(m) or real(m))
+    out = {}
+    squares._factor_rough(n, out)
+    assert out == expected
+    assert not [m for m in tested if math.gcd(m, squares._MID_PRIMORIAL) > 1]
+
+
 def test_primality_and_gaussian_primes():
     small = {n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))}
     assert squares._ODD_PRIMES == tuple(sorted(p for p in small if 2 < p < 1 << 10))
@@ -528,9 +702,9 @@ def test_primality_and_gaussian_primes():
     for n in range(1025, 1 << 16, 2):
         assert squares._is_prime(n) == (n in small), n
     # the least strong pseudoprime to the first k prime bases (OEIS A014233)
-    # must be caught: from 3215031751 up each sits on the bound that switches
-    # to more bases, and the first three lie below the first row, where four
-    # bases run
+    # must be caught: the first four lie below Jaeschke's bound, where the
+    # bases 2, 7 and 61 run, and from 2152302898747 up each sits on the
+    # bound that switches to more bases
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383):
         assert not squares._is_prime(n)
     assert squares._is_prime((1 << 61) - 1)
