@@ -25,12 +25,15 @@ share the slots odd + even, and their third slots together take every
 triangular number, so the union is the single triple odd + even +
 triangular.  Only the first two slots form a full stage; the later slots
 together form one partial stage, which ORs in just the smallest few sums
-of their values.  That stage is never held whole: each of its classes is
-scanned for holes as it is built and then dropped.  So a sweep of any
-form holds one set of class bitmaps at a time.  Every hole left in
-[lo, hi] goes to brute_quad's search, with the two-square splits as its
-leaf so that a sweep grows no pair table, and is an exception exactly
-when that finds no witness.  The exceptions come out in ascending order.
+of their values, and stops ORing into a class once it has no gap: to
+10^6, 43 of the conjecture's 45 classes are full after 4 to 11 of their
+12 groups of shifts.  That stage is never held whole: each of its
+classes is scanned for holes as it is built and then dropped.  So a
+sweep of any form holds one set of class bitmaps at a time.  Every hole
+left in [lo, hi] goes to brute_quad's search, with the two-square splits
+as its leaf so that a sweep grows no pair table, and is an exception
+exactly when that finds no witness.  The exceptions come out in
+ascending order.
 """
 
 import time
@@ -190,15 +193,17 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
 # The smallest sums of the slots after the full stage that are OR-ed in
 # before the holes are settled.  Only speed depends on it: at 32 the
 # conjecture sweep to 10^6 leaves 271 holes instead of 2, searches all 271
-# and runs about 3x slower.
+# and takes about 24.8 ms against 7.3 ms; at 48 it takes 8.2 ms, at 96
+# 7.5 ms and at 128 7.8 ms (in-process medians, CPython 3.11, 2-vCPU host).
 _LAST_SHIFTS = 64
 
 
 # Residue classes of the sweep bitmaps; 1 is a single bitmap of [0, hi].
 # Only speed depends on it.  T(i) takes 4 classes mod 9 and 3 mod 5, so
-# every slot kind fills 12 of these 45.  The conjecture sweep to 10^6 took
-# about 9.0 ms at 9, 8.0 at 45, 9.2 at 63, 10.6 at 105 and 11.8 at 315
-# (thm1 to 10^7 is faster at 315, 0.12 s against 0.15 s).
+# every slot kind fills 12 of these 45.  The conjecture sweep to 10^6
+# takes about 9.0 ms at 9, 7.3 at 45, 8.4 at 63, 9.5 at 105 and 9.5 at
+# 315; to 10^7, 315 is faster for thm1 (0.12 s against 0.16 s), thm2
+# (0.09 against 0.11) and the conjecture (0.11 against 0.15).
 _MODULUS = 45
 
 
@@ -226,13 +231,20 @@ def _class_bitmaps(values: list[int], top: int) -> dict[int, int]:
     return maps
 
 
-def _add_slot(stage: dict[int, int], values: list[int]) -> Iterator[tuple[int, int]]:
+def _add_slot(
+    stage: dict[int, int], values: list[int], target: Optional[int] = None
+) -> Iterator[tuple[int, int]]:
     # Yields (r, bits) for every class r in turn.  Adding v = r2 + M*q to
     # class r1 = (r - r2) mod M lands in class r as a right shift by q,
     # plus one when r1 + r2 carries past M; it drops every sum above the
     # top of its class.  Empty or absent classes of the stage are skipped:
     # shifting them as zeros made the conjecture's full stage to 10^6 about
-    # 35% slower.
+    # 35% slower.  A class stops at the first group of values (one r2)
+    # after which it equals `target`: no bit lies above the class's top,
+    # so the later shifts could only set bits it already has.  The check
+    # is made once per group: once per shift cost the full stage, which
+    # passes no target, about 0.3 ms to 10^6 and saved the partial stage
+    # nothing.
     classes = _by_class(values).items()
     for r in range(_MODULUS):
         acc = 0
@@ -242,6 +254,8 @@ def _add_slot(stage: dict[int, int], values: list[int]) -> Iterator[tuple[int, i
                 carry = (r1 + r2) // _MODULUS
                 for q in qs:
                     acc |= bits >> (q + carry)
+                if acc == target:
+                    break
         yield r, acc
 
 
@@ -288,14 +302,15 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
     reached = dict(_add_slot(_class_bitmaps(_slot_values(kinds[0], hi), top), _slot_values(kinds[1], hi)))
     lap(f"full {kinds[0]}+{kinds[1]}")
     # every slot starts at 0, so the smallest sums lie among the first
-    # _LAST_SHIFTS values of each slot
+    # _LAST_SHIFTS values of each slot, and a value above hi adds no sum
     last = [0]
     for kind in kinds[2:]:
-        sums = {u + v for v in islice(_values(kind), _LAST_SHIFTS) for u in last if u + v <= hi}
+        values = islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS)
+        sums = {u + v for v in values for u in last if u + v <= hi}
         last = sorted(sums)[:_LAST_SHIFTS]
     holes = []
     mask = (1 << (top + 1)) - 1
-    for r, bits in _add_slot(reached, last):
+    for r, bits in _add_slot(reached, last, mask):
         # one pass flags the non-zero bytes of the gaps; bit i of byte j
         # stands for n = r + M*(top - 8j - i).  Every class is swept up to
         # M*top + r, which can pass hi; only the holes in [lo, hi] are

@@ -1,4 +1,4 @@
-"""tools/bench.py, the in-process layer timer: its output, not its figures."""
+"""tools/bench.py, the in-process layer and sweep timer: its output, not its figures."""
 
 import json
 import subprocess
@@ -8,6 +8,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 _LAYERS = {"represent", "_two_square_splits", "_factor_rough"}
 _STATS = {"calls", "per_witness", "p50_us", "p99_us", "max_us", "mean_us"}
+# each timed sweep's hi and its stage names, in the order they run
+_SWEEPS = {
+    "conjecture": (10**6, ["full odd+even", "partial tri", "lookup"]),
+    "thm1": (10**7, ["full odd+odd", "partial even+even", "lookup"]),
+    "thm2": (10**7, ["full odd+odd2", "partial even2+even", "lookup"]),
+}
 
 
 def test_layers_prints_one_json_line_per_band_and_theorem():
@@ -33,3 +39,8 @@ def test_layers_prints_one_json_line_per_band_and_theorem():
             for stats in layers.values():
                 if stats["calls"]:
                     assert 0 < stats["p50_us"] <= stats["p99_us"] <= stats["max_us"]
+    assert set(result["sweeps"]) == set(_SWEEPS)
+    for form, (hi, names) in _SWEEPS.items():
+        sweep = result["sweeps"][form]
+        assert set(sweep) == {"hi", "elapsed_ms", "stages"}, form
+        assert sweep["hi"] == hi and list(sweep["stages"]) == names, form

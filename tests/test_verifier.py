@@ -315,6 +315,18 @@ def _top_level_searches(monkeypatch) -> list[int]:
     return searched
 
 
+class _ReadStage(dict):
+    """A sweep stage that notes the class of every `get`."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.read: list[int] = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
 class TestVerifyRange:
     def test_conjecture_exceptions(self):
         report = verify_range("conjecture", 0, 10000)
@@ -556,6 +568,41 @@ class TestVerifyRange:
         assert verify_range("thm1", 0, 2000).exceptions == ()
         assert searched == list(range(2001))
         assert verifier._pairs == {}
+
+    def test_a_class_stops_at_the_group_that_fills_it(self):
+        # every stage class is full, and each value v = r2 is a group of its
+        # own, so output class r is full after its first group (r2 = 0, which
+        # reads stage class r); with the mask as target no later stage class
+        # is read, without one every group is
+        m = verifier._MODULUS
+        mask = (1 << 20) - 1
+        stage = _ReadStage({r: mask for r in range(m)})
+        assert list(verifier._add_slot(stage, list(range(m)), mask)) == [(r, mask) for r in range(m)]
+        assert stage.read == list(range(m))
+        stage.read.clear()
+        assert list(verifier._add_slot(stage, list(range(m)))) == [(r, mask) for r in range(m)]
+        assert len(stage.read) == m * m
+
+    def test_the_conjecture_partial_stage_stops_full_classes_early(self, monkeypatch):
+        # to 10^6 the partial stage ORs 64 triangular numbers in 12 groups
+        # into each class; 43 of the 45 classes are full before their last
+        # group and stop there; the two that hold the holes 8 and 68 read all 12
+        groups: list[tuple[bool, int, int]] = []  # (full, groups read, groups) per partial class
+        add_slot = verifier._add_slot
+
+        def spy(stage, values, target=None):
+            stage, count = _ReadStage(stage), len(verifier._by_class(values))
+            for r, bits in add_slot(stage, values, target):
+                if target is not None:
+                    groups.append((bits == target, len(stage.read), count))
+                stage.read.clear()
+                yield r, bits
+
+        monkeypatch.setattr(verifier, "_add_slot", spy)
+        assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
+        assert len(groups) == verifier._MODULUS
+        assert sum(read < count for _, read, count in groups) == 43
+        assert all(full == (read < count) for full, read, count in groups)
 
     @pytest.mark.parametrize("form", ["thm1", "thm2", "conjecture"])
     def test_sweep_memory_in_a_fresh_process(self, form):

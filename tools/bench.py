@@ -16,6 +16,11 @@ figure is the input's own cost, not the host's noise or a cache hit.
 Each entry gives the call count, the calls per witness and the p50, p99,
 max and mean of those per-input times in microseconds; "calls" is 0 and
 the times are null when a layer is not reached.
+
+Its "sweeps" object times verify_range on [0, hi] for the conjecture to
+10^6 and for thm1 and thm2 to 10^7, K runs each, caches cleared before
+each run: per form, hi and the median over the runs of elapsed_ms and
+of each stage of RangeReport.stages, in milliseconds.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import json
 import math
 import pkgutil
 import platform
+import statistics
 import sys
 from pathlib import Path
 from time import perf_counter_ns
@@ -39,10 +45,12 @@ from perfbench.workloads import WORKLOADS, inputs  # noqa: E402
 from trisum import squares  # noqa: E402
 from trisum.theorem1 import represent_thm1  # noqa: E402
 from trisum.theorem2 import represent_thm2  # noqa: E402
+from trisum.verifier import verify_range  # noqa: E402
 
 BANDS = ("large", "top")
 SEED = 1
 REPRESENT = {"thm1": represent_thm1, "thm2": represent_thm2}
+SWEEPS = {"conjecture": 10**6, "thm1": 10**7, "thm2": 10**7}
 
 
 def _cache_clears() -> list:
@@ -125,6 +133,18 @@ def _band(band: str, form: str, count: int, repeat: int, clears) -> dict:
     }
 
 
+def _sweep(form: str, hi: int, repeat: int, clears) -> dict:
+    reports = []
+    for _ in range(repeat):
+        for clear in clears:
+            clear()
+        reports.append(verify_range(form, 0, hi))
+    stages = {name: round(statistics.median(report.stages[i][1] for report in reports), 3)
+              for i, (name, _) in enumerate(reports[0].stages)}
+    return {"hi": hi, "elapsed_ms": round(statistics.median(report.elapsed_ms for report in reports), 3),
+            "stages": stages}
+
+
 def layers(count: int, repeat: int) -> dict:
     """Per-input layer timings of both theorems in both bands (module docstring)."""
     clears = _cache_clears()
@@ -133,6 +153,7 @@ def layers(count: int, repeat: int) -> dict:
     try:
         result = {band: {form: _band(band, form, count, repeat, clears) for form in REPRESENT}
                   for band in BANDS}
+        result["sweeps"] = {form: _sweep(form, hi, repeat, clears) for form, hi in SWEEPS.items()}
     finally:
         if enabled:
             gc.enable()
@@ -143,9 +164,10 @@ def layers(count: int, repeat: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    layer = modes.add_parser("layers", help="per-input timings of the witness layers")
+    layer = modes.add_parser("layers", help="per-input timings of the witness layers, and sweep stage times")
     layer.add_argument("--inputs", type=int, default=2000, help="inputs per band and theorem")
-    layer.add_argument("--repeat", type=int, default=9, help="calls per input; the fastest counts")
+    layer.add_argument("--repeat", type=int, default=9,
+                       help="calls per input, the fastest counting, and runs per sweep, the median counting")
     args = parser.parse_args(argv)
     print(json.dumps(layers(args.inputs, args.repeat)))
     return 0
