@@ -40,10 +40,12 @@ non-residue c: 2 for p = 5 mod 8, else the least odd prime with (p/c) = -1
 (reciprocity), read off a table of the non-residues mod each odd prime
 below 64, or found past it by Euler's criterion.  three_squares does not
 list a remainder r that has a prime 3 mod 4 to an odd power by either of
-two tests: its odd part is 3 mod 4, or g = gcd(r, the product of the
-primes 3 mod 4 below 100) is above 1 and prime to r // g, so that each of
-those primes dividing r divides it once.  No remainder m - a^2 the scan
-reaches has a split with q < a, so it takes every split as listed.  Were
+two tests: its odd part is 3 mod 4, or g = gcd(r, the 725-bit product of
+the primes 3 mod 4 below 2^10) exceeds gcd(r // g, g), so that one of
+those primes divides r once.  Over the 2,000 seed-1 inputs of
+[10^12, 2*10^12) that leaves represent_thm2 2,111 listings and
+represent_thm1 2,093.  No remainder m - a^2 the scan reaches has a
+split with q < a, so it takes every split as listed.  Were
 there one with distinct roots q < a, p, the scan would have returned by
 a' = q, which it visits: the tests above skip only remainders without a
 split, and m - q^2 = a^2 + p^2 has one.  Any other split with q < a is
@@ -106,7 +108,7 @@ def three_squares(m: int) -> tuple[int, int, int]:
     first = None
     for a in range(isqrt(n // 3) + 1):
         r = n - a * a
-        if r and (r // (r & -r) & 3 == 3 or (g := gcd(r, _FERMAT)) > 1 and gcd(r // g, g) == 1):
+        if r and (r // (r & -r) & 3 == 3 or (g := gcd(r, _FERMAT)) > 1 and g > gcd(r // g, g)):
             continue  # a prime 3 mod 4 to an odd power: no split (Fermat)
         for q, p in _two_square_splits(r):
             if a < q < p:
@@ -151,9 +153,11 @@ _MID_PRIMES = tuple(compress(range(_TRIAL + 1, _MID, 2), _SIEVE[_TRIAL + 1 :: 2]
 _ODD_PRIMORIAL = prod(_ODD_PRIMES)
 _MID_GCD = {k: prod(_MID_PRIMES[: bisect(_MID_PRIMES, isqrt(1 << k))]) for k in range(21, 27)}
 _MID_PRIMORIAL = _MID_GCD[26]
-# the primes 3 mod 4 below 100 (64 bits): a remainder that one of them
-# divides exactly once has no split, which one gcd with r // g shows
-_FERMAT = prod(p for p in _ODD_PRIMES if p < 100 and p & 3 == 3)
+# the 88 primes 3 mod 4 below _TRIAL (725 bits): g = gcd(r, _FERMAT) is
+# squarefree and gcd(r // g, g) the product of its primes whose square
+# divides r, so g is the larger exactly when one of them divides r once,
+# and then r has no split
+_FERMAT = prod(p for p in _ODD_PRIMES if p & 3 == 3)
 
 # Each row's bases decide primality exactly below its bound: Jaeschke's
 # 2, 7 and 61 below 4759123141, then the first k primes below the least

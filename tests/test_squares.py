@@ -105,14 +105,15 @@ def _odd_part_3_mod_4(r):
     return r % 4 == 3
 
 
-_PRIMES_3_MOD_4_BELOW_100 = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
+_PRIMES_3_MOD_4_BELOW_2_10 = tuple(
+    p for p in range(3, 1 << 10, 4) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+)
 
 
 def _gcd_rule_rejects(r):
-    # three_squares' second skip: r is divisible by a prime 3 mod 4 below
-    # 100, and by the square of none, so some such prime divides it once
-    divisors = [p for p in _PRIMES_3_MOD_4_BELOW_100 if r % p == 0]
-    return bool(divisors) and all(r % (p * p) for p in divisors)
+    # three_squares' second skip: some prime 3 mod 4 below 2^10 divides r
+    # exactly once
+    return any(r % p == 0 and r % (p * p) for p in _PRIMES_3_MOD_4_BELOW_2_10)
 
 
 def _skipped_roots(m, stop):
@@ -121,9 +122,9 @@ def _skipped_roots(m, stop):
     return range(0 if m & 4 else 2, stop, 4)
 
 
-def test_remainders_the_mod_8_rule_skips_have_no_split():
+def test_remainders_the_mod_8_rule_skips_have_no_split(monkeypatch):
     # three_squares skips every remainder whose odd part is 3 mod 4, and
-    # every one the gcd rule finds a prime 3 mod 4 below 100 dividing
+    # every one the gcd rule finds a prime 3 mod 4 below 2^10 dividing
     # exactly once (module docstring).  Below 2*10^5, against every sum of
     # two squares: each such r (the remainders of every m up to the limit
     # lie in [0, limit]) and, for m = 2 mod 4, each a up to isqrt(m // 3)
@@ -136,8 +137,18 @@ def test_remainders_the_mod_8_rule_skips_have_no_split():
             sums[q * q + p * p] = 1
     skipped = [r for r in range(1, limit + 1) if _odd_part_3_mod_4(r)]
     assert skipped and not any(sums[r] for r in skipped)
-    # the gcd skip, which takes one product of the primes 3 mod 4 below 100
-    assert squares._FERMAT == math.prod(_PRIMES_3_MOD_4_BELOW_100)
+    # the gcd skip, which takes one product of the primes 3 mod 4 below 2^10;
+    # 1617 = 3 * 7^2 * 11 and 11021 = 103 * 107 have a prime once, 45 = 3^2 * 5
+    # has none
+    assert len(_PRIMES_3_MOD_4_BELOW_2_10) == 88
+    assert squares._FERMAT == math.prod(_PRIMES_3_MOD_4_BELOW_2_10)
+    assert _gcd_rule_rejects(1617) and _gcd_rule_rejects(11021) and not _gcd_rule_rejects(45)
+    listed, real = [], squares._two_square_splits
+    monkeypatch.setattr(squares, "_two_square_splits", lambda r: listed.append(r) or real(r))
+    for m in (1617, 11021, 45):  # a = 0 leaves m itself
+        three_squares(m)
+    assert 1617 not in listed and 11021 not in listed and 45 in listed
+    monkeypatch.undo()
     skipped = [r for r in range(1, limit + 1) if _gcd_rule_rejects(r)]
     assert skipped and not any(sums[r] for r in skipped)
     for m in range(2, limit + 1, 4):
@@ -888,12 +899,12 @@ def test_mixed_rep_reuses_the_last_listed_remainder():
 def test_large_witnesses_list_few_remainders(represent):
     # the 2,000 seed-1 inputs of [10^12, 2*10^12) from cold caches:
     # three_squares' gcd skip cut the listings from 4,981 (thm2) and 5,036
-    # (thm1) to 2,790 and 2,791
+    # (thm1) to 2,111 and 2,093
     clear_package_caches()
     rng = random.Random(1)
     for _ in range(2000):
         represent(rng.randint(10**12, 2 * 10**12 - 1))
-    assert squares._two_square_splits.cache_info().misses <= 3000
+    assert squares._two_square_splits.cache_info().misses <= 2300
 
 
 def test_split_listing_is_immutable():
