@@ -10,10 +10,12 @@ parts are glued back together through the slot map of core_arith: the
 offset's part splits as T(A+z) + T(A-z-1), which needs A > z, and that
 index pair and the ternary's (x, y) each fill one odd and one even slot.
 Offsets are tried largest first and come from class arithmetic, not a
-scan: one loop walks the multiples of t^2 down from the root's, and an
-inner loop adds each residue of the class of 4n+3, so a candidate costs
-O(1) for every t; candidates above the root are skipped, and so, in the
-square shape, are those that leave n - A^2 odd.  t is coprime to 4n+3,
+scan: they form two arithmetic progressions, one per residue of the
+class of 4n+3, of step t^2, or 2t^2 in the square shape, where each
+residue is first lifted to the parity that leaves n - A^2 even.  Each
+progression's largest term at or below the root comes in closed form,
+and the two are walked down in turn, so every offset tried costs O(1)
+for every t and none is looked at and skipped.  t is coprime to 4n+3,
 so 4n+3 falls in a class v mod t^2 coprime to t, and that class fixes
 the shape: every t is 5 mod 8, so 2 is no square mod t, and 4A^2 takes
 exactly the classes coprime to t whose residue mod t is a square, 8A^2 =
@@ -148,28 +150,44 @@ def represent_thm2(n: int) -> Quad2:
             break
     mod = t * t
     # t is coprime to v, so the class of v holds the shape and the offsets'
-    # residues; these are in descending order, so with base descending too
-    # the offsets of [0, start] come largest first
+    # two residues mod t^2
     try:
-        doubled, residues = _CLASSES[t][v % mod]
+        doubled, (a_off, lo) = _CLASSES[t][v % mod]
     except KeyError:  # the first input of its class in this process
-        doubled, residues = _CLASSES[t][v % mod] = _class(t, v % mod)
+        doubled, (a_off, lo) = _CLASSES[t][v % mod] = _class(t, v % mod)
     start = isqrt(n // 2) if doubled else isqrt(n)
-    for base in range(start - start % mod, -1, -mod):
-        for r in residues:
-            a_off = base + r
-            if a_off > start:
-                continue
-            if doubled:
-                x, y, z = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
-                if a_off > z:
-                    _branches["doubled"] += 1
-                    return _quad(Quad2, a_off + z, a_off - z - 1, x, y)
-            elif (a_off ^ n) & 1 == 0:  # n - A^2 must be even
-                x, y, z = rep_ttt_mixed((n - a_off * a_off) // 2, t)
-                if a_off > z:
-                    _branches["square"] += 1
-                    return _quad(Quad2, x, y, a_off + z, a_off - z - 1)
+    # the offsets are two progressions of step t^2, or 2t^2 in the square
+    # shape, where n - A^2 must be even: the residues have opposite parity
+    # (they sum to t^2 odd), and the one of the wrong parity moves up by
+    # t^2.  Each progression starts at its largest term at or below start,
+    # negative when it has none.  The two starts lie within step of each
+    # other, so trying the larger, then the other, and stepping the one
+    # just tried down by step visits every offset largest first; the walk
+    # stops once both are negative.
+    if doubled:
+        step = mod
+    else:
+        step = 2 * mod
+        if (a_off ^ n) & 1:
+            a_off += mod
+        else:
+            lo += mod
+    a_off = start - (start - a_off) % step
+    lo = start - (start - lo) % step
+    if a_off < lo:
+        a_off, lo = lo, a_off
+    while a_off >= 0:
+        if doubled:
+            x, y, z = rep_tt4t_mixed(n - 2 * a_off * a_off, t)
+            if a_off > z:
+                _branches["doubled"] += 1
+                return _quad(Quad2, a_off + z, a_off - z - 1, x, y)
+        else:
+            x, y, z = rep_ttt_mixed((n - a_off * a_off) // 2, t)
+            if a_off > z:
+                _branches["square"] += 1
+                return _quad(Quad2, x, y, a_off + z, a_off - z - 1)
+        a_off, lo = lo, a_off - step
     # the offsets ran dry, which the size bound confines to inputs at or
     # below it; the search refuses any input above it
     try:

@@ -231,6 +231,23 @@ class TestOffsetLoopTriesTheReferencePrefix:
     LATER = (1031, 67733, 336533, 42511868, 158528288)
     DRY = (190253, 505438, 1000008, 245423, 1065138, 11999438, 155829293)
     FIRST = (1252858, 1822193)
+    # inputs whose root is itself an offset, for each shape and parity of
+    # n, near 3000 and near 10^12 (square even, square odd, doubled even,
+    # doubled odd)
+    AT_ROOT = (3154, 3267, 3006, 3031, 1473305994522, 1101666749727, 1731357451366, 1868341680853)
+    # inputs with no offset at all, the root below both progressions, one
+    # per (t, shape) from t = 13 to 157 (n = 100 has none at t = 61, doubled,
+    # as test_start_below_the_smallest_residue shows, but takes t = 5)
+    NO_OFFSET = (3003, 3018, 3038, 3103, 10903, 6938, 1033873, 443088)
+
+    @staticmethod
+    def _past_the_paper_moduli():
+        # seeded inputs with 3965 | 4n+3, which take t = 149, and with
+        # 3965 * 149 | 4n+3, which take t = 157
+        rng = random.Random(40)
+        for divisor, count in ((3965, 60), (3965 * 149, 30)):
+            for _ in range(count):
+                yield (divisor * (4 * rng.randint(1, MAX_INPUT // divisor) + 3) - 3) // 4
 
     def test_every_shape_and_modulus(self, monkeypatch):
         # represent_thm2 asks the mixed reps for exactly the reference's
@@ -248,7 +265,8 @@ class TestOffsetLoopTriesTheReferencePrefix:
         monkeypatch.setattr(theorem2, "rep_ttt_mixed", spied(_ttt_mixed, False))
         monkeypatch.setattr(theorem2, "rep_tt4t_mixed", spied(_tt4t_mixed, True))
         kinds, kind_of = {}, {}
-        for n in (*range(3000), *self.LATER, *self.DRY, *self.FIRST):
+        past = tuple(self._past_the_paper_moduli())
+        for n in (*range(3000), *self.LATER, *self.DRY, *self.FIRST, *self.AT_ROOT, *self.NO_OFFSET, *past):
             t, doubled = _selects(n)
             asked.clear()
             assert eval_quad("thm2", represent_thm2(n)) == n
@@ -264,6 +282,10 @@ class TestOffsetLoopTriesTheReferencePrefix:
             else:
                 kind = "dry"
             assert tried == expected, n
+            if n in self.AT_ROOT:
+                assert expected[0] == (isqrt(n // 2) if doubled else isqrt(n)), n
+            if n in self.NO_OFFSET:
+                assert expected == [], n
             kinds.setdefault((t, doubled), set()).add(kind)
             kind_of[n] = kind
         assert all(kind_of[n] == "later" for n in self.LATER)
@@ -272,6 +294,11 @@ class TestOffsetLoopTriesTheReferencePrefix:
         for t in PAPER_MODULI:
             assert kinds[t, False] == {"first", "dry"}, t
             assert kinds[t, True] == {"first", "later", "dry"}, t
+        assert {t for t, _ in kinds} >= {149, 157}
+        assert {(t, doubled) for n in self.NO_OFFSET for t, doubled in [_selects(n)]} == {
+            (t, doubled) for t in (13, 61, 149, 157) for doubled in (False, True)
+        }
+        assert {(_selects(n)[1], n & 1) for n in self.AT_ROOT} == {(d, p) for d in (False, True) for p in (0, 1)}
 
     def test_every_mixed_call_meets_the_lemma(self, monkeypatch):
         # the mixed caches check nothing but divisibility, so the class
@@ -419,8 +446,9 @@ class TestExhaustedOffsetScan:
 
     @pytest.fixture(autouse=True)
     def _no_offsets(self, monkeypatch):
-        monkeypatch.setattr(theorem2, "_CLASSES", {t: {} for t in MODULI})
-        monkeypatch.setattr(theorem2, "_class", lambda t, v: (_class(t, v)[0], ()))
+        # isqrt's only runtime use in theorem2 is the root: a negative root
+        # puts both progressions' largest terms below 0
+        monkeypatch.setattr(theorem2, "isqrt", lambda m: -1)
 
     def test_falls_back_to_brute_force_within_the_budget(self):
         # the budget is the size bound; these inputs lie at or below theirs
