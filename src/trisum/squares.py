@@ -12,21 +12,23 @@ is what makes the higher-level constructions reproducible:
   order: powers of 4 are taken out first.
 * two_squares returns the split p^2 + q^2 with the smallest q.
 
-The splits of a remainder are found by factoring it.  Trial division takes
-out the primes below 2^10 and sorts each one as it goes: a prime 3 mod 4
-to an odd power rules the remainder out at once (Fermat), one to an even
+The splits of a remainder are found by factoring it.  One loop takes out
+the primes below 2^13 and sorts each one as it goes: a prime 3 mod 4 to
+an odd power rules the remainder out at once (Fermat), one to an even
 power joins the scale factor, and a prime 1 mod 4 is kept with its
-exponent.  A cofactor below 2^20 is then one prime, and 1 mod 4: what
-trial division took out is, like the remainder's odd part.  A cofactor of
-k bits, 20 < k <= 26, has at most two prime factors, and the smaller one's
-square is below 2^k, so one gcd with the product of the primes in
-[2^10, 2^13) whose square is below 2^k decides it: 1 means prime, and
-otherwise the gcd holds the smaller factor, or both when both are in the
-product, which one pass over those primes takes out.  From 2^26 up that
-gcd, with every prime in [2^10, 2^13), comes first too, and what it finds
-is taken out the same way.  Deterministic Miller-Rabin (Jaeschke's bases
-2, 7 and 61 below 4759123141) and Pollard-Brent rho run only on what is
-left there, which has no prime factor below 2^13.  The splits are the
+exponent.  Its first pass takes out the primes below 2^10 that a gcd with
+their product finds.  A cofactor below 2^20 is then one prime, and
+1 mod 4: what the loop took out is, like the remainder's odd part.
+Otherwise a second pass does the same for the primes in [2^10, 2^13).  A
+cofactor of k bits, 20 < k <= 26, has at most two prime factors, and the
+smaller one's square is below 2^k, so the gcd needs only the primes in
+[2^10, 2^13) whose square is below 2^k: it is 1 for a prime, and
+otherwise it holds the smaller factor, or both, and what the pass leaves
+is 1 or a prime.  From 2^26 up the gcd takes every prime in
+[2^10, 2^13), so what is left below 2^26 is again 1 or a prime.
+Deterministic Miller-Rabin (Jaeschke's bases 2, 7 and 61 below
+4759123141) and Pollard-Brent rho run only on a cofactor left at 2^26 or
+more, which has no prime factor below 2^13.  The splits are the
 products of the Gaussian primes over the primes 1 mod 4 (Hermite-Serret).
 A product and its conjugate give the same split, so the first of those
 primes contributes only the powers up to half its exponent; with one such
@@ -226,36 +228,17 @@ def _rho_factor(n: int) -> int:
 
 
 def _factor_rough(n: int, out: dict[int, int], mult: int = 1) -> None:
-    # add the factorisation of n > 1, which has no prime factor below _TRIAL,
-    # to out with every exponent times mult
-    if n >= _TRIAL * _TRIAL:
-        # below _MID^2, n = p or p*q with _TRIAL < p <= q, so p*p <= n puts p
-        # in the product: the gcd is 1 for a prime, else it holds p.  From
-        # _MID^2 up it takes out the factors below _MID before Miller-Rabin.
-        g = gcd(n, _MID_GCD.get(n.bit_length(), _MID_PRIMORIAL))
-        for p in _MID_PRIMES:  # each prime of g, to its full power in n
-            if g == 1:
-                break
-            if p * p > g:
-                p = g  # no factor of g below p is left, so g is prime
-            elif g % p:
-                continue
-            g //= p
-            e = 0
-            while not n % p:
-                n //= p
-                e += 1
-            out[p] = out.get(p, 0) + e * mult
-        if n >= _MID * _MID and not _is_prime(n):
-            r = isqrt(n)
-            if r * r == n:
-                _factor_rough(r, out, 2 * mult)
-            else:
-                d = _rho_factor(n)
-                _factor_rough(d, out, mult)
-                _factor_rough(n // d, out, mult)
-            return
-    if n > 1:
+    # add the factorisation of n > 1, which has no prime factor below _MID,
+    # to out with every exponent times mult: below _MID^2 n is prime
+    if n >= _MID * _MID and not _is_prime(n):
+        r = isqrt(n)
+        if r * r == n:
+            _factor_rough(r, out, 2 * mult)
+        else:
+            d = _rho_factor(n)
+            _factor_rough(d, out, mult)
+            _factor_rough(n // d, out, mult)
+    else:
         out[n] = out.get(n, 0) + mult
 
 
@@ -297,27 +280,33 @@ def _two_square_splits(n: int) -> tuple[tuple[int, int], ...]:
     # n = 2^e2 * scale^2 * prod p^e over the (p, e) in split, p = 1 mod 4
     scale = 1 << (e2 >> 1)
     split = []
-    g = gcd(n, _ODD_PRIMORIAL)
-    for p in _ODD_PRIMES:
-        if g == 1:
-            break
-        if p * p > g:
-            p = g  # no factor of g below p is left, so g is prime
-        elif g % p:
-            continue
-        g //= p
-        n //= p
-        e = 1
-        while not n % p:
+    # each prime of g, to its full power in n: first the primes below
+    # _TRIAL, then, for a cofactor of _TRIAL^2 or more, those in [_TRIAL, _MID)
+    g, primes = gcd(n, _ODD_PRIMORIAL), _ODD_PRIMES
+    while True:
+        for p in primes:
+            if g == 1:
+                break
+            if p * p > g:
+                p = g  # no factor of g below p is left, so g is prime
+            elif g % p:
+                continue
+            g //= p
             n //= p
-            e += 1
-        if p & 3 == 1:
-            split.append((p, e))
-        elif e & 1:
-            return ()  # before any work on the cofactor
-        else:
-            scale *= p ** (e >> 1)
-    if 1 < n < _TRIAL * _TRIAL:  # one prime, 1 mod 4 like the odd part (module docstring)
+            e = 1
+            while not n % p:
+                n //= p
+                e += 1
+            if p & 3 == 1:
+                split.append((p, e))
+            elif e & 1:
+                return ()  # before any work on the cofactor
+            else:
+                scale *= p ** (e >> 1)
+        if n < _TRIAL * _TRIAL or primes is _MID_PRIMES:
+            break
+        g, primes = gcd(n, _MID_GCD.get(n.bit_length(), _MID_PRIMORIAL)), _MID_PRIMES
+    if 1 < n < _MID * _MID:  # one prime, 1 mod 4 like the odd part (module docstring)
         split.append((n, 1))
     elif n > 1:
         rough: dict[int, int] = {}

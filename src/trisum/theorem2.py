@@ -89,11 +89,14 @@ from math import isqrt
 from .core_arith import ConstructionFailed, Quad2, _quad, check_nat
 from .ternary import MODULI
 
-# ternary's mixed caches, called with the integers derived below; the
-# seam names are the ones the benchmark's tracer wraps
+# ternary's mixed caches, called with the integers derived below, and the
+# search without brute_quad's checks, since n is checked here and the
+# budget is the size bound; the seam names are the ones the benchmark's
+# tracer wraps
 from .ternary import _tt4t_mixed as rep_tt4t_mixed
 from .ternary import _ttt_mixed as rep_ttt_mixed
-from .verifier import BudgetExceeded, brute_quad
+from .verifier import BudgetExceeded
+from .verifier import _brute_quad as brute_quad
 
 
 def _class(t: int, v: int) -> tuple[bool, tuple[int, int]]:

@@ -181,7 +181,15 @@ def brute_quad(form: str, n: int, budget: Optional[int] = DEFAULT_BUDGET):
     check_nat(n)
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
-    if budget is not None and n > check_nat(budget, "budget", inf):
+    if budget is not None:
+        check_nat(budget, "budget", inf)
+    return _brute_quad(form, n, budget)
+
+
+def _brute_quad(form: str, n: int, budget: Optional[int]):
+    # brute_quad for a caller that has checked n and passes a form and a
+    # budget of its own
+    if budget is not None and n > budget:
         raise BudgetExceeded(f"n={n} beyond search budget {budget}")
     for kinds, place in _PARTS[form]:
         found = _search(kinds, n, _pair_table(kinds[-2:], n) if n <= _PAIR_MAX else None)

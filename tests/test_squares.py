@@ -458,6 +458,25 @@ def test_wide_listings_and_top_band_witnesses_match_their_pinned_digests():
     assert _top_band_digest() == TOP_BAND_DIGEST
 
 
+# pinned before the primes in [2^10, 2^13) moved into the trial loop: the
+# listings of seeded products of 1 to 4 of those primes, each to the power
+# 1 to 3, times a small factor.  Nothing in them reaches Miller-Rabin, so
+# the listing is exact past 2^64 too.
+MID_PASS_DIGEST = "8ad4757c1eb56028bc1e06ee7a1407ad869cbe768b9b3e2255422578f5dd03c2"
+
+
+def test_mid_prime_products_match_their_pinned_digest():
+    squares._two_square_splits.cache_clear()
+    rng = random.Random(13)
+    h = hashlib.sha256()
+    for _ in range(50000):
+        n = rng.choice((1, 2, 5, 9, 13, 25, 441))
+        for p in rng.sample(squares._MID_PRIMES, rng.randint(1, 4)):
+            n *= p ** rng.randint(1, 3)
+        h.update(f"{n} {squares._two_square_splits(n)!r}\n".encode())
+    assert h.hexdigest() == MID_PASS_DIGEST
+
+
 @pytest.mark.parametrize("n", _LISTING_EDGES)
 def test_listing_edges_match_the_scan(n):
     squares._two_square_splits.cache_clear()
@@ -509,6 +528,21 @@ def test_a_small_prime_3_mod_4_to_an_odd_power_returns_before_the_cofactor(monke
     monkeypatch.setattr(squares, "_factor_rough", refuse)
     squares._two_square_splits.cache_clear()
     assert squares._two_square_splits(21 * p) == ()
+
+
+def test_a_mid_prime_3_mod_4_to_an_odd_power_returns_before_the_cofactor(monkeypatch):
+    # 1031 * P with P a prime 3 mod 4 above 2^26: the mid pass meets 1031
+    # to the first power, so P is neither tested nor factored
+    p = 67108879
+    assert p >= 1 << 26 and p & 3 == 3 and _is_prime_by_division(p)
+    for name in ("_is_prime", "_factor_rough"):
+
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name}{args} called")
+
+        monkeypatch.setattr(squares, name, refuse)
+    squares._two_square_splits.cache_clear()
+    assert squares._two_square_splits(1031 * p) == ()
 
 
 def _is_prime_by_division(n):
@@ -583,6 +617,48 @@ def test_multi_prime_listings_list_each_split_once(m, expected):
     assert squares._two_square_splits(m) == _splits_by_scan(m) == expected
 
 
+# --- the mid pass: the primes in [2^10, 2^13) come out of the trial loop ---
+
+# listings pinned before the mid primes moved from _factor_rough into the
+# trial loop, for the products below that reach past the scan's 2^36
+_PINNED_LISTINGS = {
+    69578260859: (),
+    69933811793: ((1033, 264448), (48137, 260032), (50167, 259648)),
+    137220947959: (),
+    274441895918: (),
+    275817778333: ((88618, 517653), (221643, 476122), (339062, 401067)),
+    1049000009441: ((37096, 1023535), (276904, 986065)),
+    1129886087521: ((0, 1062961),),
+    1174225802689: ((0, 1083617), (132992, 1075425), (201408, 1064735), (330560, 1031967), (516608, 952545)),
+    1234988531631: (),
+    2348451605378: ((435937, 1469153), (701407, 1362527), (863327, 1266143), (942433, 1208417), (1083617, 1083617)),
+    9063823925327: (),
+    10568032224201: ((0, 3250851), (398976, 3226275), (604224, 3194205), (991680, 3095901), (1549824, 2857635)),
+    18127647850654: (),
+    69083908058929: ((0, 8311673),),
+    70137492784969: ((0, 8374813),),
+    71735186945629: ((4286898, 7304635), (5920002, 6057125)),
+    81574415327943: (),
+    1123976784732169: ((0, 33525763), (21583285, 25654212)),
+    1185355849496473: ((3213627, 34278688),),
+}
+
+
+def _listing_reference(m):
+    return _splits_by_scan(m) if m < 1 << 36 else _PINNED_LISTINGS[m]
+
+
+def _made_even(factors):
+    # the product times each prime 3 mod 4 it holds to an odd power: its
+    # listing is not (), and it depends on every prime and exponent
+    return math.prod(factors) * math.prod(p for p in set(factors) if p & 3 == 3 and factors.count(p) & 1)
+
+
+def _refuse_primality(monkeypatch):
+    monkeypatch.setattr(squares, "_is_prime", _refuse("_is_prime"))
+    monkeypatch.setattr(squares, "_rho_factor", _refuse("_rho_factor"))
+
+
 @pytest.mark.parametrize(
     "factors",
     [
@@ -601,20 +677,20 @@ def test_multi_prime_listings_list_each_split_once(m, expected):
         (8388617,),  # the least prime above 2^23
     ],
 )
-def test_cofactors_on_both_sides_of_two_to_the_23(factors):
+def test_cofactors_on_both_sides_of_two_to_the_23(factors, monkeypatch):
+    _refuse_primality(monkeypatch)
     n = math.prod(factors)
-    out = {}
-    squares._factor_rough(n, out)
-    assert out == {p: factors.count(p) for p in factors}
-    assert squares._two_square_splits(n) == _splits_by_scan(n)
-    assert squares._two_square_splits(4 * 9 * n) == _splits_by_scan(4 * 9 * n)
+    squares._two_square_splits.cache_clear()
+    for m in (n, 4 * 9 * n, _made_even(factors)):
+        assert squares._two_square_splits(m) == _listing_reference(m), m
 
 
 @pytest.mark.parametrize("k", range(21, 27))
-def test_cofactors_at_each_bit_length(k):
+def test_cofactors_at_each_bit_length(k, monkeypatch):
     # a cofactor of k bits takes its gcd with the mid primes whose square is
     # below 2^k: the largest such prime as the smaller factor, and the least
     # prime past it one bit length up, where the next product takes it in
+    _refuse_primality(monkeypatch)
     inside = [p for p in squares._MID_PRIMES if p * p < 1 << k]
     assert squares._MID_GCD[k] == math.prod(inside)
     p = inside[-1]
@@ -623,11 +699,9 @@ def test_cofactors_at_each_bit_length(k):
     for factors in ((p, q), (p, p), *([(past, past)] if past else ())):
         n = math.prod(factors)
         assert n.bit_length() <= 26
-        out = {}
-        squares._factor_rough(n, out)
-        assert out == {f: factors.count(f) for f in factors}, factors
         squares._two_square_splits.cache_clear()
-        assert squares._two_square_splits(n) == _splits_by_scan(n), factors
+        for m in (n, _made_even(factors)):
+            assert squares._two_square_splits(m) == _listing_reference(m), factors
 
 
 def _strong_probable_prime(n, base):
@@ -672,18 +746,14 @@ def test_jaeschke_bases_below_their_bound():
     ],
 )
 def test_cofactors_made_of_mid_primes_need_no_primality_test(factors, monkeypatch):
-    # one gcd with the mid primes finds them all, and one pass over the mid
-    # primes takes each out to its full power: no Miller-Rabin, no rho
-    monkeypatch.setattr(squares, "_is_prime", _refuse("_is_prime"))
-    monkeypatch.setattr(squares, "_rho_factor", _refuse("_rho_factor"))
+    # one gcd with the mid primes finds them all, and the mid pass takes
+    # each out to its full power: no Miller-Rabin, no rho
+    _refuse_primality(monkeypatch)
     n = math.prod(factors)
-    out = {}
-    squares._factor_rough(n, out)
-    assert out == {p: factors.count(p) for p in factors}
     squares._two_square_splits.cache_clear()
-    for m in (n, 2 * n, 9 * n):
-        if m < 1 << 36:
-            assert squares._two_square_splits(m) == _splits_by_scan(m), m
+    for m in (n, 2 * n, 9 * n, _made_even(factors)):
+        if m < 1 << 64:  # the listing's domain
+            assert squares._two_square_splits(m) == _listing_reference(m), m
 
 
 @pytest.mark.parametrize(
@@ -699,9 +769,11 @@ def test_mid_primes_come_out_before_the_primality_test(n, expected, monkeypatch)
     tested = []
     real = squares._is_prime
     monkeypatch.setattr(squares, "_is_prime", lambda m: tested.append(m) or real(m))
-    out = {}
-    squares._factor_rough(n, out)
-    assert out == expected
+    factors = tuple(p for p, e in expected.items() for _ in range(e))
+    assert math.prod(factors) == n
+    squares._two_square_splits.cache_clear()
+    for m in (n, _made_even(factors)):
+        assert squares._two_square_splits(m) == _listing_reference(m), m
     assert not [m for m in tested if math.gcd(m, squares._MID_PRIMORIAL) > 1]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisum import theorem2
+from trisum import core_arith, squares, ternary, theorem1, theorem2, verifier
 from trisum.core_arith import MAX_INPUT, ConstructionFailed, Quad2, eval_quad
 from trisum.ternary import MODULI, _tt4t_mixed, _ttt_mixed
 from trisum.theorem2 import _class, branch_counts, represent_thm2, reset_branch_counts
@@ -622,6 +622,18 @@ class TestBudgetedSearch:
         with pytest.raises(ConstructionFailed):
             represent_thm2(2369)
         assert branch_counts() == {}
+
+    def test_a_dry_input_is_checked_once(self, monkeypatch):
+        # represent_thm2 checks n and takes the budget from its size bound,
+        # so the search it falls back on checks neither again
+        checked = []
+        for module in (core_arith, squares, ternary, theorem1, theorem2, verifier):
+            real = module.check_nat
+            monkeypatch.setattr(module, "check_nat", lambda *args, real=real: checked.append(args) or real(*args))
+        reset_branch_counts()
+        represent_thm2(2369)
+        assert branch_counts() == {"brute": 1}
+        assert checked == [(2369,)]
 
 
 class TestFirstCandidateAboveTheBound:

@@ -9,7 +9,10 @@ and [2^56, 2^58]) and times, per band and theorem:
 
 * represent_thm1 or represent_thm2 on each input;
 * squares._two_square_splits on each remainder those calls list;
-* squares._factor_rough on each cofactor those listings pass it.
+* squares._factor_rough on each cofactor those listings pass it: only a
+  cofactor of 2^26 or more with no prime factor below 2^13 reaches it,
+  and none of the [10^12, 2*10^12) band's inputs leaves one, so there
+  it reads 0 calls and null times.
 
 Each input is timed on its own as the fastest of K calls, every package
 cache cleared before each call and the garbage collector off, so a
