@@ -52,6 +52,8 @@ class ConstructionFailed(ValueError):
     dry offset scan above the size bound of the modulus and shape the
     input picks, or a mixed ternary representation handed an n and a t
     with t^2 not dividing 8n+2+k^2.  None of these cases is searched.
+    squares raises it too when a two-square listing hands a composite to
+    the Gaussian-prime step, which only a fault in its factoring can do.
     """
 
 

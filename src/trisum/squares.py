@@ -40,26 +40,27 @@ Two products give one split only when the first prime's exponent is even
 repeats.  Each Gaussian prime takes one modular power, of its least
 non-residue c: 2 for p = 5 mod 8, else the least odd prime with (p/c) = -1
 (reciprocity), read off a table of the non-residues mod each odd prime
-below 64, or found past it by Euler's criterion.  three_squares does not
-list a remainder r that has a prime 3 mod 4 to an odd power by either of
-two tests: its odd part is 3 mod 4, or g = gcd(r, the 725-bit product of
-the primes 3 mod 4 below 2^10) exceeds gcd(r // g, g), so that one of
-those primes divides r once.  Over the 2,000 seed-1 inputs of
-[10^12, 2*10^12) that leaves represent_thm2 2,111 listings and
-represent_thm1 2,093.  No remainder m - a^2 the scan reaches has a
-split with q < a, so it takes every split as listed.  Were
-there one with distinct roots q < a, p, the scan would have returned by
-a' = q, which it visits: the tests above skip only remainders without a
-split, and m - q^2 = a^2 + p^2 has one.  Any other split with q < a is
-(q, q, a) or (q, a, a), so m < 3a^2 and a lies past the scan's end,
-isqrt(m // 3).  Every input takes this one path; the tests hold it to a
-direct q-scan with an exact square test.  Nothing here checks its input:
-the callers pass ints from 0 up to 8*MAX_INPUT + 2, below 2^64, where this
-Miller-Rabin is exact.  That largest value is the 8m+2 whose splits
-verifier.brute_quad(form, MAX_INPUT, budget=None) lists for its last two
-slots; the ternary representations pass at most 4*MAX_INPUT + 2
-(rep_2t_t_t(MAX_INPUT)), since the mixed ones divide 8n+2+k^2 by t^2
-first.
+below 64, or found past it by Euler's criterion below 2^16; a p with
+none there is no prime below 2^64 (under GRH), and ConstructionFailed is
+raised.  three_squares does not list a remainder r that has a prime
+3 mod 4 to an odd power by either of two tests: its odd part is 3 mod 4,
+or g = gcd(r, the 725-bit product of the primes 3 mod 4 below 2^10)
+exceeds gcd(r // g, g), so that one of those primes divides r once.
+Over the 2,000 seed-1 inputs of [10^12, 2*10^12) that leaves
+represent_thm2 2,111 listings and represent_thm1 2,093.  No remainder
+m - a^2 the scan reaches has a split with q < a, so it takes every split
+as listed.  Were there one with distinct roots q < a, p, the scan would
+have returned by a' = q, which it visits: the tests above skip only
+remainders without a split, and m - q^2 = a^2 + p^2 has one.  Any other
+split with q < a is (q, q, a) or (q, a, a), so m < 3a^2 and a lies past
+the scan's end, isqrt(m // 3).  Every input takes this one path; the
+tests hold it to a direct q-scan with an exact square test.  Nothing here
+checks its input: the callers pass ints from 0 up to 8*MAX_INPUT + 2,
+below 2^64, where this Miller-Rabin is exact.  That largest value is
+the 8m+2 whose splits verifier.brute_quad(form, MAX_INPUT, budget=None)
+lists for its last two slots; the ternary representations pass at most
+4*MAX_INPUT + 2 (rep_2t_t_t(MAX_INPUT)), since the mixed ones divide
+8n+2+k^2 by t^2 first.
 
 The listing of a remainder's splits is memoised for the last few
 remainders.  The mixed ternary representations call three_squares(m)
@@ -75,11 +76,11 @@ repeated one never reaches three_squares at all.
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress
 from math import gcd, isqrt, prod
 
 # check_nat is unused here: perfbench's tracer wraps this binding by name
-from .core_arith import check_nat
+from .core_arith import ConstructionFailed, check_nat
 
 
 class NotRepresentable(ValueError):
@@ -253,7 +254,11 @@ def _gaussian_prime(p: int) -> tuple[int, int]:
             if non_residue[p % c]:
                 break
         else:  # Euler's criterion past the table
-            c = next(c for c in count(c + 2, 2) if pow(c, p >> 1, p) == p - 1)
+            for c in range(c + 2, _NON_RESIDUE_BOUND, 2):
+                if pow(c, p >> 1, p) == p - 1:
+                    break
+            else:
+                raise ConstructionFailed(f"{p} has no non-residue below 2^16, so it is not prime")
     a, b, s = p, pow(c, p >> 2, p), isqrt(p)
     while b > s:
         a, b = b, a % b
@@ -265,6 +270,11 @@ def _gaussian_prime(p: int) -> tuple[int, int]:
 _NON_RESIDUES = tuple(
     (c, bytes(pow(r, c >> 1, c) == c - 1 for r in range(c))) for c in _ODD_PRIMES if c < 64
 )
+# Under GRH the least non-residue of a prime p is below 2 ln^2 p (Bach),
+# under 3,936 for every p below 2^64; so under GRH a p with none below this
+# bound is composite, which only a fault in the factoring can pass to
+# _gaussian_prime
+_NON_RESIDUE_BOUND = 1 << 16
 _GAUSS_SMALL = {p: _gaussian_prime(p) for p in _ODD_PRIMES if p & 3 == 1}
 
 

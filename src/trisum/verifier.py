@@ -23,17 +23,20 @@ shifts about a quarter of the bits one bitmap of [0, hi] would take.
 The conjecture's two triples, odd + odd + even and odd + even + even,
 share the slots odd + even, and their third slots together take every
 triangular number, so the union is the single triple odd + even +
-triangular.  Only the first two slots form a full stage; the later slots
-together form one partial stage, which ORs in just the smallest few sums
-of their values, and stops ORing into a class once it has no gap: to
-10^6, 43 of the conjecture's 45 classes are full after 4 to 11 of their
-12 groups of shifts.  That stage is never held whole: each of its
-classes is scanned for holes as it is built and then dropped.  So a
-sweep of any form holds one set of class bitmaps at a time.  Every hole
-left in [lo, hi] goes to brute_quad's search, with the two-square splits
-as its leaf so that a sweep grows no pair table, and is an exception
-exactly when that finds no witness.  The exceptions come out in
-ascending order.
+triangular.  Only the first two slots form a full stage, and it shifts
+by the second slot's first 40 values and then by every other one.  The
+later slots together form one partial stage, which ORs in just their 112
+smallest sums, and stops ORing into a class once it has no gap: to 10^6,
+41 of the conjecture's 45 classes are full after 4 to 11 of their 12
+groups of shifts.  That stage is never held whole: each of its classes
+is scanned for holes as it is built and then dropped.  So a sweep of any
+form holds one set of class bitmaps at a time.  Every hole left in
+[lo, hi] goes to brute_quad's search, with the two-square splits as its
+leaf so that a sweep grows no pair table, and is an exception exactly
+when that finds no witness.  Hence neither stage need reach every sum:
+a value or a sum they leave out makes holes, not wrong answers, and
+which they take moves only the hole count and the time.  The exceptions come
+out in ascending order.
 """
 
 import time
@@ -199,11 +202,49 @@ def _brute_quad(form: str, n: int, budget: Optional[int]):
 
 
 # The smallest sums of the slots after the full stage that are OR-ed in
-# before the holes are settled.  Only speed depends on it: at 32 the
-# conjecture sweep to 10^6 leaves 271 holes instead of 2, searches all 271
-# and takes about 24.8 ms against 7.3 ms; at 48 it takes 8.2 ms, at 96
-# 7.5 ms and at 128 7.8 ms (in-process medians, CPython 3.11, 2-vCPU host).
-_LAST_SHIFTS = 64
+# before the holes are settled (S), and the second slot's values the full
+# stage takes before it keeps only every other one (F).  Only speed
+# depends on them: the fewer values the full stage takes, the more the
+# partial stage must fill, and what neither fills is a hole to search.
+# Sweeps of [0, N], best of 21 in-process, in ms with the holes searched
+# (CPython 3.11.7, 2 shared vCPUs); F = all keeps every value:
+#
+#   F, S      conjecture 10^6  thm1 10^6  thm2 10^6  conjecture 10^7  thm1 10^7   thm2 10^7
+#   all, 64     8.2 (2)        9.7 (15)   7.1 (0)    170 (23)         182 (172)   125 (11)
+#   40, 64     14.3 (224)     11.0 (119) 11.9 (236)  257 (3645)       176 (2057)  229 (5285)
+#   40, 96      6.8 (10)       6.8 (0)    6.9 (4)    110 (191)        115 (51)     94 (140)
+#   40, 112     6.8 (6)        6.8 (0)    7.0 (0)    103 (55)         103 (5)      96 (25)
+#   40, 128     7.0 (3)        7.2 (0)    7.1 (0)    106 (16)         112 (1)      99 (2)
+#   20, 112     6.6 (6)        6.7 (0)    7.2 (2)    105 (56)         103 (5)      95 (31)
+#   80, 112     6.8 (5)        7.1 (0)    6.9 (0)    104 (49)         108 (5)      97 (20)
+#
+# F = 40, S = 112 is within 4% of the best in every column.
+_LAST_SHIFTS = 112
+_FULL_PREFIX = 40
+
+
+def _smallest_sums(kinds: tuple[str, ...], hi: int) -> list[int]:
+    # the _LAST_SHIFTS smallest sums up to hi of one value from each slot
+    # of `kinds`, ascending.  Every slot and every list of sums starts at
+    # 0, so u + 0 and 0 + v give _LAST_SHIFTS sums at or below the last
+    # entry of either list when it is full: only sums up to that bound are
+    # marked, not all _LAST_SHIFTS^2 of them.  find skips the unmarked
+    # bytes in C; compress(count(), marks) made an int of each, and for
+    # conj_a's one slot at 96 sums took 0.43 ms against 0.03 ms
+    last = [0]
+    for kind in kinds:
+        values = list(islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS))
+        bound = min([hi, *(s[-1] for s in (last, values) if s and len(s) == _LAST_SHIFTS)])
+        marks = bytearray(bound + 1)
+        for u in last:
+            for v in values[: bisect_right(values, bound - u)]:
+                marks[u + v] = 1
+        last = []
+        j = marks.find(1)
+        while 0 <= j and len(last) < _LAST_SHIFTS:
+            last.append(j)
+            j = marks.find(1, j + 1)
+    return last
 
 
 # Residue classes of the sweep bitmaps; 1 is a single bitmap of [0, hi].
@@ -281,8 +322,8 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
 
     Refuses hi beyond DEFAULT_CAP unless full=True; a sweep of any form
     holds one set of class bitmaps of up to hi/8 bytes (at hi = 10^7
-    about 1.0 MB above the interpreter's own footprint for thm1 and the
-    conjecture, 1.2 MB for thm2), so a larger one is a deliberate choice,
+    about 0.9-1.0 MB above the interpreter's own footprint for thm1 and
+    the conjecture, 1.1 MB for thm2), so a larger one is a deliberate choice,
     not a default.  `stages` lists (name, ms) for the full stage, the
     partial stage, which also scans its classes for holes, and the
     "lookup" that searches the holes; they run back to back on one clock,
@@ -307,15 +348,17 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
         stages.append((name, (now - mark) * 1000.0))
         mark = now
 
-    reached = dict(_add_slot(_class_bitmaps(_slot_values(kinds[0], hi), top), _slot_values(kinds[1], hi)))
+    # the second slot's first _FULL_PREFIX values, then every other one;
+    # no list of either slot is bound, so none outlives the full stage
+    second = takewhile(hi.__ge__, _values(kinds[1]))
+    reached = dict(
+        _add_slot(
+            _class_bitmaps(_slot_values(kinds[0], hi), top),
+            [*islice(second, _FULL_PREFIX), *islice(second, 0, None, 2)],
+        )
+    )
     lap(f"full {kinds[0]}+{kinds[1]}")
-    # every slot starts at 0, so the smallest sums lie among the first
-    # _LAST_SHIFTS values of each slot, and a value above hi adds no sum
-    last = [0]
-    for kind in kinds[2:]:
-        values = islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS)
-        sums = {u + v for v in values for u in last if u + v <= hi}
-        last = sorted(sums)[:_LAST_SHIFTS]
+    last = _smallest_sums(kinds[2:], hi)
     holes = []
     mask = (1 << (top + 1)) - 1
     for r, bits in _add_slot(reached, last, mask):

@@ -15,6 +15,8 @@ _STATS = {"calls", "per_witness", "p50_us", "p99_us", "max_us", "mean_us"}
 # each timed sweep's hi and its stage names, in the order they run
 _SWEEPS = {
     "conjecture": (10**6, ["full odd+even", "partial tri", "lookup"]),
+    "conj_a": (10**6, ["full odd+even", "partial odd", "lookup"]),
+    "conj_b": (10**6, ["full odd+even", "partial even", "lookup"]),
     "thm1": (10**7, ["full odd+odd", "partial even+even", "lookup"]),
     "thm2": (10**7, ["full odd+odd2", "partial even2+even", "lookup"]),
 }
@@ -46,8 +48,11 @@ def test_layers_prints_one_json_line_per_band_and_theorem():
     assert set(result["sweeps"]) == set(_SWEEPS)
     for form, (hi, names) in _SWEEPS.items():
         sweep = result["sweeps"][form]
-        assert set(sweep) == {"hi", "elapsed_ms", "stages"}, form
+        assert set(sweep) == {"hi", "elapsed_ms", "stages", "holes"}, form
         assert sweep["hi"] == hi and list(sweep["stages"]) == names, form
+    # every exception is a hole: the conjecture's 8 and 68, conj_a's 32
+    assert result["sweeps"]["conjecture"]["holes"] >= 2
+    assert result["sweeps"]["conj_a"]["holes"] >= 32
     # the small windows, cut to --inputs
     assert set(result["small"]) == {"thm2", "thm1"}
     for form, small in result["small"].items():

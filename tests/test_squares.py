@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -855,6 +859,31 @@ def test_gaussian_primes_near_2_61():
             a, b = squares._gaussian_prime(p)
             assert a * a + b * b == p and a > b, p
             assert (a, b) == _gaussian_prime_by_least_non_residue(p), p
+
+
+def test_gaussian_prime_refuses_a_composite_in_bounded_time():
+    # an odd square is 1 mod 8 and a residue of every prime of the table,
+    # and has no c with c^((p-1)/2) = -1, so Euler's criterion finds none
+    # past the table either: the search must stop at its bound and raise.
+    # It runs in a child with a timeout, so that a hang fails this test
+    # instead of stalling the suite
+    code = (
+        "from trisum import squares\n"
+        "from trisum.core_arith import ConstructionFailed\n"
+        "try:\n"
+        "    squares._gaussian_prime(67 ** 2)\n"
+        "except ConstructionFailed:\n"
+        "    print('refused')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.stdout == "refused\n", done.stderr
 
 
 def test_domain_reaches_squares_max():

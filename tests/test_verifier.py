@@ -315,6 +315,23 @@ def _top_level_searches(monkeypatch) -> list[int]:
     return searched
 
 
+def _sweep_holes(first: list[int], second: list[int], last: list[int], hi: int) -> list[int]:
+    # a big-int oracle of the sweep's bitmap: `first` shifted by the
+    # second slot's first _FULL_PREFIX values up to hi and every other one
+    # after them, then by every sum in `last`; the n in [0, hi] it misses
+    prefix = verifier._FULL_PREFIX
+    second = [v for v in second if v <= hi]
+    first_bits = sum(1 << v for v in first if v <= hi)
+    full = 0
+    for v in second[:prefix] + second[prefix::2]:
+        full |= first_bits << v
+    reached = 0
+    for v in last:
+        reached |= full << v
+    text = format(reached & ((1 << hi + 1) - 1), f"0{hi + 1}b")[::-1]
+    return [m.start() for m in re.finditer("0", text)]
+
+
 class _ReadStage(dict):
     """A sweep stage that notes the class of every `get`."""
 
@@ -360,8 +377,8 @@ class TestVerifyRange:
         assert base.exceptions == CONJ_A_TO_1E6
 
     def test_triple_forms_to_one_million(self):
-        # past the last slot's first shifts, conj_a leaves 35 holes of which
-        # 32 are exceptions and conj_b 52 of which 50; the rest are resolved
+        # past the last slot's first shifts, conj_a leaves 37 holes of which
+        # 32 are exceptions and conj_b 56 of which 50; the rest are resolved
         assert verify_range("conj_a", 0, 10**6).exceptions == CONJ_A_TO_1E6
         assert verify_range("conj_b", 0, 10**6).exceptions == CONJ_B_TO_1E6
         assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
@@ -407,10 +424,11 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_seeded_windows_match_reference_enumeration(self, form):
-        # the partial stage ORs in the 64 smallest sums of the later slots:
-        # up to 2016 for the conjecture's triangular slot and past 2000 for
-        # conj_a's and conj_b's, so below 2000 their holes are exactly the
-        # exceptions; thm1's and thm2's two slots reach only 289 and 246,
+        # the full stage keeps every second-slot value up to 3003 at least,
+        # and the partial stage ORs in the 112 smallest sums of the later
+        # slots: up to 6216 for the conjecture's triangular slot and past
+        # 2000 for conj_a's and conj_b's, so below 2000 their holes are the
+        # exceptions; thm1's and thm2's two slots reach only 528 and 443,
         # so their windows also leave holes that the search settles
         rng = random.Random(form)
         for _ in range(6):
@@ -490,6 +508,35 @@ class TestVerifyRange:
         assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
         assert verify_range("conj_b", 0, 20000).exceptions == CONJ_B_TO_1E6
 
+    @pytest.mark.parametrize("prefix", [0, 1, 40, 10**6])
+    def test_full_stage_thinning_changes_nothing(self, monkeypatch, prefix):
+        # the full stage may drop any second-slot values: every sum it loses
+        # is a hole the search settles; 0 keeps every other value from the
+        # first, 10^6 keeps them all
+        monkeypatch.setattr(verifier, "_FULL_PREFIX", prefix)
+        for form in FORMS:
+            for lo, hi in ((0, 0), (0, 7), (0, 400), (150, 400), (400, 400)):
+                expected = tuple(n for n in unreached(form, hi) if n >= lo)
+                assert verify_range(form, lo, hi).exceptions == expected, (form, lo, hi)
+        assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
+        assert verify_range("conj_b", 0, 20000).exceptions == CONJ_B_TO_1E6
+
+    @pytest.mark.parametrize("shifts", [0, 1, 5, 64, 96, 112, 128])
+    def test_smallest_sums_equal_the_sorted_sumset(self, monkeypatch, shifts):
+        # the helper marks only sums up to its bound; the reference builds
+        # every sum of the slots' first values and sorts them all
+        monkeypatch.setattr(verifier, "_LAST_SHIFTS", shifts)
+        rng = random.Random(shifts)
+        his = {*range(50), *(rng.randint(50, 30000) for _ in range(20)), 6215, 6216, 24752, 24753, 10**6}
+        for form in FORMS:
+            kinds = verifier._SLOT_KINDS[form][2:]
+            for hi in sorted(his):
+                last = [0]
+                for kind in kinds:
+                    values = verifier._slot_values(kind, hi)[:shifts]
+                    last = sorted({u + v for u in last for v in values if u + v <= hi})[:shifts]
+                assert verifier._smallest_sums(kinds, hi) == last, (form, hi)
+
     @pytest.mark.parametrize("shifts", [0, 1])
     @pytest.mark.parametrize("form", ["thm1", "thm2"])
     def test_two_level_lookup(self, monkeypatch, form, shifts):
@@ -504,29 +551,30 @@ class TestVerifyRange:
             assert verify_range(form, lo, hi).exceptions == missing, (form, lo, hi)
 
     def test_the_conjecture_sweep_searches_exactly_its_holes(self, monkeypatch):
-        # the bitmap leaves only 8 and 68 to 10^6; each goes to the search of
-        # conj_a and then of conj_b, and neither finds a witness
-        searched = _top_level_searches(monkeypatch)
-        assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
-        assert searched == [8, 8, 68, 68]
-
-    def test_every_hole_is_searched_once(self, monkeypatch):
-        # conj_a sweeps odd + even in full and ORs in the first 64 odd values,
-        # all below odd[64] = 8128; every hole that leaves is searched once,
-        # and is an exception exactly when brute_quad finds no witness for it
+        # the conjecture sweeps odd + even, thinned, and ORs in the first
+        # triangular numbers; each hole that leaves goes to the search of
+        # conj_a, and to conj_b's where conj_a finds no witness; only 8 and
+        # 68 have neither
         hi = 10**6
         odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
         even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
-        assert odd[64] == 8128
-        odd_bits = sum(1 << v for v in odd if v <= hi)
-        full = 0
-        for v in even:
-            full |= odd_bits << v
-        reached = 0
-        for v in odd[:64]:
-            reached |= full << v
-        text = format(reached & ((1 << hi + 1) - 1), f"0{hi + 1}b")[::-1]
-        holes = [m.start() for m in re.finditer("0", text)]
+        holes = _sweep_holes(odd, even, [k * (k + 1) // 2 for k in range(verifier._LAST_SHIFTS)], hi)
+        assert {8, 68} <= set(holes)
+        expected = [m for n in holes for m in ([n] if brute_quad("conj_a", n) else [n, n])]
+        searched = _top_level_searches(monkeypatch)
+        assert verify_range("conjecture", 0, hi).exceptions == (8, 68)
+        assert searched == expected
+
+    def test_every_hole_is_searched_once(self, monkeypatch):
+        # conj_a sweeps odd + even, thinned, and ORs in the first 112 odd
+        # values, all below odd[112] = 24976; every hole that leaves is
+        # searched once, and is an exception exactly when brute_quad finds no
+        # witness for it
+        hi = 10**6
+        odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
+        even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
+        assert odd[verifier._LAST_SHIFTS] == 24976
+        holes = _sweep_holes(odd, even, odd[: verifier._LAST_SHIFTS], hi)
         searched = _top_level_searches(monkeypatch)
         report = verify_range("conj_a", 0, hi)
         assert holes and searched == holes
@@ -534,25 +582,21 @@ class TestVerifyRange:
         assert report.exceptions == tuple(n for n in holes if brute_quad("conj_a", n) is None)
 
     def test_every_thm1_hole_is_searched_once(self, monkeypatch):
-        # thm1 sweeps odd + odd in full and ORs in the 64 smallest sums of
+        # thm1 sweeps odd + odd, thinned, and ORs in the smallest sums of
         # even + even, taken here from the whole even + even sumset; the
-        # holes that leaves are each searched once, and none is an exception
+        # holes that leaves are each searched once, and none is an exception.
+        # At 112 sums it leaves none to 10^6, at 64 it leaves 119
+        monkeypatch.setattr(verifier, "_LAST_SHIFTS", 64)
         hi = 10**6
         odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
         even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
-        odd_bits = sum(1 << v for v in odd if v <= hi)
         even_bits = sum(1 << v for v in even if v <= hi)
-        full = pairs = 0
-        for v in odd:
-            full |= odd_bits << v
+        pairs = 0
         for v in even:
             pairs |= even_bits << v
-        smallest = [m.start() for m in itertools.islice(re.finditer("1", format(pairs, "b")[::-1]), 64)]
-        reached = 0
-        for v in smallest:
-            reached |= full << v
-        text = format(reached & ((1 << hi + 1) - 1), f"0{hi + 1}b")[::-1]
-        holes = [m.start() for m in re.finditer("0", text)]
+        ones = re.finditer("1", format(pairs, "b")[::-1])
+        smallest = [m.start() for m in itertools.islice(ones, verifier._LAST_SHIFTS)]
+        holes = _sweep_holes(odd, odd, smallest, hi)
         searched = _top_level_searches(monkeypatch)
         report = verify_range("thm1", 0, hi)
         assert holes and searched == holes
@@ -584,9 +628,9 @@ class TestVerifyRange:
         assert len(stage.read) == m * m
 
     def test_the_conjecture_partial_stage_stops_full_classes_early(self, monkeypatch):
-        # to 10^6 the partial stage ORs 64 triangular numbers in 12 groups
-        # into each class; 43 of the 45 classes are full before their last
-        # group and stop there; the two that hold the holes 8 and 68 read all 12
+        # to 10^6 the partial stage ORs 112 triangular numbers in 12 groups
+        # into each class; 41 of the 45 classes are full before their last
+        # group and stop there; the four left with gaps read all 12
         groups: list[tuple[bool, int, int]] = []  # (full, groups read, groups) per partial class
         add_slot = verifier._add_slot
 
@@ -601,7 +645,7 @@ class TestVerifyRange:
         monkeypatch.setattr(verifier, "_add_slot", spy)
         assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
         assert len(groups) == verifier._MODULUS
-        assert sum(read < count for _, read, count in groups) == 43
+        assert sum(read < count for _, read, count in groups) == 41
         assert all(full == (read < count) for full, read, count in groups)
 
     @pytest.mark.parametrize("form", ["thm1", "thm2", "conjecture"])

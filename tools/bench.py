@@ -21,10 +21,12 @@ Each entry gives the call count, the calls per witness and the p50, p99,
 max and mean of those per-input times in microseconds; "calls" is 0 and
 the times are null when a layer is not reached.
 
-Its "sweeps" object times verify_range on [0, hi] for the conjecture to
-10^6 and for thm1 and thm2 to 10^7, K runs each, caches cleared before
-each run: per form, hi and the median over the runs of elapsed_ms and
-of each stage of RangeReport.stages, in milliseconds.
+Its "sweeps" object times verify_range on [0, hi] for the conjecture,
+conj_a and conj_b to 10^6 and for thm1 and thm2 to 10^7, K runs each,
+caches cleared before each run: per form, hi, the median over the runs
+of elapsed_ms and of each stage of RangeReport.stages, in milliseconds,
+and the holes, the distinct n that one more, untimed run hands to
+verifier._search at its top level.
 
 Its "small" object times whole passes of the small workloads' ranges,
 represent_thm2 on [0, 60000) and represent_thm1 on [0, 10^5) (the first
@@ -66,7 +68,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import trisum  # noqa: E402
 from perfbench.baseline import summarise  # noqa: E402
 from perfbench.workloads import WORKLOADS, inputs  # noqa: E402
-from trisum import squares, theorem2  # noqa: E402
+from trisum import squares, theorem2, verifier  # noqa: E402
 from trisum.theorem1 import represent_thm1  # noqa: E402
 from trisum.theorem2 import represent_thm2  # noqa: E402
 from trisum.verifier import verify_range  # noqa: E402
@@ -74,7 +76,7 @@ from trisum.verifier import verify_range  # noqa: E402
 BANDS = ("large", "top")
 SEED = 1
 REPRESENT = {"thm1": represent_thm1, "thm2": represent_thm2}
-SWEEPS = {"conjecture": 10**6, "thm1": 10**7, "thm2": 10**7}
+SWEEPS = {"conjecture": 10**6, "conj_a": 10**6, "conj_b": 10**6, "thm1": 10**7, "thm2": 10**7}
 BAND_INPUTS = 2000
 SMALL = {"thm2": 60000, "thm1": 10**5}  # the small_thm2 and small_thm1 ranges
 AB_SEED = 101
@@ -169,7 +171,25 @@ def _sweep(form: str, hi: int, repeat: int, clears) -> dict:
     stages = {name: round(statistics.median(report.stages[i][1] for report in reports), 3)
               for i, (name, _) in enumerate(reports[0].stages)}
     return {"hi": hi, "elapsed_ms": round(statistics.median(report.elapsed_ms for report in reports), 3),
-            "stages": stages}
+            "stages": stages, "holes": _holes(form, hi)}
+
+
+def _holes(form: str, hi: int) -> int:
+    # the distinct n of the top-level verifier._search calls of one sweep;
+    # its recursion passes the slot index i > 0
+    search, searched = verifier._search, set()
+
+    def spy(kinds, n, pairs, i=0):
+        if i == 0:
+            searched.add(n)
+        return search(kinds, n, pairs, i)
+
+    verifier._search = spy
+    try:
+        verify_range(form, 0, hi)
+    finally:
+        verifier._search = search
+    return len(searched)
 
 
 class _Seams:
