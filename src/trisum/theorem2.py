@@ -29,6 +29,12 @@ no square, and the units mod t^2 are one, of order t(t-1).  A process
 computes a class's shape and roots the first time it meets the class
 and keeps them, so any later input of that class reads them from a dict.
 
+No offset A <= (t-1)/2 passes, at any n.  The mixed reps return
+z = (tr - k)/(2k) for the root r of k's parity, which is odd, so r >= 1,
+when k = 1, and 2 mod 4, so r >= 2, when k = 2; either way
+z >= (t-1)/2 >= A.  The walk still tries such offsets, each a mixed-rep
+call that fails: 803 of the 58,113 calls for n in [0, 60000).
+
 Above the size bound n > (6 + sqrt 32)s, s = k t^4, the first candidate
 passes.  Its class holds a residue and its negative mod t^2, of opposite
 parity, so every t^2 consecutive integers hold a candidate of either

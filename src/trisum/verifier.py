@@ -22,13 +22,16 @@ or 2T(i), so each slot kind fills only 12 of the 45 classes, and a stage
 shifts about a quarter of the bits one bitmap of [0, hi] would take.
 The conjecture's two triples, odd + odd + even and odd + even + even,
 share the slots odd + even, and their third slots together take every
-triangular number, so the union is the single triple odd + even +
-triangular.  Only the first two slots form a full stage, and it shifts
-by the second slot's first 40 values and then by every other one.  The
-later slots together form one partial stage, which ORs in just their 112
-smallest sums, and stops ORing into a class once it has no gap: to 10^6,
-41 of the conjecture's 45 classes are full after 4 to 11 of their 12
-groups of shifts.  That stage is never held whole: each of its classes
+triangular number, so the union is the single triple triangular + even
++ odd.  Only the first two slots form a full stage, and it shifts by the
+second slot's first 40 values and then by every stride-th one, where the
+stride is twice the ratio of the first slot's size to the second's,
+rounded: 4 for the conjecture, whose triangular slot has twice the even
+slot's values, and 2 for every other form.  The later slots together
+form one partial stage, which ORs in just their 112 smallest sums, and
+stops ORing into a class once it has no gap: to 10^6, 43 of the
+conjecture's 45 classes are full after 3 to 11 of their 12 groups of
+shifts.  That stage is never held whole: each of its classes
 is scanned for holes as it is built and then dropped.  So a sweep of any
 form holds one set of class bitmaps at a time.  Every hole left in
 [lo, hi] goes to brute_quad's search, with the two-square splits as its
@@ -62,17 +65,23 @@ class BudgetExceeded(ValueError):
 
 # A sumset does not depend on slot order, and no stage is shared between
 # forms; the orders below are the faster ones (CPython 3.11, 2-vCPU host).
-# The full stage shifts each class bitmap of the first slot by each value
+# The full stage shifts each class bitmap of the first slot by the values
 # of the second, so the sparser kind goes second: thm2 to 10^7 as odd +
 # odd2 takes about 0.11 s, as odd2 + odd 0.15 s.  conj_a as odd + even +
 # odd takes about 10 ms to 10^6, as odd + odd + even 16 ms, most of it
-# in looking up the many more holes an odd + odd full stage leaves.
+# in looking up the many more holes an odd + odd full stage leaves.  The
+# conjecture's triangular slot, the union of the odd and even ones, goes
+# first: its class bitmaps carry twice the bits, each shift ORs in twice
+# the sums, and the stride halves the shifts.  Best of 15 interleaved
+# sweeps to 10^6: tri + even + odd 5.2 ms, at stride 2 5.9; odd + even +
+# tri 6.4; odd + tri + even at stride 4 6.7; tri + odd + even 5.1, but
+# 5.9 where the stride floors 1414 / 708 values to 2 instead of 4.
 _SLOT_KINDS = {
     "thm1": ("odd", "odd", "even", "even"),
     "thm2": ("odd", "odd2", "even2", "even"),
     "conj_a": ("odd", "even", "odd"),
     "conj_b": ("odd", "even", "even"),
-    "conjecture": ("odd", "even", "tri"),
+    "conjecture": ("tri", "even", "odd"),
 }
 # The k-th slot value is the sum of the first k terms of an arithmetic
 # progression (first term, step): odd k(2k-1), even k(2k+1), odd2 and
@@ -207,7 +216,8 @@ def _brute_quad(form: str, n: int, budget: Optional[int]):
 # depends on them: the fewer values the full stage takes, the more the
 # partial stage must fill, and what neither fills is a hole to search.
 # Sweeps of [0, N], best of 21 in-process, in ms with the holes searched
-# (CPython 3.11.7, 2 shared vCPUs); F = all keeps every value:
+# (CPython 3.11.7, 2 shared vCPUs); F = all keeps every value.  These
+# ran with stride 2 for every form, the conjecture as odd + even + tri:
 #
 #   F, S      conjecture 10^6  thm1 10^6  thm2 10^6  conjecture 10^7  thm1 10^7   thm2 10^7
 #   all, 64     8.2 (2)        9.7 (15)   7.1 (0)    170 (23)         182 (172)   125 (11)
@@ -218,7 +228,18 @@ def _brute_quad(form: str, n: int, budget: Optional[int]):
 #   20, 112     6.6 (6)        6.7 (0)    7.2 (2)    105 (56)         103 (5)      95 (31)
 #   80, 112     6.8 (5)        7.1 (0)    6.9 (0)    104 (49)         108 (5)      97 (20)
 #
-# F = 40, S = 112 is within 4% of the best in every column.
+# and the conjecture as tri + even + odd, at stride 4:
+#
+#   F, S      conjecture 10^6  conjecture 10^7
+#   all, 112    9.0 (2)        174 (2)
+#   40, 64     11.4 (196)      240 (4660)
+#   40, 96      5.3 (11)        87 (294)
+#   40, 112     5.3 (2)         69 (78)
+#   40, 128     5.2 (2)         70 (19)
+#   20, 112     5.0 (3)         68 (101)
+#   80, 112     5.1 (2)         69 (52)
+#
+# F = 40, S = 112 is within 6% of the best in every column.
 _LAST_SHIFTS = 112
 _FULL_PREFIX = 40
 
@@ -308,6 +329,24 @@ def _add_slot(
         yield r, acc
 
 
+def _tail_stride(first: int, second: int) -> int:
+    # past its first _FULL_PREFIX values, the full stage keeps every
+    # stride-th value of the second slot: every other one when the slots
+    # are about one size, and k times as far apart when the first has k
+    # times the values, so the stage shifts about as many bits either way
+    return 2 * round(first / second)
+
+
+def _full_stage_inputs(kinds: tuple[str, ...], hi: int, top: int) -> tuple[dict[int, int], list[int]]:
+    # the first slot's class bitmaps, and the second slot's first
+    # _FULL_PREFIX values and every stride-th one after them.  Neither
+    # slot's whole list outlives this call: held through the full stage,
+    # the lists raised a sweep's traced peak to 10^7 by 140-200 KB
+    first, second = (_slot_values(kind, hi) for kind in kinds)
+    stride = _tail_stride(len(first), len(second))
+    return _class_bitmaps(first, top), second[:_FULL_PREFIX] + second[_FULL_PREFIX::stride]
+
+
 class RangeReport(NamedTuple):
     form: str
     lo: int
@@ -321,13 +360,13 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
     """Exceptions of `form` on [lo, hi], found by a whole-interval sweep.
 
     Refuses hi beyond DEFAULT_CAP unless full=True; a sweep of any form
-    holds one set of class bitmaps of up to hi/8 bytes (at hi = 10^7
-    about 0.9-1.0 MB above the interpreter's own footprint for thm1 and
-    the conjecture, 1.1 MB for thm2), so a larger one is a deliberate choice,
-    not a default.  `stages` lists (name, ms) for the full stage, the
-    partial stage, which also scans its classes for holes, and the
-    "lookup" that searches the holes; they run back to back on one clock,
-    and `elapsed_ms` is their sum.
+    holds one set of class bitmaps of up to hi/8 bytes (at hi = 10^7 its
+    traced peak is about 1.4-1.5 MB for thm1 and the conjecture, 1.7 MB
+    for thm2), so a larger one is a deliberate choice, not a default.
+    `stages` lists (name, ms) for the full stage, the partial stage, which
+    also scans its classes for holes, and the "lookup" that searches the
+    holes; they run back to back on one clock, and `elapsed_ms` is their
+    sum.
     """
     check_nat(lo, "lo")
     check_nat(hi, "hi")
@@ -348,15 +387,7 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
         stages.append((name, (now - mark) * 1000.0))
         mark = now
 
-    # the second slot's first _FULL_PREFIX values, then every other one;
-    # no list of either slot is bound, so none outlives the full stage
-    second = takewhile(hi.__ge__, _values(kinds[1]))
-    reached = dict(
-        _add_slot(
-            _class_bitmaps(_slot_values(kinds[0], hi), top),
-            [*islice(second, _FULL_PREFIX), *islice(second, 0, None, 2)],
-        )
-    )
+    reached = dict(_add_slot(*_full_stage_inputs(kinds[:2], hi, top)))
     lap(f"full {kinds[0]}+{kinds[1]}")
     last = _smallest_sums(kinds[2:], hi)
     holes = []

@@ -14,7 +14,7 @@ _LAYERS = {"represent", "_two_square_splits", "_factor_rough"}
 _STATS = {"calls", "per_witness", "p50_us", "p99_us", "max_us", "mean_us"}
 # each timed sweep's hi and its stage names, in the order they run
 _SWEEPS = {
-    "conjecture": (10**6, ["full odd+even", "partial tri", "lookup"]),
+    "conjecture": (10**6, ["full tri+even", "partial odd", "lookup"]),
     "conj_a": (10**6, ["full odd+even", "partial odd", "lookup"]),
     "conj_b": (10**6, ["full odd+even", "partial even", "lookup"]),
     "thm1": (10**7, ["full odd+odd", "partial even+even", "lookup"]),

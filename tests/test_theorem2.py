@@ -326,6 +326,29 @@ class TestOffsetLoopTriesTheReferencePrefix:
         assert {k for _, _, k in asked} == {1, 2}
         assert {*PAPER_MODULI, 149} <= {t for _, t, _ in asked}
 
+    def test_no_offset_up_to_half_the_modulus_passes(self, monkeypatch):
+        # a mixed rep returns z = (t*r - k)/(2k) for a root r that is odd
+        # (k = 1) or 2 mod 4 (k = 2), so z >= (t-1)/2 (theorem2's
+        # docstring): the walk asks for offsets A <= (t-1)/2, and none of
+        # them passes A > z
+        asked = []
+
+        def spied(rep, doubled):
+            def spy(m, t):
+                split = rep(m, t)
+                asked.append((n, doubled, m, t, split[2]))
+                return split
+
+            return spy
+
+        monkeypatch.setattr(theorem2, "rep_ttt_mixed", spied(_ttt_mixed, False))
+        monkeypatch.setattr(theorem2, "rep_tt4t_mixed", spied(_tt4t_mixed, True))
+        rng = random.Random(1602)
+        for n in (*range(60000), *(rng.randint(2**40, 2**58) for _ in range(3000))):
+            represent_thm2(n)
+        assert all(2 * z >= t - 1 for _, _, _, t, z in asked)
+        assert any(2 * _offset_of(n, doubled, m) <= t - 1 for n, doubled, m, t, _ in asked)
+
 
 class TestRepresent:
     def test_known_witnesses(self):

@@ -280,8 +280,7 @@ def _peak_growth_kb(setup: str, calls: str) -> int:
     # ru_maxrss does not carry the parent's peak) over `calls`, after `setup`
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (
+    return _fresh_process_kb(
         f"{setup}\n"
         "def hwm():\n"
         "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
@@ -289,6 +288,23 @@ def _peak_growth_kb(setup: str, calls: str) -> int:
         f"{calls}\n"
         "print(hwm() - base)\n"
     )
+
+
+def _traced_peak_kb(setup: str, calls: str) -> int:
+    # the peak of the memory Python allocates during `calls` in a fresh
+    # process, after `setup`; unlike VmHWM it does not move with whether
+    # the imports compiled their modules or read cached bytecode
+    return _fresh_process_kb(
+        f"{setup}\n"
+        "import tracemalloc\n"
+        "tracemalloc.start()\n"
+        f"{calls}\n"
+        "print(tracemalloc.get_traced_memory()[1] // 1024)\n"
+    )
+
+
+def _fresh_process_kb(code: str) -> int:
+    src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -315,21 +331,25 @@ def _top_level_searches(monkeypatch) -> list[int]:
     return searched
 
 
-def _sweep_holes(first: list[int], second: list[int], last: list[int], hi: int) -> list[int]:
+def _sweep_holes(first: list[int], second: list[int], last: list[int], hi: int, stride: int) -> list[int]:
     # a big-int oracle of the sweep's bitmap: `first` shifted by the
-    # second slot's first _FULL_PREFIX values up to hi and every other one
-    # after them, then by every sum in `last`; the n in [0, hi] it misses
+    # second slot's first _FULL_PREFIX values up to hi and every stride-th
+    # one after them, then by every sum in `last`; the n in [0, hi] it misses
     prefix = verifier._FULL_PREFIX
     second = [v for v in second if v <= hi]
     first_bits = sum(1 << v for v in first if v <= hi)
     full = 0
-    for v in second[:prefix] + second[prefix::2]:
+    for v in second[:prefix] + second[prefix::stride]:
         full |= first_bits << v
     reached = 0
     for v in last:
         reached |= full << v
     text = format(reached & ((1 << hi + 1) - 1), f"0{hi + 1}b")[::-1]
     return [m.start() for m in re.finditer("0", text)]
+
+
+# the full stage's stride past _FULL_PREFIX for each form
+_STRIDES = {"thm1": 2, "thm2": 2, "conj_a": 2, "conj_b": 2, "conjecture": 4}
 
 
 class _ReadStage(dict):
@@ -426,10 +446,10 @@ class TestVerifyRange:
     def test_seeded_windows_match_reference_enumeration(self, form):
         # the full stage keeps every second-slot value up to 3003 at least,
         # and the partial stage ORs in the 112 smallest sums of the later
-        # slots: up to 6216 for the conjecture's triangular slot and past
-        # 2000 for conj_a's and conj_b's, so below 2000 their holes are the
-        # exceptions; thm1's and thm2's two slots reach only 528 and 443,
-        # so their windows also leave holes that the search settles
+        # slots: past 2000 for the one odd or even slot of the conjecture,
+        # conj_a and conj_b, so below 2000 their holes are the exceptions;
+        # thm1's and thm2's two slots reach only 528 and 443, so their
+        # windows also leave holes that the search settles
         rng = random.Random(form)
         for _ in range(6):
             hi = rng.choice((rng.randint(0, 60), rng.randint(0, 2000)))
@@ -521,6 +541,35 @@ class TestVerifyRange:
         assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
         assert verify_range("conj_b", 0, 20000).exceptions == CONJ_B_TO_1E6
 
+    @pytest.mark.parametrize("hi", [10**3, 10**6, 10**7, 10**8])
+    def test_tail_stride_follows_the_slot_sizes(self, hi):
+        # the conjecture's triangular first slot has about twice the values
+        # of its even second slot, so its full stage keeps every fourth even
+        # value past the prefix; every other form's first slot has 1 to 1.42
+        # times the values of its second, and keeps every other value
+        for form, kinds in verifier._SLOT_KINDS.items():
+            first, second = (len(verifier._slot_values(kind, hi)) for kind in kinds[:2])
+            assert verifier._tail_stride(first, second) == _STRIDES[form], (form, hi)
+
+    def test_the_full_stage_shifts_by_the_strided_second_slot(self, monkeypatch):
+        # the full stage, the one _add_slot call with no target, shifts by the
+        # second slot's first _FULL_PREFIX values and every stride-th one
+        shifts = []
+        add_slot = verifier._add_slot
+
+        def spy(stage, values, target=None):
+            if target is None:
+                shifts.append(values)
+            return add_slot(stage, values, target)
+
+        monkeypatch.setattr(verifier, "_add_slot", spy)
+        prefix = verifier._FULL_PREFIX
+        for form, stride in _STRIDES.items():
+            second = verifier._slot_values(verifier._SLOT_KINDS[form][1], 10**6)
+            shifts.clear()
+            verify_range(form, 0, 10**6)
+            assert shifts == [second[:prefix] + second[prefix::stride]], form
+
     @pytest.mark.parametrize("shifts", [0, 1, 5, 64, 96, 112, 128])
     def test_smallest_sums_equal_the_sorted_sumset(self, monkeypatch, shifts):
         # the helper marks only sums up to its bound; the reference builds
@@ -551,14 +600,16 @@ class TestVerifyRange:
             assert verify_range(form, lo, hi).exceptions == missing, (form, lo, hi)
 
     def test_the_conjecture_sweep_searches_exactly_its_holes(self, monkeypatch):
-        # the conjecture sweeps odd + even, thinned, and ORs in the first
-        # triangular numbers; each hole that leaves goes to the search of
-        # conj_a, and to conj_b's where conj_a finds no witness; only 8 and
-        # 68 have neither
+        # the conjecture sweeps triangular + even, the triangular slot having
+        # twice the even one's values, so thinned to every fourth even value
+        # past the first 40, and ORs in the first odd values; each hole that
+        # leaves goes to the search of conj_a, and to conj_b's where conj_a
+        # finds no witness; only 8 and 68 have neither
         hi = 10**6
+        tri = [k * (k + 1) // 2 for k in range(isqrt(2 * hi) + 1)]
         odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
         even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
-        holes = _sweep_holes(odd, even, [k * (k + 1) // 2 for k in range(verifier._LAST_SHIFTS)], hi)
+        holes = _sweep_holes(tri, even, odd[: verifier._LAST_SHIFTS], hi, 4)
         assert {8, 68} <= set(holes)
         expected = [m for n in holes for m in ([n] if brute_quad("conj_a", n) else [n, n])]
         searched = _top_level_searches(monkeypatch)
@@ -574,7 +625,7 @@ class TestVerifyRange:
         odd = [k * (2 * k - 1) for k in range(isqrt(hi) + 1)]
         even = [k * (2 * k + 1) for k in range(isqrt(hi) + 1)]
         assert odd[verifier._LAST_SHIFTS] == 24976
-        holes = _sweep_holes(odd, even, odd[: verifier._LAST_SHIFTS], hi)
+        holes = _sweep_holes(odd, even, odd[: verifier._LAST_SHIFTS], hi, 2)
         searched = _top_level_searches(monkeypatch)
         report = verify_range("conj_a", 0, hi)
         assert holes and searched == holes
@@ -596,7 +647,7 @@ class TestVerifyRange:
             pairs |= even_bits << v
         ones = re.finditer("1", format(pairs, "b")[::-1])
         smallest = [m.start() for m in itertools.islice(ones, verifier._LAST_SHIFTS)]
-        holes = _sweep_holes(odd, odd, smallest, hi)
+        holes = _sweep_holes(odd, odd, smallest, hi, 2)
         searched = _top_level_searches(monkeypatch)
         report = verify_range("thm1", 0, hi)
         assert holes and searched == holes
@@ -628,9 +679,9 @@ class TestVerifyRange:
         assert len(stage.read) == m * m
 
     def test_the_conjecture_partial_stage_stops_full_classes_early(self, monkeypatch):
-        # to 10^6 the partial stage ORs 112 triangular numbers in 12 groups
-        # into each class; 41 of the 45 classes are full before their last
-        # group and stop there; the four left with gaps read all 12
+        # to 10^6 the partial stage ORs the 112 smallest odd values in 12
+        # groups into each class; 43 of the 45 classes are full before their
+        # last group and stop there; the two left with gaps read all 12
         groups: list[tuple[bool, int, int]] = []  # (full, groups read, groups) per partial class
         add_slot = verifier._add_slot
 
@@ -645,14 +696,17 @@ class TestVerifyRange:
         monkeypatch.setattr(verifier, "_add_slot", spy)
         assert verify_range("conjecture", 0, 10**6).exceptions == (8, 68)
         assert len(groups) == verifier._MODULUS
-        assert sum(read < count for _, read, count in groups) == 41
+        assert sum(read < count for _, read, count in groups) == 43
         assert all(full == (read < count) for full, read, count in groups)
 
     @pytest.mark.parametrize("form", ["thm1", "thm2", "conjecture"])
     def test_sweep_memory_in_a_fresh_process(self, form):
         # every form holds one set of class bitmaps of up to hi/8 bytes, the
         # full stage, since its partial stage is scanned class by class as it
-        # is built (+0.9-1.3 MB); a second set held whole beside it, a middle
-        # stage or the partial stage, takes +1.9-2.3 MB, which the bounds catch
-        grown = _peak_growth_kb("from trisum.verifier import verify_range", f"verify_range({form!r}, 0, 10**7)")
-        assert grown < {"thm1": 1.6, "thm2": 1.6, "conjecture": 1.5}[form] * 1024
+        # is built (a traced peak of 1.43-1.73 MB, with the first slot's
+        # class bitmaps); a second set held whole beside it, such as the
+        # partial stage, takes 2.46-2.75 MB, which the bounds catch, as they
+        # catch thm1's and the conjecture's slot lists held through the full
+        # stage (1.61 and 1.67 MB)
+        peak = _traced_peak_kb("from trisum.verifier import verify_range", f"verify_range({form!r}, 0, 10**7)")
+        assert peak < {"thm1": 1.6, "thm2": 1.9, "conjecture": 1.6}[form] * 1024
