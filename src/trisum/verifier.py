@@ -26,9 +26,12 @@ triangular number, so the union is the single triple triangular + even
 + odd.  Only the first two slots form a full stage, and it shifts by the
 second slot's first 40 values and then by every stride-th one, where the
 stride is twice the ratio of the first slot's size to the second's,
-rounded: 4 for the conjecture, whose triangular slot has twice the even
-slot's values, and 2 for every other form.  The later slots together
-form one partial stage, which ORs in just their 112 smallest sums, and
+rounded, taken from the slots' steps: a slot of step s holds about
+sqrt(2*hi/s) values.  That is 4 for the conjecture, whose triangular
+slot (step 1) has twice the values of the even slot (step 4), and 2 for
+every other form.  Both slots are read off their value iterators, never
+listed whole.  The later slots together form one partial stage, which
+ORs in just their 112 smallest sums, merged from those iterators, and
 stops ORing into a class once it has no gap: to 10^6, 43 of the
 conjecture's 45 classes are full after 3 to 11 of their 12 groups of
 shifts.  That stage is never held whole: each of its classes
@@ -45,10 +48,11 @@ out in ascending order.
 import time
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, count, islice, takewhile
-from math import inf
+from heapq import merge
+from itertools import accumulate, count, groupby, islice, takewhile
+from math import inf, sqrt
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core_arith import check_nat
 from .squares import _two_square_splits
@@ -246,25 +250,13 @@ _FULL_PREFIX = 40
 
 def _smallest_sums(kinds: tuple[str, ...], hi: int) -> list[int]:
     # the _LAST_SHIFTS smallest sums up to hi of one value from each slot
-    # of `kinds`, ascending.  Every slot and every list of sums starts at
-    # 0, so u + 0 and 0 + v give _LAST_SHIFTS sums at or below the last
-    # entry of either list when it is full: only sums up to that bound are
-    # marked, not all _LAST_SHIFTS^2 of them.  find skips the unmarked
-    # bytes in C; compress(count(), marks) made an int of each, and for
-    # conj_a's one slot at 96 sums took 0.43 ms against 0.03 ms
+    # of `kinds`, ascending.  Each slot merges the rows u + values, one per
+    # sum u so far, and keeps the first distinct sums; a row is read only as
+    # far as the merge needs it, since every row starts at u + 0
     last = [0]
     for kind in kinds:
-        values = list(islice(takewhile(hi.__ge__, _values(kind)), _LAST_SHIFTS))
-        bound = min([hi, *(s[-1] for s in (last, values) if s and len(s) == _LAST_SHIFTS)])
-        marks = bytearray(bound + 1)
-        for u in last:
-            for v in values[: bisect_right(values, bound - u)]:
-                marks[u + v] = 1
-        last = []
-        j = marks.find(1)
-        while 0 <= j and len(last) < _LAST_SHIFTS:
-            last.append(j)
-            j = marks.find(1, j + 1)
+        sums = map(itemgetter(0), groupby(merge(*(map(u.__add__, _values(kind)) for u in last))))
+        last = list(islice(takewhile(hi.__ge__, sums), _LAST_SHIFTS))
     return last
 
 
@@ -281,7 +273,7 @@ _MODULUS = 45
 _NONZERO = b"\0" + b"\1" * 255
 
 
-def _by_class(values: list[int]) -> dict[int, list[int]]:
+def _by_class(values: Iterable[int]) -> dict[int, list[int]]:
     # v = r + M*q, listed as r -> [q, ...] in ascending order
     classes: dict[int, list[int]] = {}
     for v in values:
@@ -290,7 +282,7 @@ def _by_class(values: list[int]) -> dict[int, list[int]]:
     return classes
 
 
-def _class_bitmaps(values: list[int], top: int) -> dict[int, int]:
+def _class_bitmaps(values: Iterable[int], top: int) -> dict[int, int]:
     # in class r, bit i stands for the value r + M*(top - i)
     maps = {}
     for r, qs in _by_class(values).items():
@@ -329,22 +321,17 @@ def _add_slot(
         yield r, acc
 
 
-def _tail_stride(first: int, second: int) -> int:
-    # past its first _FULL_PREFIX values, the full stage keeps every
-    # stride-th value of the second slot: every other one when the slots
-    # are about one size, and k times as far apart when the first has k
-    # times the values, so the stage shifts about as many bits either way
-    return 2 * round(first / second)
-
-
 def _full_stage_inputs(kinds: tuple[str, ...], hi: int, top: int) -> tuple[dict[int, int], list[int]]:
     # the first slot's class bitmaps, and the second slot's first
-    # _FULL_PREFIX values and every stride-th one after them.  Neither
-    # slot's whole list outlives this call: held through the full stage,
-    # the lists raised a sweep's traced peak to 10^7 by 140-200 KB
-    first, second = (_slot_values(kind, hi) for kind in kinds)
-    stride = _tail_stride(len(first), len(second))
-    return _class_bitmaps(first, top), second[:_FULL_PREFIX] + second[_FULL_PREFIX::stride]
+    # _FULL_PREFIX values and every stride-th one after them; both are read
+    # straight off the value iterators, so no slot is ever listed whole.  A
+    # slot of step s holds about sqrt(2*hi/s) values: past the prefix the
+    # stage keeps every other value when the slots are about one size, and
+    # k times as far apart when the first has k times the values, so it
+    # shifts about as many bits either way
+    first, second = (takewhile(hi.__ge__, _values(kind)) for kind in kinds)
+    stride = 2 * round(sqrt(_SLOT_STEP[kinds[1]][1] / _SLOT_STEP[kinds[0]][1]))
+    return _class_bitmaps(first, top), [*islice(second, _FULL_PREFIX), *islice(second, 0, None, stride)]
 
 
 class RangeReport(NamedTuple):

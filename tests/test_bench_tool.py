@@ -48,7 +48,7 @@ def test_layers_prints_one_json_line_per_band_and_theorem():
     assert set(result["sweeps"]) == set(_SWEEPS)
     for form, (hi, names) in _SWEEPS.items():
         sweep = result["sweeps"][form]
-        assert set(sweep) == {"hi", "elapsed_ms", "stages", "holes"}, form
+        assert set(sweep) == {"hi", "elapsed_ms", "stages", "holes", "traced_peak_kb"}, form
         assert sweep["hi"] == hi and list(sweep["stages"]) == names, form
     # every exception is a hole: the conjecture's 8 and 68, conj_a's 32
     assert result["sweeps"]["conjecture"]["holes"] >= 2

@@ -252,7 +252,8 @@ class TestOffsetLoopTriesTheReferencePrefix:
     def test_every_shape_and_modulus(self, monkeypatch):
         # represent_thm2 asks the mixed reps for exactly the reference's
         # candidates, in its order, up to the first whose split passes
-        # (A > z), or for every one when none does
+        # (A > z), or for every one above (t-1)/2 when none does: no
+        # candidate at or below it passes
         asked = []
 
         def spied(rep, doubled):
@@ -274,6 +275,9 @@ class TestOffsetLoopTriesTheReferencePrefix:
             tried = [_offset_of(n, doubled, m) for _, m in asked]
             expected = []
             for a in _offset_candidates(n, t, doubled):
+                if 2 * a <= t - 1:
+                    kind = "dry"
+                    break
                 expected.append(a)
                 rep = _tt4t_mixed(n - 2 * a * a, t) if doubled else _ttt_mixed((n - a * a) // 2, t)
                 if a > rep[2]:
@@ -326,26 +330,22 @@ class TestOffsetLoopTriesTheReferencePrefix:
         assert {k for _, _, k in asked} == {1, 2}
         assert {*PAPER_MODULI, 149} <= {t for _, t, _ in asked}
 
-    def test_no_offset_up_to_half_the_modulus_passes(self, monkeypatch):
+    def test_no_offset_up_to_half_the_modulus_passes(self):
         # a mixed rep returns z = (t*r - k)/(2k) for a root r that is odd
         # (k = 1) or 2 mod 4 (k = 2), so z >= (t-1)/2 (theorem2's
-        # docstring): the walk asks for offsets A <= (t-1)/2, and none of
-        # them passes A > z
+        # docstring): none of the reference candidates A <= (t-1)/2 passes
+        # A > z, which is why the walk stops above them.  Such a candidate
+        # lies below t^2, so it is one of its class's residues
         asked = []
-
-        def spied(rep, doubled):
-            def spy(m, t):
-                split = rep(m, t)
-                asked.append((n, doubled, m, t, split[2]))
-                return split
-
-            return spy
-
-        monkeypatch.setattr(theorem2, "rep_ttt_mixed", spied(_ttt_mixed, False))
-        monkeypatch.setattr(theorem2, "rep_tt4t_mixed", spied(_tt4t_mixed, True))
         rng = random.Random(1602)
         for n in (*range(60000), *(rng.randint(2**40, 2**58) for _ in range(3000))):
-            represent_thm2(n)
+            t, doubled = _selects(n)
+            start = isqrt(n // 2) if doubled else isqrt(n)
+            for a in _classes(4 * n + 3, t, doubled):
+                if 2 * a <= t - 1 and a <= start and (doubled or (a ^ n) & 1 == 0):
+                    m = n - 2 * a * a if doubled else (n - a * a) // 2
+                    split = _tt4t_mixed(m, t) if doubled else _ttt_mixed(m, t)
+                    asked.append((n, doubled, m, t, split[2]))
         assert all(2 * z >= t - 1 for _, _, _, t, z in asked)
         assert any(2 * _offset_of(n, doubled, m) <= t - 1 for n, doubled, m, t, _ in asked)
 

@@ -542,14 +542,31 @@ class TestVerifyRange:
         assert verify_range("conj_b", 0, 20000).exceptions == CONJ_B_TO_1E6
 
     @pytest.mark.parametrize("hi", [10**3, 10**6, 10**7, 10**8])
-    def test_tail_stride_follows_the_slot_sizes(self, hi):
+    def test_tail_stride_follows_the_slot_sizes(self, monkeypatch, hi):
         # the conjecture's triangular first slot has about twice the values
         # of its even second slot, so its full stage keeps every fourth even
         # value past the prefix; every other form's first slot has 1 to 1.42
-        # times the values of its second, and keeps every other value
+        # times the values of its second, and keeps every other value.  The
+        # sweep takes the stride from the slot steps; twice the ratio of the
+        # slot sizes, rounded, gives the same at every size.  With no prefix
+        # the full stage's values show the stride at every size
+        monkeypatch.setattr(verifier, "_FULL_PREFIX", 0)
         for form, kinds in verifier._SLOT_KINDS.items():
-            first, second = (len(verifier._slot_values(kind, hi)) for kind in kinds[:2])
-            assert verifier._tail_stride(first, second) == _STRIDES[form], (form, hi)
+            first, second = (verifier._slot_values(kind, hi) for kind in kinds[:2])
+            assert 2 * round(len(first) / len(second)) == _STRIDES[form], (form, hi)
+            _, shifts = verifier._full_stage_inputs(kinds[:2], hi, hi // verifier._MODULUS)
+            assert shifts == second[:: _STRIDES[form]], (form, hi)
+
+    def test_the_sweep_lists_no_slot_whole(self, monkeypatch):
+        # both stages read their slots off the value iterators, so a sweep
+        # of every form to 10^6 finds its exceptions without listing a slot
+        def refuse(kind, hi):
+            raise AssertionError(f"listed the {kind} slot to {hi}")
+
+        monkeypatch.setattr(verifier, "_slot_values", refuse)
+        expected = {"thm1": (), "thm2": (), "conj_a": CONJ_A_TO_1E6, "conj_b": CONJ_B_TO_1E6}
+        for form in FORMS:
+            assert verify_range(form, 0, 10**6).exceptions == expected.get(form, (8, 68)), form
 
     def test_the_full_stage_shifts_by_the_strided_second_slot(self, monkeypatch):
         # the full stage, the one _add_slot call with no target, shifts by the

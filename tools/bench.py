@@ -24,9 +24,11 @@ the times are null when a layer is not reached.
 Its "sweeps" object times verify_range on [0, hi] for the conjecture,
 conj_a and conj_b to 10^6 and for thm1 and thm2 to 10^7, K runs each,
 caches cleared before each run: per form, hi, the median over the runs
-of elapsed_ms and of each stage of RangeReport.stages, in milliseconds,
-and the holes, the distinct n that one more, untimed run hands to
-verifier._search at its top level.
+of elapsed_ms and of each stage of RangeReport.stages, in milliseconds;
+the holes, the distinct n that one more, untimed run hands to
+verifier._search at its top level; and traced_peak_kb, the tracemalloc
+peak of one more, untimed run, in KB, the figure the tests bound for a
+sweep in a fresh process.
 
 Its "small" object times whole passes of the small workloads' ranges,
 represent_thm2 on [0, 60000) and represent_thm1 on [0, 10^5) (the first
@@ -59,6 +61,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -171,7 +174,7 @@ def _sweep(form: str, hi: int, repeat: int, clears) -> dict:
     stages = {name: round(statistics.median(report.stages[i][1] for report in reports), 3)
               for i, (name, _) in enumerate(reports[0].stages)}
     return {"hi": hi, "elapsed_ms": round(statistics.median(report.elapsed_ms for report in reports), 3),
-            "stages": stages, "holes": _holes(form, hi)}
+            "stages": stages, "holes": _holes(form, hi), "traced_peak_kb": _traced_peak_kb(form, hi)}
 
 
 def _holes(form: str, hi: int) -> int:
@@ -190,6 +193,15 @@ def _holes(form: str, hi: int) -> int:
     finally:
         verifier._search = search
     return len(searched)
+
+
+def _traced_peak_kb(form: str, hi: int) -> int:
+    tracemalloc.start()
+    try:
+        verify_range(form, 0, hi)
+        return tracemalloc.get_traced_memory()[1] // 1024
+    finally:
+        tracemalloc.stop()
 
 
 class _Seams:
