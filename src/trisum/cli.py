@@ -106,6 +106,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             # a list of [name, ms] pairs, not an object: the order of the
             # stages is part of the output
             "stages": [[name, round(ms, 3)] for name, ms in report.stages],
+            "holes": report.holes,
         }
         print(json.dumps(payload))
     else:

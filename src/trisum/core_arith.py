@@ -53,7 +53,9 @@ class ConstructionFailed(ValueError):
     input picks, or a mixed ternary representation handed an n and a t
     with t^2 not dividing 8n+2+k^2.  None of these cases is searched.
     squares raises it too when a two-square listing hands a composite to
-    the Gaussian-prime step, which only a fault in its factoring can do.
+    the Gaussian-prime step, which only a fault in its factoring can do,
+    or when Pollard rho finds no factor within its step bound, as for a
+    prime, which only such a fault hands it.
     """
 
 

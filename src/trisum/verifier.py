@@ -42,7 +42,11 @@ leaf so that a sweep grows no pair table, and is an exception exactly
 when that finds no witness.  Hence neither stage need reach every sum:
 a value or a sum they leave out makes holes, not wrong answers, and
 which they take moves only the hole count and the time.  The exceptions come
-out in ascending order.
+out in ascending order.  Three functions run the stages in turn:
+_full_stage builds the full stage, _scan_holes builds the partial stage
+class by class and yields its holes in [lo, hi], and _lookup searches
+them.  verify_range reads M once and passes it down; every helper takes
+it as a parameter.
 """
 
 import time
@@ -273,32 +277,12 @@ _MODULUS = 45
 _NONZERO = b"\0" + b"\1" * 255
 
 
-def _by_class(values: Iterable[int]) -> dict[int, list[int]]:
-    # v = r + M*q, listed as r -> [q, ...] in ascending order
-    classes: dict[int, list[int]] = {}
-    for v in values:
-        q, r = divmod(v, _MODULUS)
-        classes.setdefault(r, []).append(q)
-    return classes
-
-
-def _class_bitmaps(values: Iterable[int], top: int) -> dict[int, int]:
-    # in class r, bit i stands for the value r + M*(top - i)
-    maps = {}
-    for r, qs in _by_class(values).items():
-        bits = bytearray(top // 8 + 1)
-        for q in qs:
-            bits[(top - q) >> 3] |= 1 << ((top - q) & 7)
-        maps[r] = int.from_bytes(bits, "little")
-    return maps
-
-
 def _add_slot(
-    stage: dict[int, int], values: list[int], target: Optional[int] = None
+    stage: dict[int, int], values: list[int], m: int, target: Optional[int] = None
 ) -> Iterator[tuple[int, int]]:
-    # Yields (r, bits) for every class r in turn.  Adding v = r2 + M*q to
-    # class r1 = (r - r2) mod M lands in class r as a right shift by q,
-    # plus one when r1 + r2 carries past M; it drops every sum above the
+    # Yields (r, bits) for every class r mod m in turn.  Adding v = r2 + m*q
+    # to class r1 = (r - r2) mod m lands in class r as a right shift by q,
+    # plus one when r1 + r2 carries past m; it drops every sum above the
     # top of its class.  Empty or absent classes of the stage are skipped:
     # shifting them as zeros made the conjecture's full stage to 10^6 about
     # 35% slower.  A class stops at the first group of values (one r2)
@@ -307,13 +291,16 @@ def _add_slot(
     # is made once per group: once per shift cost the full stage, which
     # passes no target, about 0.3 ms to 10^6 and saved the partial stage
     # nothing.
-    classes = _by_class(values).items()
-    for r in range(_MODULUS):
+    classes: dict[int, list[int]] = {}
+    for v in values:
+        q, r2 = divmod(v, m)
+        classes.setdefault(r2, []).append(q)
+    for r in range(m):
         acc = 0
-        for r2, qs in classes:
-            r1 = (r - r2) % _MODULUS
+        for r2, qs in classes.items():
+            r1 = (r - r2) % m
             if bits := stage.get(r1):
-                carry = (r1 + r2) // _MODULUS
+                carry = (r1 + r2) // m
                 for q in qs:
                     acc |= bits >> (q + carry)
                 if acc == target:
@@ -321,9 +308,10 @@ def _add_slot(
         yield r, acc
 
 
-def _full_stage_inputs(kinds: tuple[str, ...], hi: int, top: int) -> tuple[dict[int, int], list[int]]:
-    # the first slot's class bitmaps, and the second slot's first
-    # _FULL_PREFIX values and every stride-th one after them; both are read
+def _full_stage(kinds: tuple[str, ...], hi: int, m: int) -> dict[int, int]:
+    # The first slot's class bitmaps, in class r bit i standing for the
+    # value r + m*(top - i), shifted by the second slot's first _FULL_PREFIX
+    # values and every stride-th one after them; both slots are read
     # straight off the value iterators, so no slot is ever listed whole.  A
     # slot of step s holds about sqrt(2*hi/s) values: past the prefix the
     # stage keeps every other value when the slots are about one size, and
@@ -331,7 +319,43 @@ def _full_stage_inputs(kinds: tuple[str, ...], hi: int, top: int) -> tuple[dict[
     # shifts about as many bits either way
     first, second = (takewhile(hi.__ge__, _values(kind)) for kind in kinds)
     stride = 2 * round(sqrt(_SLOT_STEP[kinds[1]][1] / _SLOT_STEP[kinds[0]][1]))
-    return _class_bitmaps(first, top), [*islice(second, _FULL_PREFIX), *islice(second, 0, None, stride)]
+    top = hi // m
+    bitmaps: dict[int, bytearray] = {}
+    for v in first:
+        q, r = divmod(v, m)
+        if r not in bitmaps:
+            bitmaps[r] = bytearray(top // 8 + 1)
+        bitmaps[r][(top - q) >> 3] |= 1 << ((top - q) & 7)
+    stage = {r: int.from_bytes(bits, "little") for r, bits in bitmaps.items()}
+    del bitmaps  # held through the shifts, they add 0.3 MB to the traced peak at 10^7
+    return dict(_add_slot(stage, [*islice(second, _FULL_PREFIX), *islice(second, 0, None, stride)], m))
+
+
+def _scan_holes(stage: dict[int, int], last: list[int], lo: int, hi: int, m: int) -> Iterator[int]:
+    # The n in [lo, hi] that no sum of the stage and one of `last` reaches,
+    # class by class as the partial stage builds them.  One pass flags the
+    # non-zero bytes of a class's gaps; bit i of byte j stands for
+    # n = r + m*(top - 8j - i).  Every class is swept up to m*top + r,
+    # which can pass hi; only the holes in [lo, hi] are yielded
+    top = hi // m
+    mask = (1 << (top + 1)) - 1
+    for r, bits in _add_slot(stage, last, m, mask):
+        if gaps := ~bits & mask:
+            data = gaps.to_bytes(top // 8 + 1, "little")
+            flags = data.translate(_NONZERO)
+            j = flags.find(1)
+            while j >= 0:
+                byte = data[j]
+                for i in range(8):
+                    n = r + m * (top - 8 * j - i)
+                    if byte >> i & 1 and lo <= n <= hi:
+                        yield n
+                j = flags.find(1, j + 1)
+
+
+def _lookup(form: str, holes: Iterable[int]) -> tuple[int, ...]:
+    # the holes, ascending, that no searched part of `form` reaches
+    return tuple(n for n in sorted(holes) if all(_search(k, n, None) is None for k, _ in _PARTS[form]))
 
 
 class RangeReport(NamedTuple):
@@ -341,6 +365,7 @@ class RangeReport(NamedTuple):
     exceptions: tuple[int, ...]
     elapsed_ms: float
     stages: tuple[tuple[str, float], ...]
+    holes: int
 
 
 def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeReport:
@@ -353,7 +378,8 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
     `stages` lists (name, ms) for the full stage, the partial stage, which
     also scans its classes for holes, and the "lookup" that searches the
     holes; they run back to back on one clock, and `elapsed_ms` is their
-    sum.
+    sum.  `holes` counts the n in [lo, hi] that both stages leave
+    unreached, each searched once; every exception is one of them.
     """
     check_nat(lo, "lo")
     check_nat(hi, "hi")
@@ -363,39 +389,14 @@ def verify_range(form: str, lo: int, hi: int, *, full: bool = False) -> RangeRep
         raise ValueError(f"empty range [{lo}, {hi}]")
     if hi > DEFAULT_CAP and not full:
         raise BudgetExceeded(f"hi={hi} above cap={DEFAULT_CAP}; pass full=True to override")
-    kinds = _SLOT_KINDS[form]
-    top = hi // _MODULUS
-    stages = []
-    mark = time.perf_counter()
-
-    def lap(name: str) -> None:
-        nonlocal mark
-        now = time.perf_counter()
-        stages.append((name, (now - mark) * 1000.0))
-        mark = now
-
-    reached = dict(_add_slot(*_full_stage_inputs(kinds[:2], hi, top)))
-    lap(f"full {kinds[0]}+{kinds[1]}")
-    last = _smallest_sums(kinds[2:], hi)
-    holes = []
-    mask = (1 << (top + 1)) - 1
-    for r, bits in _add_slot(reached, last, mask):
-        # one pass flags the non-zero bytes of the gaps; bit i of byte j
-        # stands for n = r + M*(top - 8j - i).  Every class is swept up to
-        # M*top + r, which can pass hi; only the holes in [lo, hi] are
-        # reported
-        if gaps := ~bits & mask:
-            data = gaps.to_bytes(top // 8 + 1, "little")
-            flags = data.translate(_NONZERO)
-            j = flags.find(1)
-            while j >= 0:
-                byte = data[j]
-                for i in range(8):
-                    n = r + _MODULUS * (top - 8 * j - i)
-                    if byte >> i & 1 and lo <= n <= hi:
-                        holes.append(n)
-                j = flags.find(1, j + 1)
-    lap(f"partial {'+'.join(kinds[2:])}")
-    exceptions = tuple(n for n in sorted(holes) if all(_search(k, n, None) is None for k, _ in _PARTS[form]))
-    lap("lookup")
-    return RangeReport(form, lo, hi, exceptions, sum(ms for _, ms in stages), tuple(stages))
+    kinds, m = _SLOT_KINDS[form], _MODULUS
+    t0 = time.perf_counter()
+    stage = _full_stage(kinds[:2], hi, m)
+    t1 = time.perf_counter()
+    holes = list(_scan_holes(stage, _smallest_sums(kinds[2:], hi), lo, hi, m))
+    t2 = time.perf_counter()
+    exceptions = _lookup(form, holes)
+    t3 = time.perf_counter()
+    names = (f"full {kinds[0]}+{kinds[1]}", f"partial {'+'.join(kinds[2:])}", "lookup")
+    stages = tuple((name, (b - a) * 1000.0) for name, a, b in zip(names, (t0, t1, t2), (t1, t2, t3)))
+    return RangeReport(form, lo, hi, exceptions, sum(ms for _, ms in stages), stages, len(holes))

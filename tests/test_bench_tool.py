@@ -100,3 +100,36 @@ def test_ab_needs_two_pairs():
     # refused before any copy is made or run started
     with pytest.raises(SystemExit):
         _load_tool().main(["ab", "HEAD", "HEAD", "--workload", "small_thm2", "--pairs", "1"])
+
+
+def test_record_writes_each_workload_and_layers(monkeypatch, tmp_path):
+    # ab, the layers run and git are stubbed: no benchmark runs here
+    tool = _load_tool()
+    revision = "0123456789abcdef" * 2 + "01234567"
+    calls = []
+
+    def ab(rev_a, rev_b, workload, pairs, seconds):
+        calls.append((rev_a, rev_b, workload, pairs, seconds))
+        return {"mode": "ab", "workload": workload}
+
+    monkeypatch.setattr(tool, "ab", ab)
+    monkeypatch.setattr(tool, "_layers_at", lambda commit: {"mode": "layers", "commit": commit})
+    monkeypatch.setattr(tool, "_git", lambda *args: revision if args[0] == "rev-parse" and "^" in args[-1] else "tree")
+    path = tool.record("HEAD", 3, tmp_path)
+    assert path == tmp_path / "BENCH_0123456.json"
+    out = json.loads(path.read_text())
+    assert set(out) == {"mode", "revision", "src_tree", "machine", "python", "pairs", "seconds", "bounds",
+                        "workloads", "layers", "wall_s"}
+    assert (out["mode"], out["revision"], out["src_tree"], out["pairs"]) == ("record", revision, "tree", 3)
+    assert out["layers"] == {"mode": "layers", "commit": revision}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert out["bounds"] == {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    names = [w["name"] for w in spec["workloads"]]
+    assert calls == [(revision, revision, name, 3, spec["run_seconds"]) for name in names]
+    assert out["seconds"] == spec["run_seconds"]
+    assert out["workloads"] == {name: {"mode": "ab", "workload": name} for name in names}
+
+
+def test_record_needs_two_pairs():
+    with pytest.raises(SystemExit):
+        _load_tool().main(["record", "HEAD", "--pairs", "1"])

@@ -85,11 +85,11 @@ class TestVerify:
         assert code == 0
         assert "exceptions: none" in out
 
-    def test_json_has_exactly_six_fields(self, capsys):
+    def test_json_has_exactly_seven_fields(self, capsys):
         code, out, _ = run(capsys, "verify", "--form", "thm2", "--to", "2000", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert list(payload) == ["form", "lo", "hi", "exceptions", "elapsed_ms", "stages"]
+        assert list(payload) == ["form", "lo", "hi", "exceptions", "elapsed_ms", "stages", "holes"]
         assert payload["form"] == "thm2"
         assert payload["lo"] == 0
         assert payload["hi"] == 2000

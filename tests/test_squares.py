@@ -886,6 +886,52 @@ def test_gaussian_prime_refuses_a_composite_in_bounded_time():
     assert done.stdout == "refused\n", done.stderr
 
 
+def test_rho_refuses_a_prime_in_bounded_time():
+    # a prime has no proper factor, so every c ends without one and rho
+    # must raise; in a child with a timeout, as above.  A product of
+    # two primes near 2^26 still splits on its first c
+    assert squares._rho_factor(67108879 * 67108913) == 67108879
+    code = (
+        "from trisum import squares\n"
+        "from trisum.core_arith import ConstructionFailed\n"
+        "try:\n"
+        "    squares._rho_factor(67108913)\n"
+        "except ConstructionFailed:\n"
+        "    print('refused')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.stdout == "refused\n", done.stderr
+
+
+# products of two primes in [2^13, 2^14), the smallest cofactors rho is
+# handed, on which c = 1 and c = 2 both end with g = n: their cycles
+# modulo the two primes close at the same step
+_RHO_THIRD_C = (
+    (8219, 14951), (8521, 8839), (8521, 12917), (8521, 13499), (8663, 9007), (8663, 14419),
+    (8699, 8783), (8839, 12917), (8839, 13499), (8867, 13267), (8971, 13877), (9007, 14419),
+    (9029, 12659), (9067, 13913), (9619, 11927), (10289, 15643), (10691, 13337), (10711, 12373),
+    (10789, 13799), (11197, 14341), (11287, 12743), (11489, 12329), (12409, 14489), (12917, 13499),
+    (13487, 14431), (13487, 14923), (13859, 15581), (13879, 14401), (14431, 14923), (14657, 15227),
+)
+
+
+def test_rho_splits_products_of_two_primes_above_2_13():
+    # a c that ends with g = n hands on to the next c; all 379,756 such
+    # products split, a seeded sample and the 30 that need c = 3 here
+    primes = [p for p in range(1 << 13 | 1, 1 << 14, 2) if squares._is_prime(p)]
+    assert len(primes) == 872
+    rng = random.Random(8192)
+    for p, q in [tuple(rng.sample(primes, 2)) for _ in range(2000)] + list(_RHO_THIRD_C):
+        assert squares._rho_factor(p * q) in (p, q), (p, q)
+
+
 def test_domain_reaches_squares_max():
     top = 8 * MAX_INPUT + 6
     assert top < 1 << 64

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -465,7 +466,7 @@ class TestVerifyRange:
     def test_report_is_a_named_tuple(self):
         report = verify_range("thm1", 0, 10)
         assert isinstance(report, RangeReport)
-        assert report._fields == ("form", "lo", "hi", "exceptions", "elapsed_ms", "stages")
+        assert report._fields == ("form", "lo", "hi", "exceptions", "elapsed_ms", "stages", "holes")
 
     @pytest.mark.parametrize("form", FORMS)
     def test_one_full_stage_per_form(self, form):
@@ -528,6 +529,19 @@ class TestVerifyRange:
         assert verify_range("conj_a", 0, 20000).exceptions == CONJ_A_TO_1E6
         assert verify_range("conj_b", 0, 20000).exceptions == CONJ_B_TO_1E6
 
+    @pytest.mark.parametrize("m", [1, 9, 45, 315])
+    def test_the_stage_functions_take_the_class_count(self, monkeypatch, m):
+        # the stages read no module class count: test_class_count_changes_nothing
+        # with _MODULUS at 7, its windows swept by the three stage functions
+        # handed m in place of verify_range
+        def staged(form, lo, hi):
+            kinds = verifier._SLOT_KINDS[form]
+            stage, last = verifier._full_stage(kinds[:2], hi, m), verifier._smallest_sums(kinds[2:], hi)
+            return SimpleNamespace(exceptions=verifier._lookup(form, verifier._scan_holes(stage, last, lo, hi, m)))
+
+        monkeypatch.setitem(globals(), "verify_range", staged)
+        self.test_class_count_changes_nothing(monkeypatch, 7)
+
     @pytest.mark.parametrize("prefix", [0, 1, 40, 10**6])
     def test_full_stage_thinning_changes_nothing(self, monkeypatch, prefix):
         # the full stage may drop any second-slot values: every sum it loses
@@ -549,13 +563,22 @@ class TestVerifyRange:
         # times the values of its second, and keeps every other value.  The
         # sweep takes the stride from the slot steps; twice the ratio of the
         # slot sizes, rounded, gives the same at every size.  With no prefix
-        # the full stage's values show the stride at every size
+        # the full stage's values show the stride at every size.  The spy
+        # stops the stage once it has them, so no shift-or runs at 10^8
+        class Shifts(Exception):
+            pass
+
+        def spy(stage, values, m, target=None):
+            raise Shifts(values)
+
         monkeypatch.setattr(verifier, "_FULL_PREFIX", 0)
+        monkeypatch.setattr(verifier, "_add_slot", spy)
         for form, kinds in verifier._SLOT_KINDS.items():
             first, second = (verifier._slot_values(kind, hi) for kind in kinds[:2])
             assert 2 * round(len(first) / len(second)) == _STRIDES[form], (form, hi)
-            _, shifts = verifier._full_stage_inputs(kinds[:2], hi, hi // verifier._MODULUS)
-            assert shifts == second[:: _STRIDES[form]], (form, hi)
+            with pytest.raises(Shifts) as shifts:
+                verifier._full_stage(kinds[:2], hi, verifier._MODULUS)
+            assert shifts.value.args[0] == second[:: _STRIDES[form]], (form, hi)
 
     def test_the_sweep_lists_no_slot_whole(self, monkeypatch):
         # both stages read their slots off the value iterators, so a sweep
@@ -574,10 +597,10 @@ class TestVerifyRange:
         shifts = []
         add_slot = verifier._add_slot
 
-        def spy(stage, values, target=None):
+        def spy(stage, values, m, target=None):
             if target is None:
                 shifts.append(values)
-            return add_slot(stage, values, target)
+            return add_slot(stage, values, m, target)
 
         monkeypatch.setattr(verifier, "_add_slot", spy)
         prefix = verifier._FULL_PREFIX
@@ -630,8 +653,10 @@ class TestVerifyRange:
         assert {8, 68} <= set(holes)
         expected = [m for n in holes for m in ([n] if brute_quad("conj_a", n) else [n, n])]
         searched = _top_level_searches(monkeypatch)
-        assert verify_range("conjecture", 0, hi).exceptions == (8, 68)
+        report = verify_range("conjecture", 0, hi)
+        assert report.exceptions == (8, 68)
         assert searched == expected
+        assert report.holes == len(set(searched)) == len(holes) == 2
 
     def test_every_hole_is_searched_once(self, monkeypatch):
         # conj_a sweeps odd + even, thinned, and ORs in the first 112 odd
@@ -646,6 +671,7 @@ class TestVerifyRange:
         searched = _top_level_searches(monkeypatch)
         report = verify_range("conj_a", 0, hi)
         assert holes and searched == holes
+        assert report.holes == len(searched) == 37
         assert report.exceptions == CONJ_A_TO_1E6
         assert report.exceptions == tuple(n for n in holes if brute_quad("conj_a", n) is None)
 
@@ -668,6 +694,7 @@ class TestVerifyRange:
         searched = _top_level_searches(monkeypatch)
         report = verify_range("thm1", 0, hi)
         assert holes and searched == holes
+        assert report.holes == len(searched)
         assert report.exceptions == ()
 
     def test_the_sweep_never_grows_a_pair_table(self, monkeypatch):
@@ -689,10 +716,10 @@ class TestVerifyRange:
         m = verifier._MODULUS
         mask = (1 << 20) - 1
         stage = _ReadStage({r: mask for r in range(m)})
-        assert list(verifier._add_slot(stage, list(range(m)), mask)) == [(r, mask) for r in range(m)]
+        assert list(verifier._add_slot(stage, list(range(m)), m, mask)) == [(r, mask) for r in range(m)]
         assert stage.read == list(range(m))
         stage.read.clear()
-        assert list(verifier._add_slot(stage, list(range(m)))) == [(r, mask) for r in range(m)]
+        assert list(verifier._add_slot(stage, list(range(m)), m)) == [(r, mask) for r in range(m)]
         assert len(stage.read) == m * m
 
     def test_the_conjecture_partial_stage_stops_full_classes_early(self, monkeypatch):
@@ -702,9 +729,9 @@ class TestVerifyRange:
         groups: list[tuple[bool, int, int]] = []  # (full, groups read, groups) per partial class
         add_slot = verifier._add_slot
 
-        def spy(stage, values, target=None):
-            stage, count = _ReadStage(stage), len(verifier._by_class(values))
-            for r, bits in add_slot(stage, values, target):
+        def spy(stage, values, m, target=None):
+            stage, count = _ReadStage(stage), len({v % m for v in values})
+            for r, bits in add_slot(stage, values, m, target):
                 if target is not None:
                     groups.append((bits == target, len(stage.read), count))
                 stage.read.clear()

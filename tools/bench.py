@@ -1,7 +1,8 @@
-"""Time trisum layer by layer, or two revisions against each other, and print one JSON line.
+"""Time trisum layer by layer, or two revisions against each other, or record one revision.
 
     python3 tools/bench.py layers [--inputs N] [--repeat K]
     python3 tools/bench.py ab REV_A REV_B --workload NAME [--pairs P] [--seconds S]
+    python3 tools/bench.py record REV [--pairs P]
 
 The layers mode draws the benchmark's own inputs for seed 1 (perfbench's
 large_thm1/large_thm2 and top_thm1/top_thm2 streams: [10^12, 2*10^12)
@@ -25,10 +26,9 @@ Its "sweeps" object times verify_range on [0, hi] for the conjecture,
 conj_a and conj_b to 10^6 and for thm1 and thm2 to 10^7, K runs each,
 caches cleared before each run: per form, hi, the median over the runs
 of elapsed_ms and of each stage of RangeReport.stages, in milliseconds;
-the holes, the distinct n that one more, untimed run hands to
-verifier._search at its top level; and traced_peak_kb, the tracemalloc
-peak of one more, untimed run, in KB, the figure the tests bound for a
-sweep in a fresh process.
+the holes, RangeReport.holes of the timed runs, which all read the same;
+and traced_peak_kb, the tracemalloc peak of one more, untimed run, in
+KB, the figure the tests bound for a sweep in a fresh process.
 
 Its "small" object times whole passes of the small workloads' ranges,
 represent_thm2 on [0, 60000) and represent_thm1 on [0, 10^5) (the first
@@ -45,6 +45,18 @@ fresh processes, seeds 101 and up, the first revision first in even
 pairs: per end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the pairs the second revision won by the metric's "better"
 direction, the ties, and a two-sided sign-test p-value.
+
+The record mode writes BENCH_<short rev>.json at the repo root, the
+trajectory point of one revision: the machine, the Python version, the
+full revision and the git tree of its src/ (which outlives a commit made
+only to be recorded), and per workload of BENCHMARK.json the ab output
+of REV against itself over P pairs of BENCHMARK.json's run_seconds,
+fixed so that records compare: each end-to-end metric's median and
+quartiles on both sides, whose gap is the A/A floor, reported next to
+BENCHMARK.json's bounds, which it does not change.  It also holds one
+layers run of REV's own tool and code, from a `git archive` copy in a
+fresh process, and the record's wall time in seconds.  The cold
+first-call latency of represent_thm2 is not recorded yet.
 """
 
 from __future__ import annotations
@@ -71,7 +83,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import trisum  # noqa: E402
 from perfbench.baseline import summarise  # noqa: E402
 from perfbench.workloads import WORKLOADS, inputs  # noqa: E402
-from trisum import squares, theorem2, verifier  # noqa: E402
+from trisum import squares, theorem2  # noqa: E402
 from trisum.theorem1 import represent_thm1  # noqa: E402
 from trisum.theorem2 import represent_thm2  # noqa: E402
 from trisum.verifier import verify_range  # noqa: E402
@@ -174,25 +186,7 @@ def _sweep(form: str, hi: int, repeat: int, clears) -> dict:
     stages = {name: round(statistics.median(report.stages[i][1] for report in reports), 3)
               for i, (name, _) in enumerate(reports[0].stages)}
     return {"hi": hi, "elapsed_ms": round(statistics.median(report.elapsed_ms for report in reports), 3),
-            "stages": stages, "holes": _holes(form, hi), "traced_peak_kb": _traced_peak_kb(form, hi)}
-
-
-def _holes(form: str, hi: int) -> int:
-    # the distinct n of the top-level verifier._search calls of one sweep;
-    # its recursion passes the slot index i > 0
-    search, searched = verifier._search, set()
-
-    def spy(kinds, n, pairs, i=0):
-        if i == 0:
-            searched.add(n)
-        return search(kinds, n, pairs, i)
-
-    verifier._search = spy
-    try:
-        verify_range(form, 0, hi)
-    finally:
-        verifier._search = search
-    return len(searched)
+            "stages": stages, "holes": reports[0].holes, "traced_peak_kb": _traced_peak_kb(form, hi)}
 
 
 def _traced_peak_kb(form: str, hi: int) -> int:
@@ -313,18 +307,25 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return {name: m["value"] for name, m in json.loads(out.splitlines()[-1])["metrics"].items()}
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _extract(commit: str, tree: Path) -> Path:
+    # a `git archive` copy of the commit, made at tree
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return tree
+
+
 def ab(rev_a: str, rev_b: str, workload: str, pairs: int, seconds: int) -> dict:
     """Alternating fresh-process pairs of two revisions on one workload (module docstring)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    commits = [subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip() for rev in (rev_a, rev_b)]
+    commits = [_git("rev-parse", "--verify", f"{rev}^{{commit}}") for rev in (rev_a, rev_b)]
     with tempfile.TemporaryDirectory() as scratch:
-        trees = [Path(scratch, side) for side in "ab"]
-        for tree, commit in zip(trees, commits):
-            tree.mkdir()
-            archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        trees = [_extract(commit, Path(scratch, side)) for commit, side in zip(commits, "ab")]
         runs: tuple[list, list] = ([], [])
         for i in range(pairs):
             order = (0, 1) if i % 2 == 0 else (1, 0)
@@ -333,6 +334,34 @@ def ab(rev_a: str, rev_b: str, workload: str, pairs: int, seconds: int) -> dict:
     return {"mode": "ab", "a": commits[0], "b": commits[1], "workload": workload, "pairs": pairs,
             "seconds": seconds, "seeds": [AB_SEED, AB_SEED + pairs - 1], "python": platform.python_version(),
             "metrics": ab_summary(*runs, better)}
+
+
+def _layers_at(commit: str) -> dict:
+    # one layers run of the commit's own tool and code, in a fresh process
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = _extract(commit, Path(scratch, "tree"))
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run([sys.executable, "tools/bench.py", "layers"], cwd=tree, env=env, stdout=subprocess.PIPE,
+                             text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def record(rev: str, pairs: int, root: Path = ROOT) -> Path:
+    """Write BENCH_<short rev>.json at `root` (module docstring) and return its path."""
+    start = perf_counter_ns()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    seconds = spec["run_seconds"]
+    workloads = {w["name"]: ab(commit, commit, w["name"], pairs, seconds) for w in spec["workloads"]}
+    out = {"mode": "record", "revision": commit, "src_tree": _git("rev-parse", f"{commit}:src"),
+           "machine": {"platform": platform.platform(), "machine": platform.machine(), "cpus": os.cpu_count()},
+           "python": platform.python_version(), "pairs": pairs, "seconds": seconds, "bounds": bounds,
+           "workloads": workloads, "layers": _layers_at(commit)}
+    out["wall_s"] = round((perf_counter_ns() - start) / 1e9, 1)
+    path = root / f"BENCH_{commit[:7]}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    return path
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -351,11 +380,16 @@ def main(argv: list[str] | None = None) -> int:
     pair.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     pair.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs (at least 2)")
     pair.add_argument("--seconds", type=int, default=25, help="--seconds of each perfbench run")
+    point = modes.add_parser("record", help="write BENCH_<rev>.json: A/A pairs of every workload, and layers")
+    point.add_argument("rev", help="the revision recorded")
+    point.add_argument("--pairs", type=int, default=10, help="alternating A/A pairs per workload (at least 2)")
     args = parser.parse_args(argv)
+    if args.mode in ("ab", "record") and args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
     if args.mode == "ab":
-        if args.pairs < 2:
-            parser.error("--pairs must be at least 2 for quartiles")
         print(json.dumps(ab(args.rev_a, args.rev_b, args.workload, args.pairs, args.seconds)))
+    elif args.mode == "record":
+        print(record(args.rev, args.pairs))
     else:
         print(json.dumps(layers(args.inputs, args.repeat)))
     return 0
