@@ -25,6 +25,7 @@ from typing import NamedTuple
 # intermediate quantity (8n+6, squares near 8n, the 8n+2 whose two-square
 # splits the search lists) stays below 2^64, where squares' Miller-Rabin is exact.
 MAX_INPUT = 1 << 58
+_tuple_new = tuple.__new__  # bound once, as a lookup on the type costs each witness built
 
 
 class Quad1(NamedTuple):
@@ -76,7 +77,7 @@ def check_nat(n: int, name: str = "n", bound: float = MAX_INPUT) -> int:
 def _quad(cls, i: int, j: int, k: int, l: int):
     # (i, j) fills (a, c) and (k, l) fills (b, d); each pair holds one odd
     # index (-1 included), which goes to the odd slot, and one even index.
-    # tuple.__new__ is what the NamedTuple's own __new__ calls, without its
+    # _tuple_new is what the NamedTuple's own __new__ calls, without its
     # keyword handling
     if i & 1:
         a, c = (i + 1) // 2, j // 2
@@ -86,7 +87,7 @@ def _quad(cls, i: int, j: int, k: int, l: int):
         b, d = (k + 1) // 2, l // 2
     else:
         b, d = (l + 1) // 2, k // 2
-    return tuple.__new__(cls, (a, b, c, d))
+    return _tuple_new(cls, (a, b, c, d))
 
 
 def eval_quad(form: str, q) -> int:

@@ -18,6 +18,10 @@ representations are memoised (an lru_cache of 2^15 entries each): a
 construction passes them remainders of about sqrt(n), so nearby inputs
 repeat their arguments.  The values are (x, y, z) tuples, so one cached
 value can be shared between callers; a raised error is not cached.
+The universal pair's lru no longer serves the library: theorem 1 calls
+their uncached bodies (__wrapped__) under its own peel caches, which
+hold what it derives from them.  Their lru stays for outside callers,
+and because the benchmark's tracer reads its cache_info().
 Nothing here checks its input: theorem 1 passes the universal pair the
 integers m >= 0 its peel derived, and theorem 2 calls the mixed pair's
 caches, _ttt_mixed (k = 1) and _tt4t_mixed (k = 2), with the integers

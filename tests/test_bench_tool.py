@@ -56,12 +56,32 @@ def test_layers_prints_one_json_line_per_band_and_theorem():
     # the small windows, cut to --inputs
     assert set(result["small"]) == {"thm2", "thm1"}
     for form, small in result["small"].items():
-        extra = {"mixed_per_witness", "search_calls", "search_share"} if form == "thm2" else set()
+        extra = {"mixed_per_witness", "search_calls", "search_share"} if form == "thm2" else {"peel_hit_ratio"}
         assert set(small) == {"hi"} | _STATS | extra, form
         assert small["hi"] == small["calls"] == 20, form
         assert 0 < small["p50_us"] <= small["max_us"], form
     thm2 = result["small"]["thm2"]
     assert 0 < thm2["search_calls"] <= 20 and 0 < thm2["search_share"] <= 1
+    # every n below 20 goes to theorem 1's search, so no peel cache is asked
+    assert result["small"]["thm1"]["peel_hit_ratio"] is None
+    # one cold pass per theorem, cut to --inputs
+    assert set(result["throughput"]) == {"thm1", "thm2"}
+    for form, run in result["throughput"].items():
+        assert set(run) == {"hi", "seconds", "calls_per_s"}, form
+        assert run["hi"] == 20 and run["seconds"] > 0 and run["calls_per_s"] > 0, form
+    # one fresh process per input at --repeat 1
+    assert set(result["cold"]) == {"505438", "1000008", "1045768"}
+    for n, cold in result["cold"].items():
+        assert set(cold) == {"import_ms", "first_call_ms"}, n
+        assert cold["import_ms"] > 0 and cold["first_call_ms"] > 0, n
+
+
+def test_peel_hit_ratio_counts_both_peel_caches():
+    # a remainder m recurs at every k from about m/2 up, so most calls past
+    # 200 hit a peel cache
+    tool = _load_tool()
+    small = tool._small("thm1", 2000, 1, tool._cache_clears())
+    assert 0.5 < small["peel_hit_ratio"] < 1
 
 
 @cache

@@ -144,7 +144,8 @@ _CACHES = package_caches()
 
 
 def test_every_package_cache_is_found():
-    expected = {"rep_ttt_mixed", "rep_tt4t_mixed", "rep_square_two_tri", "rep_2t_t_t", "_two_square_splits"}
+    expected = {"rep_ttt_mixed", "rep_tt4t_mixed", "rep_square_two_tri", "rep_2t_t_t", "_two_square_splits",
+                "_peel_odd", "_peel_even"}
     assert expected <= set(_CACHES)
 
 

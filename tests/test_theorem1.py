@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -82,6 +83,27 @@ def test_one_peel_body_matches_the_two_branch_reference():
     assert fallback_count() == 0
 
 
+def _peeled(parity, k, m):
+    # the n whose peel takes k and leaves m: m <= 2k fits either parity
+    return 2 * k * k + 2 * m + (2 * k + 1 if parity else 0)
+
+
+@pytest.mark.parametrize("k", [100, 101, 10**8 + 1])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_one_peel_entry_serves_both_parities_of_k(parity, order, k):
+    # the entry a remainder makes at k serves k + 1 as well, and the other
+    # way round, though a step of k swaps the odd and even index of a pair
+    peel = theorem1._peel_odd if parity else theorem1._peel_even
+    for m in (0, 1, 37, 2 * k):
+        peel.cache_clear()
+        for step in order:
+            n = _peeled(parity, k + step, m)
+            assert represent_thm1(n) == _two_branch_reference(n), (n, k + step)
+        info = peel.cache_info()
+        assert (info.misses, info.hits) == (1, 1), m
+
+
 @given(st.integers(min_value=201, max_value=MAX_INPUT))
 @settings(max_examples=300, deadline=None)
 def test_bound_check_holds_on_the_whole_domain(n):
@@ -121,6 +143,11 @@ def _break_the_bound_checks(monkeypatch):
 
     monkeypatch.setattr(theorem1, "rep_2t_t_t", rep)
     monkeypatch.setattr(theorem1, "rep_square_two_tri", rep)
+    # empty peel caches for the test: a remainder an earlier test cached
+    # would never reach these reps, and the real caches, put back after it,
+    # never hold what these reps gave
+    for name in ("_peel_odd", "_peel_even"):
+        monkeypatch.setattr(theorem1, name, lru_cache(maxsize=1 << 15)(getattr(theorem1, name).__wrapped__))
 
 
 @pytest.mark.parametrize("n", [1001, 1002])

@@ -37,7 +37,21 @@ cleared once before each pass: per call its fastest time over the
 passes, summarised as above.  For thm2 it adds the mixed-rep calls per
 witness and the calls that reach the exhaustive search, with their share
 of the pass's time; one untimed pass finds both by wrapping theorem2's
-seams.
+seams.  For thm1 it adds peel_hit_ratio, hits / (hits + misses) of
+theorem 1's two peel caches over one more untimed pass from cleared
+caches (null when no input passes 200): the share of calls that cost a
+lookup and four additions, on which its speed rests.
+
+Its "throughput" object times, per theorem, one cold pass of
+represent_thm1 or represent_thm2 over [0, 10^6) (the first N inputs
+when --inputs N is given), every cache cleared once before it: hi, the
+pass's seconds and its calls per second.
+
+Its "cold" object times what a new process pays first: per input n of
+COLD, K fresh interpreters (-I, with no bytecode cache to read, so
+every module compiles) each time `import trisum` and then the first
+represent_thm2(n), which at 1045768 builds the search's pair table; the
+median over the K processes of each, in milliseconds.
 
 The ab mode extracts one `git archive` copy of each revision and runs
 perfbench/run.py --trace 0 on the workload in P alternating pairs of
@@ -55,8 +69,8 @@ fixed so that records compare: each end-to-end metric's median and
 quartiles on both sides, whose gap is the A/A floor, reported next to
 BENCHMARK.json's bounds, which it does not change.  It also holds one
 layers run of REV's own tool and code, from a `git archive` copy in a
-fresh process, and the record's wall time in seconds.  The cold
-first-call latency of represent_thm2 is not recorded yet.
+fresh process, its throughput and cold rows included, and the
+record's wall time in seconds.
 """
 
 from __future__ import annotations
@@ -83,7 +97,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import trisum  # noqa: E402
 from perfbench.baseline import summarise  # noqa: E402
 from perfbench.workloads import WORKLOADS, inputs  # noqa: E402
-from trisum import squares, theorem2  # noqa: E402
+from trisum import squares, theorem1, theorem2  # noqa: E402
 from trisum.theorem1 import represent_thm1  # noqa: E402
 from trisum.theorem2 import represent_thm2  # noqa: E402
 from trisum.verifier import verify_range  # noqa: E402
@@ -94,6 +108,19 @@ REPRESENT = {"thm1": represent_thm1, "thm2": represent_thm2}
 SWEEPS = {"conjecture": 10**6, "conj_a": 10**6, "conj_b": 10**6, "thm1": 10**7, "thm2": 10**7}
 BAND_INPUTS = 2000
 SMALL = {"thm2": 60000, "thm1": 10**5}  # the small_thm2 and small_thm1 ranges
+THROUGHPUT = 10**6
+COLD = (505438, 1000008, 1045768)
+# a fresh interpreter's import of the package, then its first call
+_COLD_CALL = """
+import sys
+from time import perf_counter_ns
+sys.path.insert(0, sys.argv[1])
+t0 = perf_counter_ns()
+import trisum
+t1 = perf_counter_ns()
+trisum.represent_thm2(int(sys.argv[2]))
+print((t1 - t0) / 1e6, (perf_counter_ns() - t1) / 1e6)
+"""
 AB_SEED = 101
 
 
@@ -254,7 +281,38 @@ def _small(form: str, hi: int, repeat: int, clears) -> dict:
         mixed = seams.calls["rep_ttt_mixed"] + seams.calls["rep_tt4t_mixed"]
         out.update(mixed_per_witness=round(mixed / hi, 3), search_calls=len(searched),
                    search_share=round(sum(times[i] for i in searched) / sum(times), 4))
+    else:
+        for clear in clears:
+            clear()
+        for i in ns:
+            represent(i)
+        peels = [theorem1._peel_odd.cache_info(), theorem1._peel_even.cache_info()]
+        hits, misses = sum(c.hits for c in peels), sum(c.misses for c in peels)
+        out["peel_hit_ratio"] = round(hits / (hits + misses), 4) if hits + misses else None
     return out
+
+
+def _throughput(form: str, hi: int, clears) -> dict:
+    represent = REPRESENT[form]
+    for clear in clears:
+        clear()
+    t0 = perf_counter_ns()
+    for n in range(hi):
+        represent(n)
+    seconds = (perf_counter_ns() - t0) / 1e9
+    return {"hi": hi, "seconds": round(seconds, 6), "calls_per_s": round(hi / seconds)}
+
+
+def _cold(repeat: int) -> dict:
+    runs: dict[int, list] = {n: [] for n in COLD}
+    with tempfile.TemporaryDirectory() as empty:
+        argv = [sys.executable, "-I", "-B", "-X", f"pycache_prefix={empty}", "-c", _COLD_CALL, str(ROOT / "src")]
+        for _ in range(repeat):
+            for n in COLD:
+                out = subprocess.run([*argv, str(n)], stdout=subprocess.PIPE, text=True, check=True).stdout
+                runs[n].append([float(ms) for ms in out.split()])
+    return {str(n): {"import_ms": round(statistics.median(r[0] for r in ms), 2),
+                     "first_call_ms": round(statistics.median(r[1] for r in ms), 2)} for n, ms in runs.items()}
 
 
 def layers(count: int | None, repeat: int) -> dict:
@@ -268,9 +326,12 @@ def layers(count: int | None, repeat: int) -> dict:
                   for band in BANDS}
         result["sweeps"] = {form: _sweep(form, hi, repeat, clears) for form, hi in SWEEPS.items()}
         result["small"] = {form: _small(form, min(hi, count or hi), repeat, clears) for form, hi in SMALL.items()}
+        result["throughput"] = {form: _throughput(form, min(THROUGHPUT, count or THROUGHPUT), clears)
+                                for form in REPRESENT}
     finally:
         if enabled:
             gc.enable()
+    result["cold"] = _cold(repeat)
     return {"mode": "layers", "inputs": per_band, "repeat": repeat, "seed": SEED,
             "python": platform.python_version(), **result}
 
@@ -370,10 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     layer = modes.add_parser("layers", help="per-input timings of the witness layers, and sweep stage times")
     layer.add_argument("--inputs", type=int,
                        help=f"inputs per band and theorem (default {BAND_INPUTS}), and the cut of each small "
-                            "window (default its whole range)")
+                            "window and throughput pass (default its whole range)")
     layer.add_argument("--repeat", type=int, default=9,
                        help="calls per input and passes per small window, the fastest counting, and runs "
-                            "per sweep, the median counting")
+                            "per sweep and fresh processes per cold input, the median counting")
     pair = modes.add_parser("ab", help="alternating benchmark runs of two revisions, with a sign test")
     pair.add_argument("rev_a", help="the first revision, the reference")
     pair.add_argument("rev_b", help="the second revision, the one judged")
